@@ -5,11 +5,14 @@
 # Usage: scripts/ci.sh [build-dir]
 #   P2PS_CI_SEED   seed for the scenario smoke pass (default 2002)
 #   P2PS_CI_SCALE  population divisor for the smoke pass (default 10)
-#   P2PS_SANITIZE  opt-in sanitizer pass: 'address' or 'undefined'. The
-#                  whole tier-1 + smoke run repeats under the instrumented
-#                  build; use a dedicated build dir (sanitizer flags are
-#                  cached). RSS-budget checks are skipped — sanitized RSS
-#                  is not comparable to production RSS.
+#   P2PS_SANITIZE  opt-in sanitizer pass: 'address', 'undefined' or
+#                  'thread'. The whole tier-1 + smoke run repeats under the
+#                  instrumented build; use a dedicated build dir (sanitizer
+#                  flags are cached). RSS-budget checks are skipped —
+#                  sanitized RSS is not comparable to production RSS.
+#                  Independently of this, every unsanitized run ends with a
+#                  ThreadSanitizer pass over the shard, sweep and obs
+#                  suites in <build-dir>-tsan.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -316,6 +319,41 @@ grep -q '"windows_fused":[1-9]' \
   exit 1
 }
 
+# Thread-parity smoke: the window pool and the destination-side exchange
+# (docs/sharding.md, "Threading") change only wall-clock. At 8 shards the
+# payload must be byte-identical for --shard-threads 1, 2 and 4 (and equal
+# to the one-shard run), and the --mechanics counters that every thread
+# touches — cross-shard messages and the delivery-group pool — must agree
+# exactly: a racy counter drifts here first.
+echo "==> thread-parity smoke: perf_sharded_scale --shards 8 x --shard-threads {1,2,4}"
+parity_scale=$(( scale * 4 ))
+"${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
+    --compact --shards 1 > "${smoke_dir}/parity.s1.json"
+for threads in 1 2 4; do
+  "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
+      --compact --shards 8 --shard-threads "${threads}" \
+      > "${smoke_dir}/parity.t${threads}.json"
+  cmp "${smoke_dir}/parity.s1.json" "${smoke_dir}/parity.t${threads}.json" || {
+    echo "FAIL: perf_sharded_scale --shards 8 --shard-threads ${threads}" \
+         "differs from --shards 1" >&2
+    exit 1
+  }
+  "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
+      --compact --shards 8 --shard-threads "${threads}" --mechanics \
+      | grep -o '"\(cross_shard_messages\|pool_allocations\|pool_reuses\)":[0-9]*' \
+      > "${smoke_dir}/parity.t${threads}.counters"
+  if [ "$(wc -l < "${smoke_dir}/parity.t${threads}.counters")" -ne 3 ]; then
+    echo "FAIL: --mechanics lacks the cross-shard/pool counters" >&2
+    exit 1
+  fi
+  cmp "${smoke_dir}/parity.t1.counters" \
+      "${smoke_dir}/parity.t${threads}.counters" || {
+    echo "FAIL: mechanics counters differ between --shard-threads 1 and" \
+         "${threads}" >&2
+    exit 1
+  }
+done
+
 # Memory smoke: the compact-peer-state budget (docs/memory.md). A 1/10th
 # perf_sharded_10m run (1,002,000 peers — the PR-7 headline population)
 # must stay under a peak RSS only the hot/cold split can meet: the AoS
@@ -398,7 +436,29 @@ if [ "${status}" -ne 2 ]; then
   exit 1
 fi
 
+# ThreadSanitizer pass: the threaded shard runner (window pool, parity
+# outbox rows, per-shard telemetry lanes and profiler cells) must be
+# race-free with no suppressions. A dedicated build tree, because
+# sanitizer flags are cached; only the suites that drive threads are
+# built and run. Skipped when this whole run is already sanitized.
+if [ -z "${sanitize}" ]; then
+  tsan_dir="${build_dir}-tsan"
+  echo "==> tsan: shard, sweep and obs suites under -fsanitize=thread"
+  cmake -B "${tsan_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
+      -DP2PS_SANITIZE=thread -DP2PS_BUILD_BENCH=OFF \
+      -DP2PS_BUILD_EXAMPLES=OFF > /dev/null
+  cmake --build "${tsan_dir}" -j "$(nproc)" \
+      --target shard_test sweep_test obs_test
+  for suite in shard_test sweep_test obs_test; do
+    TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/${suite}" \
+        --gtest_brief=1
+  done
+else
+  echo "==> tsan: skipped under -fsanitize=${sanitize}"
+fi
+
 echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
      "message smoke, sweep smoke, latency-axis smoke, timer smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
-     "memory smoke and telemetry smoke all green"
+     "thread-parity smoke, memory smoke, telemetry smoke and tsan pass" \
+     "all green"

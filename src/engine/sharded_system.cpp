@@ -184,7 +184,7 @@ void ShardedSystem::Directory::flush_due(util::SimTime through) {
 
 std::size_t ShardedSystem::Directory::visible_count(int shard, util::SimTime at) {
   const std::int64_t at_ms = at.as_millis();
-  std::size_t& cursor = cursors_[static_cast<std::size_t>(shard)];
+  std::size_t& cursor = cursors_[static_cast<std::size_t>(shard)].index;
   while (cursor < visible_ms_.size() && visible_ms_[cursor] <= at_ms) ++cursor;
   return cursor;
 }
@@ -193,7 +193,7 @@ std::size_t ShardedSystem::Directory::visible_count(int shard, util::SimTime at)
 // Shard
 // ---------------------------------------------------------------------------
 
-struct ShardedSystem::Shard {
+struct alignas(64) ShardedSystem::Shard {
   /// Back-pointer for the router's context-pointer delivery trampoline
   /// (ShardRouter::Handler is a raw function pointer, not a std::function,
   /// so the capture state lives here).
@@ -779,7 +779,7 @@ void ShardedSystem::make_supplier(Shard& shard, std::uint32_t local) {
   // Probe-visible exactly one lookahead window from now: late enough that
   // no query in the current window can see it (partition-independence),
   // as tight as the conservative protocol allows.
-  join_buffers_[static_cast<std::size_t>(shard.index)].push_back(
+  join_buffers_[static_cast<std::size_t>(shard.index)].joins.push_back(
       Directory::Join{to_ms32(shard.sim.now() + lookahead_),
                       static_cast<std::uint32_t>(self.value())});
 }
@@ -923,26 +923,35 @@ ShardedResult ShardedSystem::run() {
                           config_.fusion);
   sim::ShardRunner::Callbacks callbacks;
   callbacks.profiler = telem_ ? telem_->profiler : nullptr;
+  // Runs on the shard's owning thread right after its step: the shard's
+  // next event and the earliest cross-shard delivery it sent this window
+  // (not yet pulled by its destination) — together exactly the
+  // post-exchange next event time (docs/sharding.md).
   callbacks.next_event_time = [this](int shard) {
-    return shards_[static_cast<std::size_t>(shard)]->sim.next_event_time();
+    const auto next = shards_[static_cast<std::size_t>(shard)]->sim.next_event_time();
+    const auto outbound = router_.earliest_outbound(shard);
+    if (!next) return outbound;
+    return outbound ? std::min(*next, *outbound) : next;
   };
   callbacks.at_window_start = [this](util::SimTime window_end) {
     directory_.flush_due(window_end);
   };
-  callbacks.run_to = [this](int shard, util::SimTime t) {
+  // Each shard pulls last window's cross-shard envelopes on its own thread
+  // before running any event of this window (the route-drain sub-span of
+  // its step; a pull that moved nothing is not timed).
+  obs::PhaseProfiler* const profiler = callbacks.profiler;
+  callbacks.run_to = [this, profiler](int shard, util::SimTime t) {
+    if (router_.begin_step(shard) > 0 && profiler != nullptr) {
+      profiler->end_shard_route(shard);
+    }
     shards_[static_cast<std::size_t>(shard)]->sim.run_until(t);
   };
   callbacks.at_barrier = [this](util::SimTime window_end) {
-    {
-      obs::ScopedPhase route(telem_ ? telem_->profiler : nullptr,
-                             obs::Phase::kRouteDrain);
-      router_.exchange();
-    }
-    for (auto& joins : join_buffers_) {
-      for (const Directory::Join& join : joins) {
+    for (auto& row : join_buffers_) {
+      for (const Directory::Join& join : row.joins) {
         directory_.enqueue(join.visible_ms, join.peer);
       }
-      joins.clear();  // capacity kept
+      row.joins.clear();  // capacity kept
     }
     if (telem_) {
       const std::uint64_t total = router_.cross_shard_total();
@@ -956,6 +965,9 @@ ShardedResult ShardedSystem::run() {
     }
   };
   runner.run(config_.horizon, callbacks);
+  // The last window's cross-shard sends (all due past the horizon) land
+  // in their destinations' delivery groups, as every earlier window's did.
+  router_.exchange();
 
   for (auto& shard_ptr : shards_) shard_ptr->sampler->stop();
 

@@ -322,7 +322,7 @@ class ShardedSystem {
     static_assert(sizeof(Join) == 8, "directory joins must stay 8 bytes");
 
     explicit Directory(int num_shards)
-        : cursors_(static_cast<std::size_t>(num_shards), 0) {}
+        : cursors_(static_cast<std::size_t>(num_shards)) {}
 
     /// Coordinator-only: parks a join that becomes visible at `visible_ms`.
     void enqueue(std::uint32_t visible_ms, std::uint32_t peer);
@@ -353,7 +353,12 @@ class ShardedSystem {
     /// the flush fast path is one compare against this.
     std::uint32_t next_visible_ = kNeverVisible;
     std::uint64_t flushes_ = 0;
-    std::vector<std::size_t> cursors_;
+    /// One monotone read cursor per shard, each on its own cache line:
+    /// shards advance them concurrently during a window.
+    struct alignas(64) Cursor {
+      std::size_t index = 0;
+    };
+    std::vector<Cursor> cursors_;
   };
 
   struct Shard;  // defined in the .cpp (holds Simulator + lazy sources)
@@ -428,11 +433,15 @@ class ShardedSystem {
   Router router_;
   Directory directory_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Joins produced during the current window, one row per shard, moved
-  /// into the directory at the barrier by the coordinator. (All selection
-  /// and sampling scratch lives inside each Shard — shards are
-  /// thread-confined during windows.)
-  std::vector<std::vector<Directory::Join>> join_buffers_;
+  /// Joins produced during the current window, one cache-line-aligned row
+  /// per shard (each shard's thread appends to its own), moved into the
+  /// directory at the barrier by the coordinator. (All selection and
+  /// sampling scratch lives inside each Shard — shards are thread-confined
+  /// during windows.)
+  struct alignas(64) JoinRow {
+    std::vector<Directory::Join> joins;
+  };
+  std::vector<JoinRow> join_buffers_;
   std::int64_t total_peers_ = 0;
   bool ran_ = false;
   /// Telemetry wiring (registry handles + profiler), allocated in run()

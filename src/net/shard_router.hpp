@@ -18,13 +18,27 @@
 //     with seq a per-*sender* counter. Every component of that key is a
 //     property of the traffic itself, never of the partitioning — unlike
 //     arrival order into the batch (local sends append at send time,
-//     remote sends at the next barrier), which is why the batch is sorted
-//     rather than drained FIFO. Merged output is therefore byte-identical
-//     for any shard count.
-//   * Windowed exchange. Cross-shard envelopes accumulate in per-(source,
-//     destination) outboxes during a window and move to the destination's
-//     delivery groups at the barrier, by the coordinator, while workers
-//     are parked — the only moment an envelope crosses a thread boundary.
+//     remote sends at the destination's next pull), which is why the
+//     batch is sorted rather than drained FIFO. Merged output is
+//     therefore byte-identical for any shard count.
+//   * Destination-side exchange. Cross-shard envelopes accumulate in
+//     per-(source, destination) outbox rows that are double-buffered by
+//     window parity: during window k a source writes rows of parity k mod
+//     2, and each destination pulls the rows of parity (k - 1) mod 2 —
+//     what every source sent it in window k - 1 — at the start of its own
+//     window-k step, on its own thread, sources in ascending order. Each
+//     row is therefore written in one window and read in the next, never
+//     both in the same window, and the runner's window hand-off
+//     (sim/shard_runner.hpp) is the only moment an envelope crosses a
+//     thread boundary. Ascending-source pulls reproduce the old
+//     coordinator exchange's per-destination enqueue order exactly, so
+//     delivery-group creation, event sequence numbers and payloads are
+//     identical by construction.
+//   * Source-side minimum. Each source tracks the earliest deliver_at it
+//     sent across shards this window (earliest_outbound), so the runner's
+//     next-window bound min_next is exact before any destination has
+//     pulled: min over shards of (next pending event, earliest outbound)
+//     equals min over shards of the post-exchange next event.
 //
 // Steady state is allocation-free: delivery groups come off a free list
 // (entry vectors keep their capacity across reuse), outbox rows keep
@@ -36,14 +50,18 @@
 // uniquely. On a collision the ring doubles and every live group rehashes
 // — a handful of doublings early in a run, then never again.
 //
-// Thread-safety: during a window, shard s's engine may call send(s, ...)
-// from its own thread; that touches only shard s's outbox row and shard
-// s's own delivery groups (local sends). exchange() and bind() are
-// coordinator-only.
+// Thread-safety: during a window, shard s's thread may call begin_step(s),
+// send(s, ...) and earliest_outbound(s); those touch shard s's own port
+// (delivery groups, counters, outbox rows of the write parity) and the
+// read-parity rows addressed to s, which no other thread touches in that
+// window. Ports and rows are cache-line aligned, so no two threads write
+// one line. exchange(), bind() and the counter reads are coordinator-only
+// (between windows).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -82,14 +100,13 @@ class ShardRouter {
       : num_shards_(num_shards),
         window_(window),
         window_ms_(static_cast<std::uint64_t>(window.as_millis())),
-        ports_(static_cast<std::size_t>(num_shards)) {
+        ports_(static_cast<std::size_t>(num_shards)),
+        rows_(2 * static_cast<std::size_t>(num_shards) *
+              static_cast<std::size_t>(num_shards)) {
     P2PS_REQUIRE_MSG(num_shards_ >= 1, "ShardRouter needs at least one shard");
     P2PS_REQUIRE_MSG(window_ >= util::SimTime::millis(1),
                      "conservative lookahead must be at least one tick");
-    for (Port& port : ports_) {
-      port.outbox.resize(static_cast<std::size_t>(num_shards_));
-      port.ring.assign(kInitialRingSlots, kNoGroup);
-    }
+    for (Port& port : ports_) port.ring.assign(kInitialRingSlots, kNoGroup);
   }
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -123,7 +140,8 @@ class ShardRouter {
   /// Sends one envelope from shard `from_shard` (which must own
   /// envelope.from and whose simulator's now() must equal sent_at).
   /// Local deliveries join the source shard's own groups immediately;
-  /// cross-shard deliveries park in the outbox until the next exchange().
+  /// cross-shard deliveries park in an outbox row until the destination's
+  /// next begin_step (or an exchange()).
   void send(int from_shard, Envelope envelope) {
     Port& source = port_at(from_shard);
     P2PS_REQUIRE_MSG(source.simulator != nullptr, "send before bind");
@@ -133,56 +151,91 @@ class ShardRouter {
                        std::uint64_t{envelope.sent_at} + window_ms_,
                    "lookahead violation: message latency below the shard "
                    "window width (see docs/sharding.md)");
-    ++sent_total_;
+    ++source.sent;
     const int to_shard = shard_of(std::uint64_t{envelope.to});
     if (to_shard == from_shard) {
       enqueue(source, std::move(envelope));
       return;
     }
-    ++cross_shard_total_;
-    auto& batch = source.outbox[static_cast<std::size_t>(to_shard)];
-    if (batch.empty()) source.dirty_rows.push_back(to_shard);
-    batch.push_back(std::move(envelope));
+    ++source.cross_shard;
+    source.outbound_min = std::min(source.outbound_min, envelope.deliver_at);
+    row(source.parity, from_shard, to_shard).entries.push_back(std::move(envelope));
   }
 
-  /// Barrier step (coordinator-only, workers parked): moves every outbox
-  /// batch into its destination shard's delivery groups. Every
-  /// destination simulator must already sit at the barrier tick, which the
-  /// lookahead guarantees is strictly before any batched delivery.
-  ///
-  /// Cost is O(rows actually written this window), not O(shards^2): each
-  /// source port tracks which destination rows it touched (thread-confined
-  /// — only the source's own worker appends), and the dirty list is sorted
-  /// ascending here so batches move in exactly the (source, destination)
-  /// order the full scan used.
-  void exchange() {
-    for (Port& source : ports_) {
-      if (source.dirty_rows.empty()) continue;
-      std::sort(source.dirty_rows.begin(), source.dirty_rows.end());
-      for (const int to_shard : source.dirty_rows) {
-        auto& batch = source.outbox[static_cast<std::size_t>(to_shard)];
-        Port& destination = port_at(to_shard);
-        for (Envelope& envelope : batch) {
-          P2PS_CHECK_MSG(static_cast<std::int64_t>(envelope.deliver_at) >
-                             destination.simulator->now().as_millis(),
-                         "cross-shard envelope due before the barrier tick");
-          enqueue(destination, std::move(envelope));
-        }
-        batch.clear();  // capacity kept — the outbox row is pooled
-      }
-      source.dirty_rows.clear();
+  /// Opens shard `shard`'s next send window, on the shard's own thread,
+  /// before it runs any event of that window: pulls every envelope the
+  /// other shards sent it during the previous window into its delivery
+  /// groups (sources in ascending order), flips its outbox parity, and
+  /// resets its earliest-outbound tick. The shard's simulator must sit at
+  /// the previous window's end, which the lookahead guarantees is strictly
+  /// before every pulled delivery. Returns the number of envelopes pulled.
+  std::size_t begin_step(int shard) {
+    Port& destination = port_at(shard);
+    const int previous = destination.parity;
+    // The rows were written on other cores: issue every row's line, then
+    // every non-empty row's first envelope line, before pulling any, so
+    // the cache misses overlap instead of queueing behind each enqueue.
+    for (int from = 0; from < num_shards_; ++from) {
+      if (from != shard) __builtin_prefetch(&row(previous, from, shard));
     }
+    for (int from = 0; from < num_shards_; ++from) {
+      if (from == shard) continue;
+      const Row& incoming = row(previous, from, shard);
+      if (!incoming.entries.empty()) __builtin_prefetch(incoming.entries.data());
+    }
+    std::size_t pulled = 0;
+    for (int from = 0; from < num_shards_; ++from) {
+      if (from != shard) pulled += pull(destination, row(previous, from, shard));
+    }
+    destination.parity = previous ^ 1;
+    destination.outbound_min = kNoTick;
+    return pulled;
+  }
+
+  /// Earliest deliver_at among the cross-shard envelopes `shard` sent
+  /// since its last begin_step (or exchange), nullopt if none — the
+  /// source-side half of the runner's next-window bound.
+  [[nodiscard]] std::optional<util::SimTime> earliest_outbound(int shard) const {
+    const std::uint32_t tick = port_at(shard).outbound_min;
+    if (tick == kNoTick) return std::nullopt;
+    return util::SimTime::millis(tick);
+  }
+
+  /// Coordinator-side drain (no step in flight): moves every undelivered
+  /// cross-shard envelope into its destination's delivery groups through
+  /// the same pull as begin_step — per destination, the older parity
+  /// first, then the newer, sources ascending within each — and resets
+  /// every earliest-outbound tick. Every destination simulator must sit
+  /// at the last window's end, strictly before any batched delivery.
+  /// Parities are not flipped: a caller that exchanges at every barrier
+  /// never needs begin_step.
+  void exchange() {
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      Port& destination = port_at(shard);
+      for (const int age : {1, 0}) {
+        for (int from = 0; from < num_shards_; ++from) {
+          if (from == shard) continue;
+          pull(destination, row(port_at(from).parity ^ age, from, shard));
+        }
+      }
+    }
+    for (Port& port : ports_) port.outbound_min = kNoTick;
   }
 
   /// Total envelopes accepted / envelopes that crossed a shard boundary.
-  [[nodiscard]] std::uint64_t sent_total() const { return sent_total_; }
-  [[nodiscard]] std::uint64_t cross_shard_total() const { return cross_shard_total_; }
+  /// Counted per source port (thread-confined) and summed here.
+  [[nodiscard]] std::uint64_t sent_total() const { return sum(&Port::sent); }
+  [[nodiscard]] std::uint64_t cross_shard_total() const {
+    return sum(&Port::cross_shard);
+  }
 
   /// Delivery-group pool traffic: groups constructed fresh vs recycled off
   /// a free list (entry capacity kept). A healthy steady state reuses far
   /// more than it allocates.
-  [[nodiscard]] std::uint64_t pool_allocations() const { return pool_allocations_; }
-  [[nodiscard]] std::uint64_t pool_reuses() const { return pool_reuses_; }
+  [[nodiscard]] std::uint64_t pool_allocations() const {
+    return sum(&Port::pool_allocations);
+  }
+  [[nodiscard]] std::uint64_t pool_reuses() const { return sum(&Port::pool_reuses); }
 
   /// Delivery groups currently pending on one shard (tests/diagnostics).
   [[nodiscard]] std::size_t pending_groups(int shard) const {
@@ -201,15 +254,23 @@ class ShardRouter {
     std::uint32_t next_free = kNoGroup;
   };
 
-  struct Port {
+  /// One (source, parity, destination) outbox row on its own cache line:
+  /// the source appends in one window, the destination drains it in the
+  /// next, and neighbouring rows belong to other destinations' threads.
+  struct alignas(64) Row {
+    std::vector<Envelope> entries;
+  };
+
+  /// Everything one shard's thread writes during a window, cache-line
+  /// aligned so neighbouring ports never false-share.
+  struct alignas(64) Port {
     sim::Simulator* simulator = nullptr;
     Handler on_deliver = nullptr;
     void* context = nullptr;
-    /// Pending cross-shard envelopes, one row per destination shard.
-    std::vector<std::vector<Envelope>> outbox;
-    /// Destination shards with a non-empty outbox row (each appears once:
-    /// rows register when they go non-empty, deregister at exchange).
-    std::vector<int> dirty_rows;
+    /// Write parity of the current send window (flipped by begin_step).
+    int parity = 0;
+    /// Earliest deliver_at sent across shards this window (kNoTick: none).
+    std::uint32_t outbound_min = kNoTick;
     /// Open-addressed tick -> group index: slot = tick mod ring size
     /// (power of two). Uniqueness holds because live ticks span less than
     /// the ring size (see file header); a collision doubles the ring.
@@ -220,9 +281,14 @@ class ShardRouter {
     /// Drain scratch, swapped with a group's entries so reentrant sends
     /// from handlers can grow `groups` safely mid-drain.
     std::vector<Envelope> drain_scratch;
+    std::uint64_t sent = 0;
+    std::uint64_t cross_shard = 0;
+    std::uint64_t pool_allocations = 0;
+    std::uint64_t pool_reuses = 0;
   };
 
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoTick = 0xFFFFFFFFu;
   static constexpr std::size_t kInitialRingSlots = 64;
 
   Port& port_at(int shard) {
@@ -232,6 +298,35 @@ class ShardRouter {
   const Port& port_at(int shard) const {
     P2PS_REQUIRE(shard >= 0 && shard < num_shards_);
     return ports_[static_cast<std::size_t>(shard)];
+  }
+
+  /// Outbox row (parity, from -> to). Rows addressed to one destination
+  /// are contiguous, so a pull walks adjacent lines.
+  Row& row(int parity, int from_shard, int to_shard) {
+    const auto n = static_cast<std::size_t>(num_shards_);
+    return rows_[(static_cast<std::size_t>(parity) * n +
+                  static_cast<std::size_t>(to_shard)) * n +
+                 static_cast<std::size_t>(from_shard)];
+  }
+
+  [[nodiscard]] std::uint64_t sum(std::uint64_t Port::*counter) const {
+    std::uint64_t total = 0;
+    for (const Port& port : ports_) total += port.*counter;
+    return total;
+  }
+
+  /// Moves one outbox row into `destination`'s delivery groups; returns
+  /// how many envelopes it moved.
+  std::size_t pull(Port& destination, Row& incoming) {
+    const std::size_t moved = incoming.entries.size();
+    for (Envelope& envelope : incoming.entries) {
+      P2PS_CHECK_MSG(static_cast<std::int64_t>(envelope.deliver_at) >
+                         destination.simulator->now().as_millis(),
+                     "cross-shard envelope due before the barrier tick");
+      enqueue(destination, std::move(envelope));
+    }
+    incoming.entries.clear();  // capacity kept — the outbox row is pooled
+    return moved;
   }
 
   [[nodiscard]] static std::size_t slot_of(const Port& port, std::int64_t tick_ms) {
@@ -288,12 +383,12 @@ class ShardRouter {
     if (port.free_head != kNoGroup) {
       index = port.free_head;
       port.free_head = port.groups[index].next_free;
-      ++pool_reuses_;
+      ++port.pool_reuses;
     } else {
       P2PS_CHECK_MSG(port.groups.size() < kNoGroup, "delivery group pool exhausted");
       port.groups.emplace_back();
       index = static_cast<std::uint32_t>(port.groups.size() - 1);
-      ++pool_allocations_;
+      ++port.pool_allocations;
     }
     port.groups[index].tick_ms = tick_ms;
     return index;
@@ -349,10 +444,9 @@ class ShardRouter {
   util::SimTime window_;
   std::uint64_t window_ms_;
   std::vector<Port> ports_;
-  std::uint64_t sent_total_ = 0;
-  std::uint64_t cross_shard_total_ = 0;
-  std::uint64_t pool_allocations_ = 0;
-  std::uint64_t pool_reuses_ = 0;
+  /// Cross-shard outbox rows, double-buffered by window parity: written by
+  /// the source shard in one window, pulled by the destination in the next.
+  std::vector<Row> rows_;
 };
 
 }  // namespace p2ps::net

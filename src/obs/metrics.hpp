@@ -16,7 +16,8 @@
 // named metric. During a lookahead window each shard worker touches only
 // its own lane (thread-confined, plain int64 writes — no atomics); the
 // coordinator aggregates across lanes at window barriers, where the
-// runner's std::barrier already provides the happens-before edge. That is
+// runner's window hand-off (a release/acquire pair) already provides the
+// happens-before edge. That is
 // the "lock-free at window barriers" contract: no synchronization beyond
 // what the sharded runner does anyway.
 #pragma once

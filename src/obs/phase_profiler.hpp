@@ -1,21 +1,24 @@
 // Wall-clock phase profiler for the sharded lookahead-window runner.
 //
 // Each lookahead window splits into phases: every shard STEPs its events
-// to the window end (the only parallel part), then the coordinator drains
-// cross-shard ROUTEs and runs the BARRIER bookkeeping (directory flush,
-// telemetry poll); at end of run the per-shard results MERGE. Timing each
-// phase — and the step time per shard — is the first real data for the
-// ROADMAP's "wall-clock scaling on a multi-core host" follow-on: the
-// imbalance ratio (max/mean shard busy time) bounds the speedup the
-// barrier design can reach on any core count.
+// to the window end (the only parallel part) — starting with the ROUTE
+// drain, its pull of the cross-shard envelopes other shards sent it last
+// window — then the coordinator runs the BARRIER bookkeeping (directory
+// joins, telemetry poll); at end of run the per-shard results MERGE.
+// Timing each phase — and the step time per shard — is the first real
+// data for the ROADMAP's "wall-clock scaling on a multi-core host"
+// follow-on: the imbalance ratio (max/mean shard busy time) bounds the
+// speedup the window design can reach on any core count.
 //
-// Threading: add_shard_step(s, ·) is called only by shard s's owning
-// worker (thread-confined; cells are cache-line padded so neighbouring
-// shards don't false-share), coordinator phases only by the coordinator,
-// and reads happen at barriers or after the run — the runner's own
-// std::barrier provides every needed happens-before edge, so cells are
-// plain integers. Note route-drain and telemetry time are part of the
-// barrier callback, so barrier_ns includes route_drain_ns.
+// Threading: the per-shard calls (begin_shard_step, end_shard_route,
+// add_shard_step) are made only by the thread that owns shard s
+// (thread-confined; cells are cache-line padded so neighbouring shards
+// don't false-share), coordinator phases only by the coordinator, and
+// reads happen at barriers or after the run — the runner's window pool
+// (its start generation and finish countdown are a release/acquire pair)
+// provides every needed happens-before edge, so cells are plain integers.
+// Note route-drain time is a sub-span of the shard's step, so step_ns
+// includes route_drain_ns; telemetry time is part of the barrier callback.
 #pragma once
 
 #include <array>
@@ -43,11 +46,23 @@ class PhaseProfiler {
   /// is the profiler's dominant overhead. Portable fallback elsewhere.
   [[nodiscard]] static std::uint64_t now_ns();
 
-  /// Shard s's worker accumulates its own window step time.
+  /// Shard s's owning thread accumulates its own window step time.
   void add_shard_step(int shard, std::uint64_t ns) {
     shard_step_[static_cast<std::size_t>(shard)].ns += ns;
   }
-  /// Coordinator-only phase accumulation (route drain, barrier, merge).
+  /// The route-drain sub-span of a step, in two halves on the owning
+  /// thread: the runner notes the step's start (its fencepost read, so no
+  /// extra clock read), and the engine ends the span once the step's
+  /// cross-shard pull is done — one clock read, which callers skip for
+  /// pulls that moved nothing.
+  void begin_shard_step(int shard, std::uint64_t start_ns) {
+    shard_step_[static_cast<std::size_t>(shard)].step_start_ns = start_ns;
+  }
+  void end_shard_route(int shard) {
+    Cell& cell = shard_step_[static_cast<std::size_t>(shard)];
+    cell.route_ns += now_ns() - cell.step_start_ns;
+  }
+  /// Coordinator-only phase accumulation (barrier, merge).
   void add(Phase phase, std::uint64_t ns) {
     phase_ns_[static_cast<std::size_t>(phase)] += ns;
   }
@@ -84,6 +99,7 @@ class PhaseProfiler {
   }
   /// Phase::kStep reports the SUM of per-shard step time (total busy
   /// work); the wall-clock step time of a window is its max, not its sum.
+  /// Phase::kRouteDrain likewise sums the per-shard pull time.
   [[nodiscard]] std::uint64_t phase_ns(Phase phase) const;
 
   /// max/mean per-shard step (busy) time: 1.0 = perfectly balanced, N for
@@ -93,6 +109,8 @@ class PhaseProfiler {
  private:
   struct alignas(64) Cell {  // one cache line per shard: no false sharing
     std::uint64_t ns = 0;
+    std::uint64_t route_ns = 0;
+    std::uint64_t step_start_ns = 0;
   };
   std::vector<Cell> shard_step_;
   std::array<std::uint64_t, kNumPhases> phase_ns_{};
@@ -101,23 +119,17 @@ class PhaseProfiler {
   std::uint64_t fused_sub_windows_ = 0;
 };
 
-/// RAII interval: adds the elapsed time to a profiler phase (or a shard's
-/// step cell) on destruction; no-op when the profiler is null.
+/// RAII interval: adds the elapsed time to a coordinator phase on
+/// destruction; no-op when the profiler is null.
 class ScopedPhase {
  public:
-  ScopedPhase(PhaseProfiler* profiler, Phase phase, int shard = -1)
+  ScopedPhase(PhaseProfiler* profiler, Phase phase)
       : profiler_(profiler),
         phase_(phase),
-        shard_(shard),
         start_ns_(profiler ? PhaseProfiler::now_ns() : 0) {}
   ~ScopedPhase() {
     if (profiler_ == nullptr) return;
-    const std::uint64_t elapsed = PhaseProfiler::now_ns() - start_ns_;
-    if (shard_ >= 0) {
-      profiler_->add_shard_step(shard_, elapsed);
-    } else {
-      profiler_->add(phase_, elapsed);
-    }
+    profiler_->add(phase_, PhaseProfiler::now_ns() - start_ns_);
   }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -125,7 +137,6 @@ class ScopedPhase {
  private:
   PhaseProfiler* profiler_;
   Phase phase_;
-  int shard_;
   std::uint64_t start_ns_;
 };
 

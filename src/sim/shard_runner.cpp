@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -25,56 +24,191 @@ ShardRunner::ShardRunner(int num_shards, util::SimTime lookahead, int threads,
 
 namespace {
 
-/// Persistent worker pool for threads > 1: each worker owns the shard
-/// stripe {worker, worker + T, worker + 2T, ...} — a fixed assignment, so
-/// every shard is touched by exactly one thread for the whole run.
-class WindowPool {
+using MaybeTime = std::optional<util::SimTime>;
+
+/// Pause iterations a waiter spins before it parks (about 20 us on a
+/// 4-vCPU Sapphire Rapids guest, where one pause takes ~20 ns). A
+/// sub-window's stripe step takes microseconds, so a healthy hand-off
+/// never reaches the budget; only long serial stretches (telemetry
+/// snapshots, a descheduled thread, the end of the run) pay a futex round
+/// trip.
+constexpr int kSpinBudget = 1 << 10;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+[[nodiscard]] MaybeTime earliest(MaybeTime a, MaybeTime b) {
+  if (!a) return b;
+  if (!b) return a;
+  return std::min(*a, *b);
+}
+
+/// The window pool: the coordinator steps stripe 0 itself and `threads -
+/// 1` persistent helpers step the others (stripe w = shards {w, w + T,
+/// ...}). Start is a generation bump, finish a countdown, each on its own
+/// cache line; both sides spin kSpinBudget pauses and then park, and the
+/// signalling side notifies only when its counterpart's seq_cst sleeper
+/// flag says it parked — the store-then-load pairs on both sides are
+/// seq_cst, so at least one side always sees the other (Dekker).
+///
+/// The pool lives on the coordinator's stack, so it is cache-line aligned
+/// and keeps its own copy of the callbacks: helpers read them every
+/// window, and a caller's Callbacks object shares lines with whatever the
+/// coordinator writes next to it.
+class alignas(64) WindowPool {
  public:
-  WindowPool(int num_shards, int threads, const ShardRunner::Callbacks& callbacks)
+  /// `parks` receives the total park count once the helpers have joined.
+  WindowPool(int num_shards, int threads,
+             const ShardRunner::Callbacks& callbacks, std::int64_t& parks)
       : num_shards_(num_shards),
         threads_(threads),
         callbacks_(callbacks),
-        start_(threads + 1),
-        finish_(threads + 1) {
-    workers_.reserve(static_cast<std::size_t>(threads_));
-    for (int worker = 0; worker < threads_; ++worker) {
-      workers_.emplace_back([this, worker] { worker_loop(worker); });
+        parks_out_(parks),
+        minima_(static_cast<std::size_t>(threads)) {
+    helpers_.reserve(static_cast<std::size_t>(threads_ - 1));
+    for (int worker = 1; worker < threads_; ++worker) {
+      helpers_.emplace_back([this, worker] { helper_loop(worker); });
     }
   }
 
   ~WindowPool() {
-    done_.store(true, std::memory_order_release);
-    start_.arrive_and_wait();  // release the workers into their exit check
-    for (std::thread& worker : workers_) worker.join();
+    done_.store(true, std::memory_order_relaxed);
+    start();  // releases every helper into its exit check
+    for (std::thread& helper : helpers_) helper.join();
+    parks_out_ = parks_.value.load(std::memory_order_relaxed);
   }
 
-  /// Runs every shard to `t1` on the pool; returns when all are done.
-  void run_window(util::SimTime t1) {
-    window_end_ = t1;
-    start_.arrive_and_wait();
-    finish_.arrive_and_wait();
+  WindowPool(const WindowPool&) = delete;
+  WindowPool& operator=(const WindowPool&) = delete;
+
+  /// Steps every shard to `t1`; returns the earliest pending work across
+  /// all shards afterwards (the reduced stripe minima).
+  MaybeTime run_window(util::SimTime t1) {
+    start_.window_end = t1;
+    pending_.value.store(threads_ - 1, std::memory_order_relaxed);
+    start();
+    run_stripe(0);
+    await_helpers();
+    MaybeTime min_next;
+    for (const Slot& slot : minima_) min_next = earliest(min_next, slot.min_next);
+    return min_next;
   }
 
  private:
-  void worker_loop(int worker) {
-    for (;;) {
-      start_.arrive_and_wait();
-      if (done_.load(std::memory_order_acquire)) return;
-      for (int shard = worker; shard < num_shards_; shard += threads_) {
-        callbacks_.run_to(shard, window_end_);
-      }
-      finish_.arrive_and_wait();
+  struct alignas(64) Slot {
+    MaybeTime min_next;
+  };
+  template <typename T>
+  struct alignas(64) Padded {
+    std::atomic<T> value{};
+  };
+
+  void start() {
+    start_.generation.fetch_add(1, std::memory_order_seq_cst);
+    if (helpers_parked_.value.load(std::memory_order_seq_cst) != 0) {
+      start_.generation.notify_all();
     }
+  }
+
+  /// Steps one stripe, probing each shard right after its own step —
+  /// nothing later in the window touches that shard's events or its
+  /// outbound minimum — and publishes the stripe minimum in its slot.
+  void run_stripe(int worker) {
+    const util::SimTime t1 = start_.window_end;
+    obs::PhaseProfiler* profiler = callbacks_.profiler;
+    MaybeTime min_next;
+    if (profiler != nullptr) {
+      // Fencepost timing: consecutive shard steps share one clock read
+      // (end of shard s = start of the next), so a stripe costs k + 1
+      // reads instead of 2k — the clock is the profiler's dominant cost
+      // at hundreds of thousands of windows per run.
+      std::uint64_t prev = obs::PhaseProfiler::now_ns();
+      for (int shard = worker; shard < num_shards_; shard += threads_) {
+        profiler->begin_shard_step(shard, prev);
+        callbacks_.run_to(shard, t1);
+        min_next = earliest(min_next, callbacks_.next_event_time(shard));
+        const std::uint64_t now = obs::PhaseProfiler::now_ns();
+        profiler->add_shard_step(shard, now - prev);
+        prev = now;
+      }
+    } else {
+      for (int shard = worker; shard < num_shards_; shard += threads_) {
+        callbacks_.run_to(shard, t1);
+        min_next = earliest(min_next, callbacks_.next_event_time(shard));
+      }
+    }
+    minima_[static_cast<std::size_t>(worker)].min_next = min_next;
+  }
+
+  void helper_loop(int worker) {
+    std::uint32_t seen = 0;
+    for (;;) {
+      seen = await_start(seen);
+      if (done_.load(std::memory_order_relaxed)) return;
+      run_stripe(worker);
+      if (pending_.value.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+          coordinator_parked_.value.load(std::memory_order_seq_cst)) {
+        pending_.value.notify_one();
+      }
+    }
+  }
+
+  /// Helper side: returns the first generation different from `seen`.
+  std::uint32_t await_start(std::uint32_t seen) {
+    std::atomic<std::uint32_t>& generation = start_.generation;
+    for (int spin = 0; spin < kSpinBudget; ++spin) {
+      const std::uint32_t now = generation.load(std::memory_order_acquire);
+      if (now != seen) return now;
+      cpu_relax();
+    }
+    helpers_parked_.value.fetch_add(1, std::memory_order_seq_cst);
+    std::uint32_t now;
+    while ((now = generation.load(std::memory_order_seq_cst)) == seen) {
+      generation.wait(seen, std::memory_order_seq_cst);
+    }
+    helpers_parked_.value.fetch_sub(1, std::memory_order_relaxed);
+    parks_.value.fetch_add(1, std::memory_order_relaxed);
+    return now;
+  }
+
+  /// Coordinator side: returns once every helper finished its stripe.
+  void await_helpers() {
+    std::atomic<int>& pending = pending_.value;
+    for (int spin = 0; spin < kSpinBudget; ++spin) {
+      if (pending.load(std::memory_order_acquire) == 0) return;
+      cpu_relax();
+    }
+    coordinator_parked_.value.store(true, std::memory_order_seq_cst);
+    int left;
+    while ((left = pending.load(std::memory_order_seq_cst)) != 0) {
+      pending.wait(left, std::memory_order_seq_cst);
+    }
+    coordinator_parked_.value.store(false, std::memory_order_relaxed);
+    parks_.value.fetch_add(1, std::memory_order_relaxed);
   }
 
   int num_shards_;
   int threads_;
-  const ShardRunner::Callbacks& callbacks_;
-  std::barrier<> start_;
-  std::barrier<> finish_;
+  const ShardRunner::Callbacks callbacks_;
+  std::int64_t& parks_out_;
+  std::vector<Slot> minima_;  ///< one padded slot per stripe
+  /// The start signal: the window end is written just before the
+  /// generation bump that publishes it, on the line helpers spin on.
+  struct alignas(64) Start {
+    std::atomic<std::uint32_t> generation{0};
+    util::SimTime window_end = util::SimTime::zero();
+  } start_;
+  Padded<int> pending_;  ///< helpers still stepping the current window
+  Padded<int> helpers_parked_;
+  Padded<bool> coordinator_parked_;
+  Padded<std::int64_t> parks_;
   std::atomic<bool> done_{false};
-  util::SimTime window_end_ = util::SimTime::zero();
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace
@@ -87,58 +221,20 @@ void ShardRunner::run(util::SimTime horizon, const Callbacks& callbacks) {
   P2PS_REQUIRE(callbacks.at_barrier != nullptr);
   P2PS_REQUIRE(horizon >= util::SimTime::zero());
 
-  // Profiling wraps the callbacks before the pool captures them, so the
-  // worker-side step timing is thread-confined to each shard's own cell
-  // and the (window, shard) schedule is untouched either way.
-  Callbacks timed = callbacks;
   obs::PhaseProfiler* profiler = callbacks.profiler;
-  if (profiler != nullptr) {
-    timed.run_to = [profiler, inner = callbacks.run_to](int shard,
-                                                        util::SimTime t) {
-      const obs::ScopedPhase scope(profiler, obs::Phase::kStep, shard);
-      inner(shard, t);
-    };
-    timed.at_barrier = [profiler,
-                        inner = callbacks.at_barrier](util::SimTime t) {
-      const obs::ScopedPhase scope(profiler, obs::Phase::kBarrier);
-      inner(t);
-    };
+  // Before the first window (helpers idle) the coordinator probes every
+  // shard; afterwards each window's stripes report their own minima.
+  MaybeTime min_next;
+  for (int shard = 0; shard < num_shards_; ++shard) {
+    min_next = earliest(min_next, callbacks.next_event_time(shard));
   }
 
-  std::optional<WindowPool> pool;
-  if (threads_ > 1) pool.emplace(num_shards_, threads_, timed);
+  WindowPool pool(num_shards_, threads_, callbacks, parks_);
   const auto run_window = [&](util::SimTime t1) {
-    if (timed.at_window_start) timed.at_window_start(t1);
-    if (pool) {
-      pool->run_window(t1);
-    } else if (profiler != nullptr) {
-      // Sequential + profiled: fencepost timing. Consecutive shard steps
-      // share one clock read (end of shard s = start of shard s+1), so a
-      // window costs N+1 reads instead of 2N — the clock is the
-      // profiler's dominant cost at hundreds of thousands of tiny
-      // windows per run, and telemetry promises <= 3% wall overhead.
-      std::uint64_t prev = obs::PhaseProfiler::now_ns();
-      for (int shard = 0; shard < num_shards_; ++shard) {
-        callbacks.run_to(shard, t1);
-        const std::uint64_t now = obs::PhaseProfiler::now_ns();
-        profiler->add_shard_step(shard, now - prev);
-        prev = now;
-      }
-    } else {
-      for (int shard = 0; shard < num_shards_; ++shard) {
-        timed.run_to(shard, t1);
-      }
-    }
-    timed.at_barrier(t1);
-  };
-
-  const auto min_next_event = [&] {
-    std::optional<util::SimTime> min_next;
-    for (int shard = 0; shard < num_shards_; ++shard) {
-      const auto next = callbacks.next_event_time(shard);
-      if (next && (!min_next || *next < *min_next)) min_next = next;
-    }
-    return min_next;
+    if (callbacks.at_window_start) callbacks.at_window_start(t1);
+    min_next = pool.run_window(t1);
+    const obs::ScopedPhase scope(profiler, obs::Phase::kBarrier);
+    callbacks.at_barrier(t1);
   };
 
   // Closes one dispatch covering `subs` unit sub-windows: one windows_
@@ -157,7 +253,6 @@ void ShardRunner::run(util::SimTime horizon, const Callbacks& callbacks) {
   for (;;) {
     std::int64_t subs = 0;  // unit sub-windows executed in this dispatch
     for (;;) {
-      const auto min_next = min_next_event();
       if (min_next && *min_next > prev_end + util::SimTime::millis(1)) {
         ++idle_skips_;  // the window start jumped an idle gap
       }

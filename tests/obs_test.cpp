@@ -148,6 +148,29 @@ TEST(PhaseProfiler, StepIsTheSumOfPerShardCells) {
   EXPECT_DOUBLE_EQ(profiler.imbalance(), 1.5);
 }
 
+// Route drain is a per-shard sub-span of the step, opened at the step's
+// fencepost start and closed after the pull; the phase sums the shards.
+TEST(PhaseProfiler, RouteDrainSumsPerShardSubSpansOfTheStep) {
+  obs::PhaseProfiler profiler(2);
+  EXPECT_EQ(profiler.phase_ns(obs::Phase::kRouteDrain), 0u);
+  const std::uint64_t start = obs::PhaseProfiler::now_ns();
+  profiler.begin_shard_step(0, start);
+  profiler.begin_shard_step(1, start);
+  profiler.end_shard_route(1);
+  const std::uint64_t after_pull = obs::PhaseProfiler::now_ns();
+  profiler.add_shard_step(1, after_pull - start);
+  // The span ran from the step's start to the end of shard 1's pull, so
+  // it is within the step; shard 0 never pulled anything.
+  EXPECT_LE(profiler.phase_ns(obs::Phase::kRouteDrain), after_pull - start);
+  EXPECT_LE(profiler.phase_ns(obs::Phase::kRouteDrain),
+            profiler.phase_ns(obs::Phase::kStep));
+  const std::uint64_t shard1_route = profiler.phase_ns(obs::Phase::kRouteDrain);
+  profiler.begin_shard_step(0, start);
+  profiler.end_shard_route(0);
+  // Shard 0's span started at the same instant but ended later.
+  EXPECT_GE(profiler.phase_ns(obs::Phase::kRouteDrain), 2 * shard1_route);
+}
+
 TEST(PhaseProfiler, ImbalanceIsZeroBeforeAnyData) {
   obs::PhaseProfiler profiler(4);
   EXPECT_DOUBLE_EQ(profiler.imbalance(), 0.0);
@@ -157,11 +180,9 @@ TEST(ScopedPhase, NullProfilerIsANoOpAndLiveProfilerAccumulates) {
   { obs::ScopedPhase noop(nullptr, obs::Phase::kMerge); }  // must not crash
   obs::PhaseProfiler profiler(2);
   { obs::ScopedPhase merge(&profiler, obs::Phase::kMerge); }
-  { obs::ScopedPhase step(&profiler, obs::Phase::kStep, /*shard=*/1); }
   // Wall-clock intervals: only sanity-checkable as "time passed".
   EXPECT_GE(profiler.phase_ns(obs::Phase::kMerge), 0u);
-  EXPECT_EQ(profiler.shard_step_ns(0), 0u);
-  EXPECT_GE(profiler.shard_step_ns(1), 0u);
+  EXPECT_EQ(profiler.phase_ns(obs::Phase::kStep), 0u);
 }
 
 TEST(PhaseProfiler, DispatchCountersSplitUnitFromFusedWindows) {

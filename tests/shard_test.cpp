@@ -6,11 +6,16 @@
 // contract — merged output identical for any --shards and --shard-threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -259,20 +264,27 @@ TEST(ShardRouter, RejectsSendsFromAShardThatDoesNotOwnTheSender) {
 }
 
 /// Drives `num_shards` simulators through the ShardRunner with the given
-/// router and horizon — the exact coordinator wiring the ShardedSystem
-/// uses, minus the engine.
+/// router and horizon — the exact pull-path wiring the ShardedSystem uses,
+/// minus the engine: each shard pulls last window's cross-shard envelopes
+/// at the start of its step and reports its earliest outbound delivery
+/// alongside its next event, so the barrier itself moves nothing.
 void drive(std::vector<std::unique_ptr<sim::Simulator>>& simulators,
            IntRouter& router, SimTime horizon, int threads = 1) {
   sim::ShardRunner runner(router.num_shards(), router.window(), threads);
   sim::ShardRunner::Callbacks callbacks;
   callbacks.next_event_time = [&](int shard) {
-    return simulators[static_cast<std::size_t>(shard)]->next_event_time();
+    const auto next =
+        simulators[static_cast<std::size_t>(shard)]->next_event_time();
+    const auto outbound = router.earliest_outbound(shard);
+    if (!next) return outbound;
+    return outbound ? std::min(*next, *outbound) : next;
   };
   callbacks.at_window_start = [](SimTime) {};
   callbacks.run_to = [&](int shard, SimTime t) {
+    router.begin_step(shard);
     simulators[static_cast<std::size_t>(shard)]->run_until(t);
   };
-  callbacks.at_barrier = [&](SimTime) { router.exchange(); };
+  callbacks.at_barrier = [](SimTime) {};
   runner.run(horizon, callbacks);
 }
 
@@ -322,12 +334,13 @@ using Delivery = std::tuple<std::int64_t, std::uint64_t, std::int64_t,
 constexpr int kCascadePeers = 23;
 constexpr std::int64_t kCascadeWindowMs = 5;
 
-/// Runs the cascade on `num_shards` shards: every peer opens with a burst
-/// of sends, and each delivery spawns a follow-up from the receiver until
-/// its hop budget runs out. Destinations and latencies are hashed from
-/// (sender, seq), so the per-destination delivery log is the partition-
-/// independent ground truth.
-std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards) {
+/// Runs the cascade on `num_shards` shards and `threads` threads: every
+/// peer opens with a burst of sends, and each delivery spawns a follow-up
+/// from the receiver until its hop budget runs out. Destinations and
+/// latencies are hashed from (sender, seq), so the per-destination
+/// delivery log is the partition-independent ground truth.
+std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards,
+                                                             int threads = 1) {
   std::vector<std::unique_ptr<sim::Simulator>> simulators;
   for (int s = 0; s < num_shards; ++s) {
     simulators.push_back(std::make_unique<sim::Simulator>());
@@ -373,7 +386,7 @@ std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards) {
         SimTime::millis(1 + static_cast<std::int64_t>(peer % 3)),
         [&, shard, peer] { send_from(shard, peer, /*hops=*/3); });
   }
-  drive(simulators, router, SimTime::millis(400));
+  drive(simulators, router, SimTime::millis(400), threads);
   return logs;
 }
 
@@ -383,11 +396,14 @@ TEST(ShardRouter, CascadeDeliveryLogsMatchTheUnshardedBaseline) {
   for (const auto& log : baseline) total += log.size();
   EXPECT_GT(total, 50u);  // the cascade actually cascaded
   for (const int num_shards : {2, 4, 7}) {
-    const auto sharded = run_cascade(num_shards);
-    for (int peer = 0; peer < kCascadePeers; ++peer) {
-      EXPECT_EQ(sharded[static_cast<std::size_t>(peer)],
-                baseline[static_cast<std::size_t>(peer)])
-          << "peer " << peer << " with " << num_shards << " shards";
+    for (const int threads : {1, 3}) {  // 3 threads: pulls cross threads
+      const auto sharded = run_cascade(num_shards, threads);
+      for (int peer = 0; peer < kCascadePeers; ++peer) {
+        EXPECT_EQ(sharded[static_cast<std::size_t>(peer)],
+                  baseline[static_cast<std::size_t>(peer)])
+            << "peer " << peer << " with " << num_shards << " shards, "
+            << threads << " threads";
+      }
     }
   }
 }
@@ -517,6 +533,118 @@ TEST(ShardRunner, RejectsANonPositiveFusionFactor) {
                util::ContractViolation);
 }
 
+// ---- the window pool: schedule invariance, park path, teardown ----
+
+/// What one ShardRunner run looked like from the inside: the window ends
+/// each shard was stepped to and the ticks its events fired at (each
+/// written only by the shard's owning thread), the barrier sequence, and
+/// the runner's counters.
+struct RunnerTrace {
+  std::vector<std::vector<std::int64_t>> steps;
+  std::vector<std::vector<std::int64_t>> fired;
+  std::vector<std::int64_t> barriers;
+  std::int64_t windows = 0;
+  std::int64_t sub_windows = 0;
+  std::int64_t idle_skips = 0;
+  std::int64_t parks = 0;
+
+  bool operator==(const RunnerTrace& other) const {
+    return steps == other.steps && fired == other.fired &&
+           barriers == other.barriers && windows == other.windows &&
+           sub_windows == other.sub_windows && idle_skips == other.idle_skips;
+  }
+};
+
+/// Five shards of self-rescheduling events with hashed gaps — mostly
+/// short, sometimes long enough to force idle skips — driven through a
+/// ShardRunner with `threads` threads and fusion 4. `slow_shard` (if >= 0)
+/// sleeps `nap` in its first step, and the first barrier sleeps `nap` too.
+RunnerTrace run_tickers(int threads, int slow_shard = -1,
+                        std::chrono::milliseconds nap = {}) {
+  constexpr int kShards = 5;
+  RunnerTrace trace;
+  trace.steps.resize(kShards);
+  trace.fired.resize(kShards);
+  std::vector<std::unique_ptr<sim::Simulator>> simulators;
+  std::array<int, kShards> count{};
+  std::function<void(int)> tick = [&](int shard) {
+    auto& simulator = *simulators[static_cast<std::size_t>(shard)];
+    trace.fired[static_cast<std::size_t>(shard)].push_back(
+        simulator.now().as_millis());
+    const std::uint64_t hash =
+        mix(static_cast<std::uint64_t>(shard) * 7919u +
+            static_cast<std::uint64_t>(count[static_cast<std::size_t>(shard)]++));
+    const std::int64_t gap = hash % 8 == 0 ? 200 + static_cast<std::int64_t>(hash % 300)
+                                           : 1 + static_cast<std::int64_t>(hash % 15);
+    simulator.schedule_after(SimTime::millis(gap), [&tick, shard] { tick(shard); });
+  };
+  for (int s = 0; s < kShards; ++s) {
+    simulators.push_back(std::make_unique<sim::Simulator>());
+    simulators.back()->schedule_at(SimTime::millis(1 + s),
+                                   [&tick, s] { tick(s); });
+  }
+  sim::ShardRunner runner(kShards, SimTime::millis(10), threads, /*fusion=*/4);
+  sim::ShardRunner::Callbacks callbacks;
+  callbacks.next_event_time = [&](int shard) {
+    return simulators[static_cast<std::size_t>(shard)]->next_event_time();
+  };
+  callbacks.run_to = [&](int shard, SimTime t) {
+    auto& steps = trace.steps[static_cast<std::size_t>(shard)];
+    if (shard == slow_shard && steps.empty()) std::this_thread::sleep_for(nap);
+    steps.push_back(t.as_millis());
+    simulators[static_cast<std::size_t>(shard)]->run_until(t);
+  };
+  callbacks.at_barrier = [&](SimTime t) {
+    if (slow_shard >= 0 && trace.barriers.empty()) std::this_thread::sleep_for(nap);
+    trace.barriers.push_back(t.as_millis());
+  };
+  runner.run(SimTime::millis(3000), callbacks);
+  trace.windows = runner.windows();
+  trace.sub_windows = runner.sub_windows();
+  trace.idle_skips = runner.idle_skips();
+  trace.parks = runner.parks();
+  return trace;
+}
+
+TEST(ShardRunner, WindowScheduleIsIdenticalForAnyThreadCount) {
+  const RunnerTrace serial = run_tickers(1);
+  EXPECT_GT(serial.sub_windows, 100);
+  EXPECT_GT(serial.idle_skips, 0);
+  EXPECT_EQ(serial.parks, 0);  // no helpers, nothing to park on
+  for (const int threads : {2, 3, 8}) {  // 8 clamps to the 5 shards
+    EXPECT_TRUE(run_tickers(threads) == serial) << threads << " threads";
+  }
+}
+
+// A step (on a helper's stripe) and a barrier that both outlast the spin
+// budget: the coordinator must park waiting for the helper, the helper
+// must park waiting for the next window, and both wake-ups must arrive —
+// the run finishes with the serial schedule.
+TEST(ShardRunner, StepsThatOutlastTheSpinBudgetParkBothSides) {
+  const RunnerTrace serial = run_tickers(1);
+  const RunnerTrace slow = run_tickers(2, /*slow_shard=*/1,
+                                       std::chrono::milliseconds(30));
+  EXPECT_TRUE(slow == serial);
+  EXPECT_GE(slow.parks, 2);
+}
+
+TEST(ShardRunner, PoolWithHorizonZeroStartsAndStopsCleanly) {
+  for (const int threads : {1, 4}) {
+    std::vector<int> stepped(4, 0);
+    sim::ShardRunner runner(4, SimTime::millis(10), threads);
+    sim::ShardRunner::Callbacks callbacks;
+    callbacks.next_event_time = [](int) { return std::optional<SimTime>{}; };
+    callbacks.run_to = [&](int shard, SimTime t) {
+      EXPECT_EQ(t, SimTime::zero());
+      ++stepped[static_cast<std::size_t>(shard)];
+    };
+    callbacks.at_barrier = [](SimTime) {};
+    runner.run(SimTime::zero(), callbacks);
+    EXPECT_EQ(runner.windows(), 1) << threads << " threads";
+    EXPECT_EQ(stepped, (std::vector<int>{1, 1, 1, 1})) << threads << " threads";
+  }
+}
+
 // The conservative guarantee the fusion layer must never break: if a
 // window is stretched past a cross-shard envelope's due tick (the
 // destination simulator runs beyond deliver_at before the barrier), the
@@ -634,10 +762,28 @@ TEST(ShardedSystem, ResultIsIdenticalForAnyShardCount) {
   }
 }
 
+// Threads change wall-clock only: the payload AND every mechanics counter
+// that all threads feed — cross-shard messages, the delivery-group pool,
+// the window counts — must match the serial run exactly. A racy shared
+// counter (lost increments) drifts here first.
 TEST(ShardedSystem, ResultIsIdenticalForAnyThreadCount) {
-  engine::ShardedSystem serial(small_sharded_config(4, /*threads=*/1));
-  engine::ShardedSystem pooled(small_sharded_config(4, /*threads=*/3));
-  EXPECT_EQ(fingerprint(serial.run()), fingerprint(pooled.run()));
+  engine::ShardedSystem serial_system(small_sharded_config(5, /*threads=*/1));
+  const engine::ShardedResult serial = serial_system.run();
+  EXPECT_GT(serial.cross_shard_messages, 0u);
+  for (const int threads : {2, 3, 8}) {  // 8 clamps to the 5 shards
+    engine::ShardedSystem system(small_sharded_config(5, threads));
+    const engine::ShardedResult pooled = system.run();
+    EXPECT_EQ(fingerprint(pooled), fingerprint(serial)) << threads << " threads";
+    EXPECT_EQ(pooled.cross_shard_messages, serial.cross_shard_messages)
+        << threads << " threads";
+    EXPECT_EQ(pooled.pool_allocations, serial.pool_allocations)
+        << threads << " threads";
+    EXPECT_EQ(pooled.pool_reuses, serial.pool_reuses) << threads << " threads";
+    EXPECT_EQ(pooled.windows, serial.windows) << threads << " threads";
+    EXPECT_EQ(pooled.windows_fused, serial.windows_fused) << threads << " threads";
+    EXPECT_EQ(pooled.windows_idle_skipped, serial.windows_idle_skipped)
+        << threads << " threads";
+  }
 }
 
 TEST(ShardedSystem, ResultIsIdenticalAcrossEventListBackends) {
