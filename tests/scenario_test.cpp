@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/selection_policy.hpp"
 #include "scenario/json.hpp"
@@ -279,6 +281,49 @@ TEST(RunScenario, DifferentSeedsChangeSimulationOutput) {
     return text.substr(text.find("\"results\""));
   };
   EXPECT_NE(payload(run_a), payload(run_b));
+}
+
+// ---------- golden output pins for the session engines ----------
+
+/// FNV-1a over the full scenario payload dump — one 64-bit fingerprint
+/// per pinned workload (the helper tests/shard_test.cpp pins the sharded
+/// engine with).
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Full-payload hashes captured at seed 2002, --scale 10, from the session
+// engines as they stood before the cache-resident rewrite (byte-sized
+// admission vectors, 128-byte peers, the FIFO session ledger and the
+// per-backoff retry queues). Together they reach every changed path:
+// vector elevation and tightening (fig7, ablation_reminder), backoff
+// retries under constant and exponential factors (fig9, perf_flash_crowd),
+// churn and defection (ablation_churn, incentive), and the message-level
+// engine's RetrySource (msg_flash_crowd). Any drift means the rewrite
+// changed simulated behaviour, which it promises never to do.
+TEST(RunScenario, GoldenOutputHashesMatchThePreRewriteSessionEngines) {
+  ScenarioOptions options;
+  options.seed = 2002;
+  options.scale = 10;
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"fig5_admission_rate", 0xb7a75d16f1d0ec04ull},
+      {"fig7_adaptivity", 0xd69d927c909f9506ull},
+      {"fig9_backoff", 0x0feabfa8ee38834eull},
+      {"ablation_reminder", 0x683ce8f318c0c83eull},
+      {"ablation_churn", 0xdfbe77cdd8fa29eaull},
+      {"incentive", 0xc2155405d2c06172ull},
+      {"msg_flash_crowd", 0xef774e6c440470e2ull},
+      {"perf_steady", 0xaabc134fdd4227e8ull},
+      {"perf_flash_crowd", 0x14a592bf43706706ull},
+  };
+  for (const auto& [name, hash] : pins) {
+    EXPECT_EQ(fnv1a(run_scenario(name, options).dump()), hash) << name;
+  }
 }
 
 }  // namespace
