@@ -89,6 +89,44 @@ for perf_scenario in perf_steady perf_flash_crowd; do
   }
 done
 
+# Golden-digest gate: every benchmark/golden.json workload, run the way
+# benchmark/run.py runs its untimed reference (seed 2002, full size; the
+# sharded pair at --scale 4 on one shard, which parity makes equal to any
+# shard/thread count), must reproduce its stored sha256. A payload change
+# fails here instead of only printing payload_changed in a bench report.
+golden_file="${repo_root}/benchmark/golden.json"
+golden_seed="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["seed"])' \
+    "${golden_file}")"
+echo "==> golden smoke: benchmark/golden.json digests (seed=${golden_seed})"
+golden_count=0
+while read -r workload expected; do
+  case "${workload}" in
+    steady) golden_args=(perf_steady) ;;
+    flash_crowd) golden_args=(perf_flash_crowd) ;;
+    messages) golden_args=(perf_messages) ;;
+    sharded_250k|sharded_250k_2t)
+      golden_args=(perf_sharded_scale --shards 1 --scale 4) ;;
+    *)
+      echo "FAIL: golden.json names unknown workload '${workload}'" >&2
+      exit 1 ;;
+  esac
+  got="$("${runner}" "${golden_args[@]}" --seed "${golden_seed}" --compact \
+      | sha256sum | cut -d' ' -f1)"
+  if [ "${got}" != "${expected}" ]; then
+    echo "FAIL: ${workload} payload digest ${got} differs from the golden" \
+         "${expected} (benchmark/golden.json)" >&2
+    exit 1
+  fi
+  echo "    ${workload} ${got:0:12} ok"
+  golden_count=$((golden_count + 1))
+done < <(python3 -c 'import json,sys
+for name, digest in json.load(open(sys.argv[1]))["digests"].items():
+    print(name, digest)' "${golden_file}")
+if [ "${golden_count}" -lt 5 ]; then
+  echo "FAIL: golden smoke checked only ${golden_count} workloads" >&2
+  exit 1
+fi
+
 # Message smoke: the batched mailbox transport's parity contracts on the
 # message-level paper-scale scenario. msg_fig5_scale must be byte-identical
 # across both event-list backends AND across batched/unbatched delivery —
@@ -436,6 +474,19 @@ if [ "${status}" -ne 2 ]; then
   exit 1
 fi
 
+# Benchmark smoke: the harness's own checks against a fake runner, then
+# every workload at a tenth of its size, one rep. run.py builds its own
+# Release tree (.bench_build/) and fails on any failed payload identity,
+# parity or determinism check. Skipped under sanitizers: that tree is
+# never instrumented, so a sanitized pass would only repeat this one.
+if [ -z "${sanitize}" ]; then
+  echo "==> benchmark smoke: benchmark/run.py --self-test and --smoke"
+  (cd "${repo_root}" && python3 benchmark/run.py --self-test)
+  (cd "${repo_root}" && python3 benchmark/run.py --smoke > /dev/null)
+else
+  echo "==> benchmark smoke: skipped under -fsanitize=${sanitize}"
+fi
+
 # ThreadSanitizer pass: the threaded shard runner (window pool, parity
 # outbox rows, per-shard telemetry lanes and profiler cells) must be
 # race-free with no suppressions. A dedicated build tree, because
@@ -458,7 +509,8 @@ else
 fi
 
 echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
-     "message smoke, sweep smoke, latency-axis smoke, timer smoke," \
+     "golden smoke, message smoke, sweep smoke, latency-axis smoke, timer smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
-     "thread-parity smoke, memory smoke, telemetry smoke and tsan pass" \
+     "thread-parity smoke, memory smoke, telemetry smoke, benchmark" \
+     "smoke and tsan pass" \
      "all green"

@@ -1,7 +1,5 @@
 #include "core/admission/probability_vector.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "util/assert.hpp"
@@ -9,34 +7,24 @@
 namespace p2ps::core {
 
 AdmissionProbabilityVector::AdmissionProbabilityVector(PeerClass num_classes,
-                                                       PeerClass own_class) {
+                                                       PeerClass own_class)
+    : num_classes_(static_cast<std::uint8_t>(num_classes)),
+      level_(static_cast<std::uint8_t>(own_class)) {
   require_valid_class(own_class, num_classes);
-  exponents_.resize(static_cast<std::size_t>(num_classes));
-  for (PeerClass c = 1; c <= num_classes; ++c) {
-    exponents_[static_cast<std::size_t>(c - 1)] = std::max(0, c - own_class);
-  }
 }
 
 AdmissionProbabilityVector AdmissionProbabilityVector::all_ones(PeerClass num_classes) {
   P2PS_REQUIRE(num_classes >= 1 && num_classes <= kMaxSupportedClasses);
-  return AdmissionProbabilityVector(
-      std::vector<std::int32_t>(static_cast<std::size_t>(num_classes), 0));
+  return AdmissionProbabilityVector(num_classes, num_classes);
 }
 
 void AdmissionProbabilityVector::elevate() {
-  for (auto& e : exponents_) e = std::max(0, e - 1);
+  if (level_ < num_classes_) ++level_;
 }
 
 void AdmissionProbabilityVector::tighten_to(PeerClass k_hat) {
   require_valid_class(k_hat, num_classes());
-  for (PeerClass c = 1; c <= num_classes(); ++c) {
-    exponents_[static_cast<std::size_t>(c - 1)] = std::max(0, c - k_hat);
-  }
-}
-
-bool AdmissionProbabilityVector::fully_relaxed() const {
-  return std::all_of(exponents_.begin(), exponents_.end(),
-                     [](std::int32_t e) { return e == 0; });
+  level_ = static_cast<std::uint8_t>(k_hat);
 }
 
 std::ostream& operator<<(std::ostream& os, const AdmissionProbabilityVector& v) {

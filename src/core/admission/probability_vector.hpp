@@ -5,15 +5,21 @@
 //   elevate:  every entry < 1 doubles (idle timeout / quiet session end)
 //   tighten:  reset to the class-k̂ profile after favored-class reminders
 //
-// All probabilities are exact powers of two; we store the negated exponent
-// (P[j] = 2^-exp[j]) so the dynamics are integer arithmetic with no float
-// drift, and "favored" (P == 1.0) is an exact test.
+// All probabilities are exact powers of two, P[j] = 2^-exp[j], so the
+// dynamics are integer arithmetic with no float drift and "favored"
+// (P == 1.0) is an exact test. Moreover every reachable vector is a
+// *class-L profile*, exp[c] = max(0, c - L) for one level L in [1, K]:
+// init is the class-κ profile, all_ones the class-K profile, tighten_to(k̂)
+// the class-k̂ profile, and elevate maps the class-L profile to the
+// class-min(L + 1, K) one (max(0, max(0, c - L) - 1) = max(0, c - L - 1)).
+// So the whole vector is stored as the two bytes (K, L); every accessor
+// derives its answer from them (docs/memory.md, "Session engine").
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iosfwd>
-#include <vector>
 
 #include "core/peer_class.hpp"
 
@@ -27,9 +33,7 @@ class AdmissionProbabilityVector {
   /// The NDAC_p2p vector: every class admitted with probability 1.0.
   [[nodiscard]] static AdmissionProbabilityVector all_ones(PeerClass num_classes);
 
-  [[nodiscard]] PeerClass num_classes() const {
-    return static_cast<PeerClass>(exponents_.size());
-  }
+  [[nodiscard]] PeerClass num_classes() const { return num_classes_; }
 
   // The three probe-path accessors are defined inline: a supplier consults
   // them once per received probe (millions of times per paper-scale run).
@@ -42,21 +46,15 @@ class AdmissionProbabilityVector {
   /// The stored exponent e with P[c] = 2^-e.
   [[nodiscard]] std::int32_t exponent(PeerClass c) const {
     require_valid_class(c, num_classes());
-    return exponents_[static_cast<std::size_t>(c - 1)];
+    return std::max(0, c - level_);
   }
 
   /// Class c is *favored* iff P[c] == 1.0.
   [[nodiscard]] bool favors(PeerClass c) const { return exponent(c) == 0; }
 
-  /// The lowest favored class (largest class index with P == 1.0). At least
-  /// one class is always favored (class 1 by construction).
-  [[nodiscard]] PeerClass lowest_favored_class() const {
-    PeerClass lowest = kHighestClass;
-    for (PeerClass c = 1; c <= num_classes(); ++c) {
-      if (favors(c)) lowest = c;
-    }
-    return lowest;
-  }
+  /// The lowest favored class (largest class index with P == 1.0): the
+  /// profile level L. At least one class is always favored (L >= 1).
+  [[nodiscard]] PeerClass lowest_favored_class() const { return level_; }
 
   /// Doubles every probability below 1.0 (capped at 1.0) — the relaxation
   /// applied after an idle timeout or a session with no favored-class
@@ -69,15 +67,14 @@ class AdmissionProbabilityVector {
   void tighten_to(PeerClass k_hat);
 
   /// True when every class is favored (vector fully relaxed to all ones).
-  [[nodiscard]] bool fully_relaxed() const;
+  [[nodiscard]] bool fully_relaxed() const { return level_ == num_classes_; }
 
   friend bool operator==(const AdmissionProbabilityVector&,
                          const AdmissionProbabilityVector&) = default;
 
  private:
-  explicit AdmissionProbabilityVector(std::vector<std::int32_t> exponents)
-      : exponents_(std::move(exponents)) {}
-  std::vector<std::int32_t> exponents_;  // P[c] = 2^-exponents_[c-1]
+  std::uint8_t num_classes_;  // K, at most kMaxSupportedClasses
+  std::uint8_t level_;        // L: P[c] = 2^-max(0, c - L), 1 <= L <= K
 };
 
 std::ostream& operator<<(std::ostream& os, const AdmissionProbabilityVector& v);

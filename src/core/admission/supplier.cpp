@@ -1,7 +1,5 @@
 #include "core/admission/supplier.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace p2ps::core {
@@ -34,14 +32,16 @@ void SupplierAdmission::leave_reminder(PeerClass requester_class) {
   require_valid_class(requester_class, vector_.num_classes());
   if (!differentiated_) return;
   P2PS_REQUIRE_MSG(busy_, "reminders are only left with busy suppliers");
-  reminders_.push_back(requester_class);
+  if (highest_reminder_ == 0 || requester_class < highest_reminder_) {
+    highest_reminder_ = static_cast<std::uint8_t>(requester_class);
+  }
 }
 
 void SupplierAdmission::on_session_start() {
   P2PS_REQUIRE_MSG(!busy_, "supplier already serving a session");
   busy_ = true;
   favored_request_seen_ = false;
-  reminders_.clear();
+  highest_reminder_ = 0;
 }
 
 void SupplierAdmission::on_session_end() {
@@ -52,15 +52,14 @@ void SupplierAdmission::on_session_end() {
   if (!favored_request_seen_) {
     // Quiet session: nobody we favor asked — relax toward lower classes.
     vector_.elevate();
-  } else if (!reminders_.empty()) {
+  } else if (highest_reminder_ != 0) {
     // Favored-class demand we had to turn away: adopt the profile of the
     // highest reminding class (smallest index).
-    const PeerClass k_hat = *std::min_element(reminders_.begin(), reminders_.end());
-    vector_.tighten_to(k_hat);
+    vector_.tighten_to(highest_reminder_);
   }
   // Favored-class requests without reminders: leave the vector as is.
   favored_request_seen_ = false;
-  reminders_.clear();
+  highest_reminder_ = 0;
 }
 
 void SupplierAdmission::on_idle_timeout() {

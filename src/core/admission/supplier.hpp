@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "core/admission/probability_vector.hpp"
 #include "core/peer_class.hpp"
@@ -68,11 +67,10 @@ class SupplierAdmission {
   /// no-op in NDAC mode. Requires !busy().
   void on_idle_timeout();
 
-  /// Reminders collected during the current session (visible for tests and
-  /// the adaptivity metrics).
-  [[nodiscard]] const std::vector<PeerClass>& pending_reminders() const {
-    return reminders_;
-  }
+  /// The highest class (smallest index) that left a reminder during the
+  /// current session, or 0 when none did. It is the only fact about the
+  /// reminders that on_session_end reads: k̂ for the tightening rule.
+  [[nodiscard]] PeerClass highest_reminder() const { return highest_reminder_; }
 
   /// True if a favored-class request arrived during the current session.
   [[nodiscard]] bool favored_request_seen() const { return favored_request_seen_; }
@@ -82,8 +80,12 @@ class SupplierAdmission {
   bool differentiated_;
   bool busy_ = false;
   bool favored_request_seen_ = false;
-  std::vector<PeerClass> reminders_;
+  std::uint8_t highest_reminder_ = 0;  // 0 = no reminder this session
   AdmissionProbabilityVector vector_;
 };
+
+// Engines keep one of these per supplying peer inline in their peer
+// records: it must stay a flat, allocation-free value.
+static_assert(std::is_trivially_copyable_v<SupplierAdmission>);
 
 }  // namespace p2ps::core

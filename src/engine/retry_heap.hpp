@@ -16,9 +16,11 @@
 //     relative order of all surviving events is unchanged, which is the
 //     only thing (time, FIFO-by-seq) draining depends on.
 //
-// The simulator interaction protocol is a field-for-field mirror of
-// RetrySource (one in-flight event, arm-only-on-new-top, re-arm before
-// invoke); tests/shard_test.cpp runs the two differentially.
+// The storage differs from RetrySource's (one 8-ary heap here, one FIFO
+// lane per distinct delay there), but both pop in the same (due, seq)
+// order and share the simulator interaction protocol: one in-flight event,
+// arm only on a new earliest entry, re-arm before invoke.
+// tests/shard_test.cpp runs the two differentially.
 #pragma once
 
 #include <algorithm>

@@ -38,6 +38,7 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
   P2PS_REQUIRE(config_.population.num_classes == config_.protocol.num_classes);
   P2PS_REQUIRE(config_.protocol.m_candidates > 0);
   P2PS_REQUIRE(config_.protocol.t_out > util::SimTime::zero());
+  P2PS_REQUIRE(config_.protocol.t_bkf > util::SimTime::zero());
   P2PS_REQUIRE(config_.protocol.e_bkf >= 1);
   P2PS_REQUIRE(config_.arrival_window > util::SimTime::zero());
   P2PS_REQUIRE(config_.horizon >= config_.arrival_window);
@@ -84,7 +85,6 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
       p.cls = config_.population.seed_class;
     } else {
       p.cls = requester_classes[i - static_cast<std::size_t>(config_.population.seeds)];
-      p.backoff.emplace(config_.protocol.t_bkf, config_.protocol.e_bkf);
     }
   }
 }
@@ -228,6 +228,12 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
   std::vector<lookup::CandidateInfo>& candidates = scratch_candidates_;
   lookup_->candidates_into(candidates, config_.protocol.m_candidates, lookup_rng_,
                            p.id);
+  // Every probe lands on a random peer's first cache line (Peer layout):
+  // request them all before the first probe reads one, so the M misses
+  // overlap instead of queueing behind each other.
+  for (const auto& candidate : candidates) {
+    __builtin_prefetch(&peers_[static_cast<std::size_t>(candidate.id.value())]);
+  }
   trace_event(TraceKind::kAttempt, p, core::SessionId::invalid(),
               static_cast<std::int64_t>(candidates.size()));
 
@@ -272,19 +278,17 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
 
   if (selection.success()) {
     // ---- admitted: start the streaming session ----
-    ActiveSession session;
-    session.id = core::SessionId{next_session_++};
-    session.requester = p.id;
+    const core::SessionId session_id{next_session_++};
     std::vector<core::PeerClass>& session_classes = scratch_session_classes_;
     session_classes.clear();
-    session.suppliers.reserve(selection.chosen.size());
     for (std::size_t pick : selection.chosen) {
       Peer& s = peer(granted[pick].id);
       disarm_idle_timer(s);
       s.supplier->on_session_start();
-      session.suppliers.push_back(s.id);
+      ledger_suppliers_.push_back(s.id);
       session_classes.push_back(s.cls);
     }
+    ledger_.push_back(LedgerEntry{session_id, p.id, selection.chosen.size()});
     // Granted-but-unchosen candidates were never committed; in the
     // session-level model their grant expires instantly.
 
@@ -305,12 +309,10 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
 
     p.admitted = true;
     p.in_service = true;
-    metrics_.on_admission(p.cls, p.backoff->rejections(), delay_dt,
+    metrics_.on_admission(p.cls, p.rejections, delay_dt,
                           simulator_.now() - p.first_request_time);
-    trace_event(TraceKind::kAdmission, p, session.id, delay_dt);
+    trace_event(TraceKind::kAdmission, p, session_id, delay_dt);
 
-    const core::SessionId session_id = session.id;
-    sessions_.emplace(session_id, std::move(session));
     simulator_.schedule_after(config_.session_duration,
                               [this, session_id] { end_session(session_id); });
     return;
@@ -328,18 +330,23 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
     reminders_left = static_cast<std::int64_t>(omega.size());
   }
   trace_event(TraceKind::kRejection, p, core::SessionId::invalid(), reminders_left);
-  retries_.schedule(p.backoff->on_rejected(), p.id);
+  ++p.rejections;
+  retries_.schedule(core::scaled_backoff(config_.protocol.t_bkf,
+                                         config_.protocol.e_bkf, p.rejections - 1),
+                    p.id);
 }
 
 void StreamingSystem::end_session(core::SessionId id) {
   timers_.poll();
-  const auto it = sessions_.find(id);
-  P2PS_CHECK(it != sessions_.end());
-  const ActiveSession session = std::move(it->second);
-  sessions_.erase(it);
+  // Sessions end in admission order (see LedgerEntry), so the ending
+  // session is always the ledger's front.
+  P2PS_CHECK(!ledger_.empty() && ledger_.front().id == id);
+  const LedgerEntry session = ledger_.front();
+  ledger_.pop_front();
 
-  for (core::PeerId supplier_id : session.suppliers) {
-    Peer& s = peer(supplier_id);
+  for (std::size_t i = 0; i < session.supplier_count; ++i) {
+    Peer& s = peer(ledger_suppliers_.front());
+    ledger_suppliers_.pop_front();
     mutate_supplier(s, [&] { s.supplier->on_session_end(); });
     if (config_.supplier_departure_probability > 0.0 &&
         departure_rng_.bernoulli(config_.supplier_departure_probability)) {
@@ -353,7 +360,7 @@ void StreamingSystem::end_session(core::SessionId id) {
   P2PS_CHECK(requester.in_service);
   requester.in_service = false;
   trace_event(TraceKind::kSessionEnd, requester, session.id,
-              static_cast<std::int64_t>(session.suppliers.size()));
+              static_cast<std::int64_t>(session.supplier_count));
   if (config_.defection_probability > 0.0 &&
       departure_rng_.bernoulli(config_.defection_probability)) {
     // Broken commitment: it gained admission with its pledged class but
@@ -435,20 +442,29 @@ void StreamingSystem::check_invariants() const {
 
   // Every active session holds distinct, busy suppliers whose offers sum to
   // exactly R0; every busy supplier belongs to exactly one session.
-  std::int64_t session_supplier_total = 0;
-  for (const auto& [sid, session] : sessions_) {
+  // The ledger is in admission order: session ids strictly increase, and
+  // the per-session supplier counts tile ledger_suppliers_ exactly.
+  std::size_t next_supplier = 0;
+  const LedgerEntry* previous = nullptr;
+  for (const LedgerEntry& session : ledger_) {
+    P2PS_CHECK_MSG(previous == nullptr || previous->id.value() < session.id.value(),
+                   "session ledger out of admission order");
+    P2PS_CHECK_MSG(next_supplier + session.supplier_count <= ledger_suppliers_.size(),
+                   "session ledger overruns its supplier list");
     core::Bandwidth sum = core::Bandwidth::zero();
-    for (core::PeerId supplier_id : session.suppliers) {
-      const Peer& s = peer(supplier_id);
+    for (std::size_t i = 0; i < session.supplier_count; ++i) {
+      const Peer& s = peer(ledger_suppliers_[next_supplier++]);
       P2PS_CHECK_MSG(s.supplier->busy(), "session supplier not busy");
       sum += core::Bandwidth::class_offer(s.cls);
     }
     P2PS_CHECK_MSG(sum == core::Bandwidth::playback_rate(),
                    "session bandwidth != R0");
-    session_supplier_total += static_cast<std::int64_t>(session.suppliers.size());
     P2PS_CHECK_MSG(peer(session.requester).in_service, "requester not in service");
+    previous = &session;
   }
-  P2PS_CHECK_MSG(busy_recount == session_supplier_total,
+  P2PS_CHECK_MSG(next_supplier == ledger_suppliers_.size(),
+                 "session ledger holds stray supplier ids");
+  P2PS_CHECK_MSG(busy_recount == static_cast<std::int64_t>(next_supplier),
                  "busy suppliers do not match active sessions");
 }
 

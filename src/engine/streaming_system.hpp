@@ -9,9 +9,10 @@
 // service, the workload and the metrics.
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/admission/requester.hpp"
@@ -44,7 +45,7 @@ class StreamingSystem {
   [[nodiscard]] std::int64_t capacity() const;
   [[nodiscard]] std::int64_t supplier_count() const;
   [[nodiscard]] std::int64_t active_sessions() const {
-    return static_cast<std::int64_t>(sessions_.size());
+    return static_cast<std::int64_t>(ledger_.size());
   }
   [[nodiscard]] const lookup::LookupService& lookup_service() const { return *lookup_; }
   [[nodiscard]] const metrics::MetricsCollector& metrics() const { return metrics_; }
@@ -56,24 +57,41 @@ class StreamingSystem {
   [[nodiscard]] const TraceLog* trace() const { return trace_.get(); }
 
  private:
-  struct Peer {
-    core::PeerId id;
+  /// Two cache lines per peer. A probe reads and writes only the first:
+  /// the grant stream, the supplier state machine and the class. The
+  /// second holds what a requester's own lifecycle touches. The layout is
+  /// asserted below (docs/memory.md, "Session engine").
+  struct alignas(64) Peer {
+    // ---- cache line 0: the probe path ----
+    util::Rng grant_rng{0};  ///< supplier-side probabilistic admission tests
+    std::optional<core::SupplierAdmission> supplier;
     core::PeerClass cls = core::kHighestClass;
     bool is_supplier = false;
     bool admitted = false;
     bool in_service = false;  ///< currently being streamed to
     bool departed = false;    ///< left the system permanently (churn)
+    // ---- cache line 1: the requester lifecycle ----
+    core::PeerId id;
     util::SimTime first_request_time = util::SimTime::zero();
-    std::optional<core::SupplierAdmission> supplier;
-    std::optional<core::RequesterBackoff> backoff;
     sim::TimerId idle_timer = sim::TimerId::invalid();
-    util::Rng grant_rng{0};  ///< supplier-side probabilistic admission tests
+    /// Rejections so far; the next backoff is core::scaled_backoff of it.
+    std::int32_t rejections = 0;
   };
+  static_assert(sizeof(Peer) == 128, "a peer is exactly two cache lines");
+  static_assert(offsetof(Peer, grant_rng) + sizeof(util::Rng) <= 64 &&
+                    offsetof(Peer, supplier) +
+                            sizeof(std::optional<core::SupplierAdmission>) <= 64 &&
+                    offsetof(Peer, cls) + sizeof(core::PeerClass) <= 64,
+                "the probe-path fields must share the first cache line");
 
-  struct ActiveSession {
+  /// One admitted, not yet ended session. Every session lasts exactly
+  /// config.session_duration, so end events fire in admission order (ties
+  /// at one instant in schedule order, which is admission order too): the
+  /// ledger is a FIFO and end_session always retires its front.
+  struct LedgerEntry {
     core::SessionId id;
     core::PeerId requester;
-    std::vector<core::PeerId> suppliers;
+    std::size_t supplier_count = 0;  ///< its ids, in order, in ledger_suppliers_
   };
 
   [[nodiscard]] Peer& peer(core::PeerId id);
@@ -145,7 +163,10 @@ class StreamingSystem {
   util::Rng selection_rng_{0};
 
   std::vector<Peer> peers_;
-  std::unordered_map<core::SessionId, ActiveSession> sessions_;
+  /// The session ledger: active sessions in admission order, and their
+  /// supplier ids concatenated in the same order.
+  std::deque<LedgerEntry> ledger_;
+  std::deque<core::PeerId> ledger_suppliers_;
   std::uint64_t next_session_ = 0;
 
   core::Bandwidth supplier_bandwidth_ = core::Bandwidth::zero();

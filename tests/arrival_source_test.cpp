@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "core/admission/requester.hpp"
 #include "engine/arrival_source.hpp"
 #include "engine/config.hpp"
 #include "engine/retry_source.hpp"
 #include "engine/streaming_system.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "workload/arrival_pattern.hpp"
 
@@ -160,6 +166,135 @@ TEST(RetrySource, HandlerMayScheduleFurtherRetries) {
   EXPECT_EQ(fires, 4);
   EXPECT_EQ(retries.waiting(), 0u);
   EXPECT_EQ(simulator.peak_pending_count(), 1u);
+}
+
+// ---------- RetrySource against its (due, seq) heap oracle ----------
+//
+// The representation RetrySource's per-delay lanes replaced: one binary
+// min-heap over every waiting peer, with the same one-in-flight-event
+// protocol. Both are driven by the same pseudo-random traffic, with every
+// fired peer rescheduling itself from inside the handler; the firing logs
+// (time and peer) must match exactly.
+
+class HeapRetryOracle {
+ public:
+  using OnDue = std::function<void(core::PeerId)>;
+  HeapRetryOracle(sim::Simulator& simulator, OnDue on_due)
+      : simulator_(simulator), on_due_(std::move(on_due)) {}
+
+  void schedule(SimTime delay, core::PeerId peer) {
+    const Entry entry{simulator_.now() + delay, next_seq_++, peer};
+    heap_.push(entry);
+    if (heap_.top().seq == entry.seq) arm();
+  }
+  [[nodiscard]] std::size_t waiting() const { return heap_.size(); }
+
+ private:
+  struct Entry {
+    SimTime due;
+    std::uint64_t seq = 0;
+    core::PeerId peer;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.due != b.due) return a.due > b.due;
+      return a.seq > b.seq;
+    }
+  };
+  void arm() {
+    if (in_flight_.valid()) simulator_.cancel(in_flight_);
+    in_flight_ = simulator_.schedule_at(heap_.top().due, [this] { fire(); });
+  }
+  void fire() {
+    in_flight_ = sim::EventId::invalid();
+    const Entry entry = heap_.top();
+    heap_.pop();
+    if (!heap_.empty()) arm();
+    on_due_(entry.peer);
+  }
+
+  sim::Simulator& simulator_;
+  OnDue on_due_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::uint64_t next_seq_ = 0;
+  sim::EventId in_flight_ = sim::EventId::invalid();
+};
+
+using DelayFn = std::function<SimTime(util::Rng&)>;
+using FiringLog = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+
+/// Runs `peers` peers through `rounds` retries each on a `Source`, every
+/// delay drawn by `delay_of`, and returns the firing log. Checks that the
+/// whole waiting population cost one pending simulator event throughout.
+template <typename Source>
+FiringLog firing_log(std::uint64_t seed, const DelayFn& delay_of, int peers,
+                     int rounds) {
+  sim::Simulator simulator;
+  util::Rng rng(seed);
+  FiringLog log;
+  std::vector<int> round(static_cast<std::size_t>(peers), 0);
+  Source* self = nullptr;
+  Source source(simulator, [&](core::PeerId id) {
+    log.emplace_back(simulator.now().as_millis(), id.value());
+    if (++round[static_cast<std::size_t>(id.value())] < rounds) {
+      self->schedule(delay_of(rng), id);  // reentrant, like a failed retry
+    }
+  });
+  self = &source;
+  for (int peer = 0; peer < peers; ++peer) {
+    source.schedule(delay_of(rng), core::PeerId{static_cast<std::uint64_t>(peer)});
+  }
+  simulator.run();
+  EXPECT_EQ(source.waiting(), 0u);
+  EXPECT_EQ(simulator.peak_pending_count(), 1u);
+  EXPECT_EQ(log.size(), static_cast<std::size_t>(peers * rounds));
+  return log;
+}
+
+void expect_same_firing_log(const DelayFn& delay_of, int peers, int rounds) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_EQ(firing_log<RetrySource>(seed, delay_of, peers, rounds),
+              firing_log<HeapRetryOracle>(seed, delay_of, peers, rounds))
+        << "seed " << seed;
+  }
+}
+
+TEST(RetrySource, MatchesHeapOracleOnBackoffShapedDelays) {
+  // T_bkf · 2^k for k up to 60: the exponent saturates at the 2^53 ms cap,
+  // so the longest lanes sit ~285,000 simulated years out.
+  expect_same_firing_log(
+      [](util::Rng& rng) {
+        return core::scaled_backoff(SimTime::minutes(10), 2,
+                                    static_cast<std::int64_t>(rng.uniform_below(61)));
+      },
+      64, 12);
+}
+
+TEST(RetrySource, MatchesHeapOracleOnManyArbitraryDelays) {
+  // 96 distinct millisecond delays: more lanes than any engine backoff
+  // produces, with frequent same-due ties across lanes.
+  util::Rng pool_rng(96);
+  std::vector<SimTime> pool;
+  while (pool.size() < 96) {
+    const SimTime delay =
+        SimTime::millis(static_cast<std::int64_t>(1 + pool_rng.uniform_below(2'000)));
+    if (std::find(pool.begin(), pool.end(), delay) == pool.end()) pool.push_back(delay);
+  }
+  expect_same_firing_log(
+      [&pool](util::Rng& rng) { return pool[rng.uniform_below(pool.size())]; }, 50,
+      20);
+}
+
+TEST(RetrySource, MatchesHeapOracleOnZeroDelays) {
+  // Mostly zero: a fired peer re-enters at the very instant it fired, behind
+  // every retry already due then.
+  expect_same_firing_log(
+      [](util::Rng& rng) {
+        return rng.bernoulli(0.75) ? SimTime::zero()
+                                   : SimTime::millis(static_cast<std::int64_t>(
+                                         1 + rng.uniform_below(3)));
+      },
+      30, 25);
 }
 
 // ---------- the engine-level contraction ----------

@@ -2,7 +2,11 @@
 // arbitrary valid operation sequences, and cross-engine agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "core/admission/supplier.hpp"
 #include "engine/async_system.hpp"
@@ -58,6 +62,119 @@ TEST_P(VectorFuzz, InvariantsSurviveRandomOperations) {
   }
 }
 
+// ---------- probability vector against its exponent-array oracle ----------
+//
+// AdmissionProbabilityVector stores only the profile level L (every
+// reachable vector is a class-L profile). The oracle is the representation
+// it replaced: one explicit exponent per class, updated entry by entry.
+// Both are driven through identical random operation sequences from every
+// (K, own class) start, and every observable must agree after every step.
+
+class ExponentArrayVector {
+ public:
+  ExponentArrayVector(PeerClass num_classes, PeerClass own_class)
+      : exponents_(static_cast<std::size_t>(num_classes)) {
+    for (PeerClass c = 1; c <= num_classes; ++c) {
+      exponents_[static_cast<std::size_t>(c - 1)] = std::max(0, c - own_class);
+    }
+  }
+  static ExponentArrayVector all_ones(PeerClass num_classes) {
+    return ExponentArrayVector(num_classes, num_classes);
+  }
+
+  [[nodiscard]] PeerClass num_classes() const {
+    return static_cast<PeerClass>(exponents_.size());
+  }
+  [[nodiscard]] std::int32_t exponent(PeerClass c) const {
+    return exponents_[static_cast<std::size_t>(c - 1)];
+  }
+  [[nodiscard]] double probability(PeerClass c) const {
+    return std::ldexp(1.0, -exponent(c));
+  }
+  [[nodiscard]] bool favors(PeerClass c) const { return exponent(c) == 0; }
+  [[nodiscard]] PeerClass lowest_favored_class() const {
+    PeerClass lowest = core::kHighestClass;
+    for (PeerClass c = 1; c <= num_classes(); ++c) {
+      if (favors(c)) lowest = c;
+    }
+    return lowest;
+  }
+  void elevate() {
+    for (auto& e : exponents_) e = std::max(0, e - 1);
+  }
+  void tighten_to(PeerClass k_hat) {
+    for (PeerClass c = 1; c <= num_classes(); ++c) {
+      exponents_[static_cast<std::size_t>(c - 1)] = std::max(0, c - k_hat);
+    }
+  }
+  [[nodiscard]] bool fully_relaxed() const {
+    return std::all_of(exponents_.begin(), exponents_.end(),
+                       [](std::int32_t e) { return e == 0; });
+  }
+  friend bool operator==(const ExponentArrayVector&,
+                         const ExponentArrayVector&) = default;
+
+ private:
+  std::vector<std::int32_t> exponents_;
+};
+
+::testing::AssertionResult agrees(const core::AdmissionProbabilityVector& v,
+                                  const ExponentArrayVector& oracle) {
+  if (v.num_classes() != oracle.num_classes()) {
+    return ::testing::AssertionFailure() << "num_classes differs";
+  }
+  for (PeerClass c = 1; c <= v.num_classes(); ++c) {
+    if (v.exponent(c) != oracle.exponent(c) ||
+        v.probability(c) != oracle.probability(c) ||
+        v.favors(c) != oracle.favors(c)) {
+      return ::testing::AssertionFailure() << "class " << c << " differs: " << v;
+    }
+  }
+  if (v.lowest_favored_class() != oracle.lowest_favored_class()) {
+    return ::testing::AssertionFailure() << "lowest_favored_class differs: " << v;
+  }
+  if (v.fully_relaxed() != oracle.fully_relaxed()) {
+    return ::testing::AssertionFailure() << "fully_relaxed differs: " << v;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(VectorOracle, LevelVectorMatchesExponentArrayOnRandomSequences) {
+  util::Rng rng(2002);
+  for (PeerClass k = 1; k <= core::kMaxSupportedClasses; ++k) {
+    for (PeerClass own = 1; own <= k; ++own) {
+      // Two walks from the same start, so == is exercised on pairs that
+      // drift apart and meet again.
+      core::AdmissionProbabilityVector a(k, own);
+      core::AdmissionProbabilityVector b = own == k
+          ? core::AdmissionProbabilityVector::all_ones(k)
+          : core::AdmissionProbabilityVector(k, own);
+      ExponentArrayVector oracle_a(k, own);
+      ExponentArrayVector oracle_b = own == k ? ExponentArrayVector::all_ones(k)
+                                              : ExponentArrayVector(k, own);
+      ASSERT_TRUE(agrees(a, oracle_a)) << "K=" << k << " own=" << own;
+      ASSERT_TRUE(agrees(b, oracle_b)) << "K=" << k << " own=" << own;
+      for (int op = 0; op < 40; ++op) {
+        const bool on_a = rng.bernoulli(0.5);
+        core::AdmissionProbabilityVector& v = on_a ? a : b;
+        ExponentArrayVector& oracle = on_a ? oracle_a : oracle_b;
+        if (rng.bernoulli(0.6)) {
+          v.elevate();
+          oracle.elevate();
+        } else {
+          const auto k_hat = static_cast<PeerClass>(
+              1 + rng.uniform_below(static_cast<std::uint64_t>(k)));
+          v.tighten_to(k_hat);
+          oracle.tighten_to(k_hat);
+        }
+        ASSERT_TRUE(agrees(v, oracle)) << "K=" << k << " own=" << own << " op=" << op;
+        ASSERT_EQ(a == b, oracle_a == oracle_b)
+            << "K=" << k << " own=" << own << " op=" << op;
+      }
+    }
+  }
+}
+
 // ---------- supplier state machine fuzz ----------
 //
 // Drive a SupplierAdmission with random *valid* operations and check that
@@ -98,7 +215,7 @@ TEST_P(SupplierFuzz, NeverWedgesUnderRandomTraffic) {
           supplier.on_session_start();
           ++sessions;
           EXPECT_TRUE(supplier.busy());
-          EXPECT_TRUE(supplier.pending_reminders().empty());
+          EXPECT_EQ(supplier.highest_reminder(), 0);
           EXPECT_FALSE(supplier.favored_request_seen());
         }
         break;
@@ -106,13 +223,13 @@ TEST_P(SupplierFuzz, NeverWedgesUnderRandomTraffic) {
         if (supplier.busy()) {
           supplier.on_session_end();
           EXPECT_FALSE(supplier.busy());
-          EXPECT_TRUE(supplier.pending_reminders().empty());
+          EXPECT_EQ(supplier.highest_reminder(), 0);
         }
         break;
       case 3:
         if (supplier.busy() && rng.bernoulli(0.5)) {
           supplier.leave_reminder(requester);
-          EXPECT_FALSE(supplier.pending_reminders().empty());
+          EXPECT_NE(supplier.highest_reminder(), 0);
         }
         break;
       case 4:
