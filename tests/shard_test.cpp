@@ -954,5 +954,60 @@ TEST(ShardedScenarios, GoldenOutputHashesMatchThePreCompactionEngine) {
   }
 }
 
+/// Every integer value stored under `"key":` in a compact JSON dump, in
+/// document order.
+std::vector<std::uint64_t> json_ints(const std::string& dump,
+                                     const std::string& key) {
+  std::vector<std::uint64_t> values;
+  const std::string needle = "\"" + key + "\":";
+  for (std::size_t at = dump.find(needle); at != std::string::npos;
+       at = dump.find(needle, at + needle.size())) {
+    values.push_back(std::stoull(dump.substr(at + needle.size())));
+  }
+  return values;
+}
+
+// Mechanics pins recorded on the engine whose deliveries were one
+// simulator event per (shard, tick) group: the per-shard executed-event
+// and sent-message counters, and the merged message totals, for the
+// msg_fig5_sharded shape at --scale 10. Counting one executed event per
+// delivery-group drain must keep every one of them exact.
+TEST(ShardedScenarios, MechanicsCountersMatchThePerGroupEventEngine) {
+  struct Pin {
+    int shards;
+    std::vector<std::uint64_t> events_executed;
+    std::vector<std::uint64_t> messages_sent;
+    std::uint64_t cross_shard_messages;
+  };
+  const std::vector<Pin> pins = {
+      {1, {198801}, {529035}, 0},
+      {4, {85366, 88033, 82978, 82421}, {132329, 132528, 132375, 131803}, 396936},
+      {7,
+       {54693, 58126, 58956, 56046, 55270, 53517, 54222},
+       {75160, 75772, 76704, 75859, 76403, 73775, 75362},
+       453221},
+  };
+  for (const Pin& pin : pins) {
+    scenario::ScenarioOptions options;
+    options.seed = 2002;
+    options.scale = 10;
+    options.shards = pin.shards;
+    options.mechanics = true;
+    const std::string dump =
+        scenario::run_scenario("msg_fig5_sharded", options).dump();
+    EXPECT_EQ(json_ints(dump, "events_executed"), pin.events_executed)
+        << pin.shards << " shards";
+    EXPECT_EQ(json_ints(dump, "messages_sent"), pin.messages_sent)
+        << pin.shards << " shards";
+    EXPECT_EQ(json_ints(dump, "cross_shard_messages"),
+              std::vector<std::uint64_t>{pin.cross_shard_messages})
+        << pin.shards << " shards";
+    EXPECT_NE(dump.find("\"messages\":{\"sent\":529035,\"delivered\":529035,"
+                        "\"dropped\":0}"),
+              std::string::npos)
+        << pin.shards << " shards";
+  }
+}
+
 }  // namespace
 }  // namespace p2ps
