@@ -90,10 +90,12 @@ for perf_scenario in perf_steady perf_flash_crowd; do
 done
 
 # Golden-digest gate: every benchmark/golden.json workload, run the way
-# benchmark/run.py runs its untimed reference (seed 2002, full size; the
-# sharded pair at --scale 4 on one shard, which parity makes equal to any
-# shard/thread count), must reproduce its stored sha256. A payload change
-# fails here instead of only printing payload_changed in a bench report.
+# benchmark/run.py times it (seed 2002, full size; the sharded pair at
+# --scale 4 on 8 shards, on one and on two threads), must reproduce its
+# stored sha256. Parity makes those digests equal to the --shards 1
+# reference, so a payload change that only shows on several shards or
+# threads fails here too, instead of only printing payload_changed in a
+# bench report.
 golden_file="${repo_root}/benchmark/golden.json"
 golden_seed="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["seed"])' \
     "${golden_file}")"
@@ -104,8 +106,10 @@ while read -r workload expected; do
     steady) golden_args=(perf_steady) ;;
     flash_crowd) golden_args=(perf_flash_crowd) ;;
     messages) golden_args=(perf_messages) ;;
-    sharded_250k|sharded_250k_2t)
-      golden_args=(perf_sharded_scale --shards 1 --scale 4) ;;
+    sharded_250k)
+      golden_args=(perf_sharded_scale --shards 8 --scale 4) ;;
+    sharded_250k_2t)
+      golden_args=(perf_sharded_scale --shards 8 --shard-threads 2 --scale 4) ;;
     *)
       echo "FAIL: golden.json names unknown workload '${workload}'" >&2
       exit 1 ;;
@@ -361,8 +365,9 @@ grep -q '"windows_fused":[1-9]' \
 # (docs/sharding.md, "Threading") change only wall-clock. At 8 shards the
 # payload must be byte-identical for --shard-threads 1, 2 and 4 (and equal
 # to the one-shard run), and the --mechanics counters that every thread
-# touches — cross-shard messages and the delivery-group pool — must agree
-# exactly: a racy counter drifts here first.
+# touches — cross-shard messages, the delivery-group pool and each shard's
+# executed events (one per delivery-lane fire) — must agree exactly: a racy
+# counter, or a lane fire counted on the wrong thread, drifts here first.
 echo "==> thread-parity smoke: perf_sharded_scale --shards 8 x --shard-threads {1,2,4}"
 parity_scale=$(( scale * 4 ))
 "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
@@ -378,10 +383,12 @@ for threads in 1 2 4; do
   }
   "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
       --compact --shards 8 --shard-threads "${threads}" --mechanics \
-      | grep -o '"\(cross_shard_messages\|pool_allocations\|pool_reuses\)":[0-9]*' \
+      | grep -o '"\(cross_shard_messages\|pool_allocations\|pool_reuses\|events_executed\)":[0-9]*' \
       > "${smoke_dir}/parity.t${threads}.counters"
-  if [ "$(wc -l < "${smoke_dir}/parity.t${threads}.counters")" -ne 3 ]; then
-    echo "FAIL: --mechanics lacks the cross-shard/pool counters" >&2
+  # 3 run-wide counters plus events_executed for each of the 8 shards.
+  if [ "$(wc -l < "${smoke_dir}/parity.t${threads}.counters")" -ne 11 ]; then
+    echo "FAIL: --mechanics lacks the cross-shard/pool/per-shard event" \
+         "counters" >&2
     exit 1
   fi
   cmp "${smoke_dir}/parity.t1.counters" \

@@ -105,10 +105,11 @@ struct ShardedConfig {
   /// Window-fusion factor (>= 1): up to this many unit lookahead windows
   /// execute per runner dispatch (sim/shard_runner.hpp). Byte-invisible
   /// like shards/threads — the executed sub-window sequence is identical
-  /// for every value; only mechanics counters and wall-clock change. 32
-  /// is the measured sweet spot on perf_sharded_scale: higher factors
-  /// accumulate enough undelivered cross-shard traffic between exchanges
-  /// to spill the cache and give the barrier savings back.
+  /// for every value; only mechanics counters and wall-clock change. The
+  /// default 32 buys no measurable time any more: against --fusion 1 it
+  /// ran within the rep spread on perf_sharded_scale at full scale and at
+  /// --scale 4, on one, two and four threads (the measurement and the
+  /// deletion plan are ROADMAP item 1(a)).
   int fusion = 32;
 
   sim::EventListKind event_list = sim::EventListKind::kBinaryHeap;

@@ -13,8 +13,13 @@
 //     below the lookahead is a hard contract violation — it would have to
 //     be delivered inside the window that produced it, which the barrier
 //     protocol cannot do, so it aborts rather than silently reorders.
+//   * Delivery lane. bind() makes each shard's delivery groups its
+//     simulator's delivery lane (sim/simulator.hpp): no group is ever a
+//     simulator event. The simulator's run_until, step and next_event_time
+//     merge the lane with the event list in time order, list events first
+//     on a tie, and count each group drain as one executed event.
 //   * Canonical drain order. All envelopes delivered on one (shard, tick)
-//     drain through ONE pooled event, sorted by (to, sent_at, from, seq)
+//     drain in ONE lane fire, sorted by (to, sent_at, from, seq)
 //     with seq a per-*sender* counter. Every component of that key is a
 //     property of the traffic itself, never of the partitioning — unlike
 //     arrival order into the batch (local sends append at send time,
@@ -32,31 +37,33 @@
 //     (sim/shard_runner.hpp) is the only moment an envelope crosses a
 //     thread boundary. Ascending-source pulls reproduce the old
 //     coordinator exchange's per-destination enqueue order exactly, so
-//     delivery-group creation, event sequence numbers and payloads are
-//     identical by construction.
+//     delivery-group creation and payloads are identical by construction.
 //   * Source-side minimum. Each source tracks the earliest deliver_at it
 //     sent across shards this window (earliest_outbound), so the runner's
 //     next-window bound min_next is exact before any destination has
-//     pulled: min over shards of (next pending event, earliest outbound)
-//     equals min over shards of the post-exchange next event.
+//     pulled: min over shards of (next pending event or lane tick,
+//     earliest outbound) equals min over shards of the post-exchange next
+//     event.
 //
 // Steady state is allocation-free: delivery groups come off a free list
 // (entry vectors keep their capacity across reuse), outbox rows keep
-// theirs, and the tick -> group index is an open-addressed power-of-two
-// ring rather than a hash map. The ring works because live delivery ticks
-// always span less than the model's maximum latency: two distinct ticks
-// t1 != t2 with |t1 - t2| < ring size cannot share tick mod ring size, so
-// once the ring outgrows the live span every live tick owns its slot
-// uniquely. On a collision the ring doubles and every live group rehashes
-// — a handful of doublings early in a run, then never again.
+// theirs, and the tick -> group index is a direct-mapped power-of-two
+// ring rather than a hash map. Every live delivery tick lies in
+// [now, now + ring size) — an enqueue further ahead doubles the ring
+// first, a handful of times early in a run and then never again — so
+// distinct live ticks own distinct slots, and after the earliest group
+// drains at tick T the next one is the first occupied slot after T's in
+// circular order: a find-first-set over a one-bit-per-slot occupancy map,
+// with no per-group simulator event, heap entry or callback.
 //
 // Thread-safety: during a window, shard s's thread may call begin_step(s),
 // send(s, ...) and earliest_outbound(s); those touch shard s's own port
 // (delivery groups, counters, outbox rows of the write parity) and the
 // read-parity rows addressed to s, which no other thread touches in that
 // window. Ports and rows are cache-line aligned, so no two threads write
-// one line. exchange(), bind() and the counter reads are coordinator-only
-// (between windows).
+// one line. A port's lane fires on its shard's thread inside run_until.
+// exchange(), bind() and the counter reads are coordinator-only (between
+// windows); exchange() is the one coordinator path that touches a lane.
 #pragma once
 
 #include <algorithm>
@@ -106,7 +113,10 @@ class ShardRouter {
     P2PS_REQUIRE_MSG(num_shards_ >= 1, "ShardRouter needs at least one shard");
     P2PS_REQUIRE_MSG(window_ >= util::SimTime::millis(1),
                      "conservative lookahead must be at least one tick");
-    for (Port& port : ports_) port.ring.assign(kInitialRingSlots, kNoGroup);
+    for (Port& port : ports_) {
+      port.ring.assign(kInitialRingSlots, kNoGroup);
+      port.occupied.assign(kInitialRingSlots / 64, 0);
+    }
   }
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
@@ -127,11 +137,15 @@ class ShardRouter {
   /// called exactly once per shard, before any send. `context` is handed
   /// back verbatim on every delivery (it may be null if the handler
   /// ignores it).
+  /// The shard's delivery groups become `simulator`'s delivery lane, so
+  /// a simulator serves at most one router, and the router must outlive
+  /// every later run of it.
   void bind(int shard, sim::Simulator& simulator, void* context,
             Handler on_deliver) {
     Port& port = port_at(shard);
     P2PS_REQUIRE_MSG(port.simulator == nullptr, "shard bound twice");
     P2PS_REQUIRE(on_deliver != nullptr);
+    simulator.attach_lane(&port, &ShardRouter::fire);
     port.simulator = &simulator;
     port.context = context;
     port.on_deliver = on_deliver;
@@ -247,7 +261,7 @@ class ShardRouter {
   }
 
  private:
-  /// One per-(shard, tick) delivery batch behind one pooled drain event.
+  /// One per-(shard, tick) delivery batch, drained by one lane fire.
   struct Group {
     std::vector<Envelope> entries;
     std::int64_t tick_ms = 0;
@@ -271,13 +285,18 @@ class ShardRouter {
     int parity = 0;
     /// Earliest deliver_at sent across shards this window (kNoTick: none).
     std::uint32_t outbound_min = kNoTick;
-    /// Open-addressed tick -> group index: slot = tick mod ring size
-    /// (power of two). Uniqueness holds because live ticks span less than
-    /// the ring size (see file header); a collision doubles the ring.
+    /// Direct-mapped tick -> group index: slot = tick mod ring size (a
+    /// power of two, at least 64). Unique because every live tick lies in
+    /// [now, now + ring size) (see file header).
     std::vector<std::uint32_t> ring;
+    /// One bit per ring slot, set while the slot holds a live group.
+    std::vector<std::uint64_t> occupied;
     std::vector<Group> groups;
     std::uint32_t free_head = kNoGroup;
     std::size_t live_groups = 0;
+    /// Earliest live group tick (kNoTick: none) — the due tick this port
+    /// publishes as its simulator's delivery lane.
+    std::uint32_t due = kNoTick;
     /// Drain scratch, swapped with a group's entries so reentrant sends
     /// from handlers can grow `groups` safely mid-drain.
     std::vector<Envelope> drain_scratch;
@@ -289,7 +308,8 @@ class ShardRouter {
 
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNoTick = 0xFFFFFFFFu;
-  static constexpr std::size_t kInitialRingSlots = 64;
+  static constexpr std::size_t kInitialRingSlots = 64;  // one occupancy word
+  static_assert(kInitialRingSlots % 64 == 0);
 
   Port& port_at(int shard) {
     P2PS_REQUIRE(shard >= 0 && shard < num_shards_);
@@ -333,52 +353,45 @@ class ShardRouter {
     return static_cast<std::size_t>(tick_ms) & (port.ring.size() - 1);
   }
 
-  /// Doubles the ring until every live group owns a unique slot. Each
-  /// doubling is attempted whole; a collision mid-rehash just doubles
-  /// again. Terminates because live ticks span less than the model's
-  /// maximum latency: once the ring size exceeds that span, distinct live
-  /// ticks cannot share tick mod ring size.
-  void grow_ring(Port& port) {
-    for (;;) {
-      std::vector<std::uint32_t> next(port.ring.size() * 2, kNoGroup);
-      bool clean = true;
-      for (const std::uint32_t index : port.ring) {
-        if (index == kNoGroup) continue;
-        const std::size_t slot = static_cast<std::size_t>(port.groups[index].tick_ms) &
-                                 (next.size() - 1);
-        if (next[slot] != kNoGroup) {
-          clean = false;
-          break;
-        }
-        next[slot] = index;
-      }
-      port.ring.swap(next);
-      if (clean) return;
+  /// Doubles the ring. Every live tick lies in [now, now + old size), so
+  /// the rehash into twice the slots is collision-free.
+  static void grow_ring(Port& port) {
+    std::vector<std::uint32_t> next(port.ring.size() * 2, kNoGroup);
+    port.occupied.assign(next.size() / 64, 0);
+    for (const std::uint32_t index : port.ring) {
+      if (index == kNoGroup) continue;
+      const std::size_t slot =
+          static_cast<std::size_t>(port.groups[index].tick_ms) & (next.size() - 1);
+      P2PS_CHECK(next[slot] == kNoGroup);
+      next[slot] = index;
+      port.occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
     }
+    port.ring.swap(next);
   }
 
-  void enqueue(Port& port, Envelope envelope) {
+  static void enqueue(Port& port, Envelope envelope) {
     const std::int64_t tick_ms = envelope.deliver_at;
-    std::size_t slot = slot_of(port, tick_ms);
-    while (port.ring[slot] != kNoGroup &&
-           port.groups[port.ring[slot]].tick_ms != tick_ms) {
-      grow_ring(port);
-      slot = slot_of(port, tick_ms);
-    }
+    // Keep every live tick inside [now, now + ring size) — the invariant
+    // that gives distinct live ticks distinct slots (file header).
+    const auto ahead =
+        static_cast<std::uint64_t>(tick_ms - port.simulator->now().as_millis());
+    while (ahead >= port.ring.size()) grow_ring(port);
+    const std::size_t slot = slot_of(port, tick_ms);
     std::uint32_t index = port.ring[slot];
     if (index == kNoGroup) {
       index = acquire_group(port, tick_ms);
       port.ring[slot] = index;
+      port.occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
       ++port.live_groups;
-      const int port_index = static_cast<int>(&port - ports_.data());
-      port.simulator->schedule_at(
-          util::SimTime::millis(tick_ms),
-          [this, port_index, index] { drain(port_at(port_index), index); });
+      if (envelope.deliver_at < port.due) {
+        port.due = envelope.deliver_at;
+        port.simulator->set_lane_due(util::SimTime::millis(port.due));
+      }
     }
     port.groups[index].entries.push_back(std::move(envelope));
   }
 
-  std::uint32_t acquire_group(Port& port, std::int64_t tick_ms) {
+  static std::uint32_t acquire_group(Port& port, std::int64_t tick_ms) {
     std::uint32_t index;
     if (port.free_head != kNoGroup) {
       index = port.free_head;
@@ -394,12 +407,50 @@ class ShardRouter {
     return index;
   }
 
-  void drain(Port& port, std::uint32_t index) {
-    Group& group = port.groups[index];
-    const std::size_t slot = slot_of(port, group.tick_ms);
-    P2PS_CHECK(port.ring[slot] == index);
+  /// The earliest live tick after `fired`, the tick just drained (the
+  /// earliest), kNoTick if none. Every live tick lies within one ring size
+  /// after `fired`, so circular slot order from its slot is time order and
+  /// a slot's distance from it is the tick's.
+  static std::uint32_t next_due(const Port& port, std::uint32_t fired) {
+    const std::size_t mask = port.ring.size() - 1;
+    const std::size_t words = port.occupied.size();
+    const std::size_t from = fired & mask;
+    const std::size_t start = (from + 1) & mask;
+    std::size_t word = start / 64;
+    std::uint64_t bits = port.occupied[word] & (~std::uint64_t{0} << (start % 64));
+    // words + 1 visits: the start word's low bits are the circular tail.
+    for (std::size_t visit = 0; visit <= words; ++visit) {
+      if (bits != 0) {
+        const std::size_t slot =
+            word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+        return fired + static_cast<std::uint32_t>((slot - from) & mask);
+      }
+      word = (word + 1) & (words - 1);
+      bits = port.occupied[word];
+    }
+    return kNoTick;
+  }
+
+  /// The lane's fire function: drains the port's earliest group, at its
+  /// tick. The next due tick is published before any handler runs, so a
+  /// reentrant local send (always due at a later tick) can undercut it.
+  static void fire(void* context) {
+    Port& port = *static_cast<Port*>(context);
+    const std::size_t slot = slot_of(port, port.due);
+    const std::uint32_t index = port.ring[slot];
+    P2PS_CHECK(index != kNoGroup && port.groups[index].tick_ms == port.due);
     port.ring[slot] = kNoGroup;
+    port.occupied[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     --port.live_groups;
+    port.due = next_due(port, port.due);
+    port.simulator->set_lane_due(port.due == kNoTick
+                                     ? util::SimTime::max()
+                                     : util::SimTime::millis(port.due));
+    drain(port, index);
+  }
+
+  static void drain(Port& port, std::uint32_t index) {
+    Group& group = port.groups[index];
     if (group.entries.size() == 1) {
       // Singleton fast path — the common case at scale (most delivery
       // ticks carry exactly one envelope): no sort, no scratch swap. The

@@ -72,7 +72,7 @@ bool Simulator::cancel(EventId id) {
   if (slot.generation != generation_of(id) || !slot.cb) return false;
   slot.cb.reset();
   if (slot.timer) --live_timers_;
-  release_slot(index);  // queue residue is skipped lazily by pop_live()
+  release_slot(index);  // queue residue is skipped lazily by peek_live()
   --live_;
   return true;
 }
@@ -104,15 +104,9 @@ const CalendarEntry* Simulator::peek_live() {
   }
 }
 
-std::optional<CalendarEntry> Simulator::pop_live() {
-  const CalendarEntry* entry = peek_live();
-  if (entry == nullptr) return std::nullopt;
-  const CalendarEntry result = *entry;
+void Simulator::execute_staged() {
+  const CalendarEntry entry = *staged_;
   staged_.reset();
-  return result;
-}
-
-void Simulator::execute(const CalendarEntry& entry) {
   P2PS_CHECK_MSG(entry.time >= now_, "event queue time order violated");
   const std::uint32_t index = slot_of(EventId{entry.payload});
   now_ = entry.time;
@@ -126,10 +120,29 @@ void Simulator::execute(const CalendarEntry& entry) {
   cb();
 }
 
+void Simulator::attach_lane(void* context, LaneFire fire) {
+  P2PS_REQUIRE_MSG(lane_fire_ == nullptr,
+                   "a simulator carries at most one delivery lane");
+  P2PS_REQUIRE(fire != nullptr);
+  lane_context_ = context;
+  lane_fire_ = fire;
+}
+
+void Simulator::fire_lane() {
+  P2PS_CHECK_MSG(lane_due_ >= now_, "delivery lane time order violated");
+  now_ = lane_due_;
+  ++executed_;
+  lane_fire_(lane_context_);
+}
+
 bool Simulator::step() {
-  const auto entry = pop_live();
-  if (!entry) return false;
-  execute(*entry);
+  const CalendarEntry* entry = peek_live();
+  if (lane_first(entry)) {
+    fire_lane();
+    return true;
+  }
+  if (entry == nullptr) return false;
+  execute_staged();
   return true;
 }
 
@@ -144,13 +157,17 @@ std::size_t Simulator::run_until(util::SimTime t) {
   std::size_t executed = 0;
   for (;;) {
     const CalendarEntry* entry = peek_live();
+    if (lane_first(entry)) {
+      if (lane_due_ > t) break;
+      fire_lane();
+      ++executed;
+      continue;
+    }
     // A beyond-horizon entry simply stays staged — no reinsertion, and the
     // next peek (this window's next_event_time probe, or the next window's
     // run_until) finds it for free.
     if (entry == nullptr || entry->time > t) break;
-    const CalendarEntry current = *entry;
-    staged_.reset();
-    execute(current);
+    execute_staged();
     ++executed;
   }
   now_ = t;
@@ -159,6 +176,7 @@ std::size_t Simulator::run_until(util::SimTime t) {
 
 std::optional<util::SimTime> Simulator::next_event_time() {
   const CalendarEntry* entry = peek_live();
+  if (lane_first(entry)) return lane_due_;
   if (entry == nullptr) return std::nullopt;
   return entry->time;
 }

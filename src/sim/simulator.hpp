@@ -14,6 +14,16 @@
 // pluggable — a binary heap by default, or the Brown-1988 calendar queue
 // for very large event populations — with identical ordering semantics
 // either way (see sim/event_list.hpp).
+//
+// Next to the event list a simulator carries at most one *delivery lane*:
+// an out-of-list source of timed work (net::ShardRouter's per-shard
+// delivery groups) described by a context pointer, a fire function and a
+// next-due tick that the lane's owner keeps current. run_until, step, run
+// and next_event_time merge the lane with the event list in time order;
+// on equal ticks list events run first. Each lane fire advances the clock
+// to the due tick and counts as one executed event, but never occupies a
+// slab slot or a list entry, so pending_count() and peak_pending_count()
+// see list events only.
 #pragma once
 
 #include <cstdint>
@@ -88,19 +98,38 @@ class Simulator {
     return peak_live_timers_;
   }
 
-  /// Executes the next event, if any. Returns false when the queue is empty.
+  /// Fire function of the delivery lane: runs everything the lane owes at
+  /// its due tick and, before it returns or runs any handler that may
+  /// enqueue more, publishes the new due tick through set_lane_due.
+  using LaneFire = void (*)(void* context);
+
+  /// Attaches the delivery lane, idle until its owner calls set_lane_due.
+  /// A simulator carries at most one lane: attaching a second is a
+  /// contract violation. `context` is handed back verbatim on every fire
+  /// and must outlive every later run of this simulator.
+  void attach_lane(void* context, LaneFire fire);
+
+  /// The lane owner's earliest due tick, SimTime::max() when it owes
+  /// nothing. Must not precede now(); the owner calls this whenever its
+  /// earliest tick changes, including from inside its own fire.
+  void set_lane_due(util::SimTime due) { lane_due_ = due; }
+
+  /// Executes the next event or lane fire, if any (list events first on a
+  /// tie). Returns false when both are empty.
   bool step();
 
   /// Runs until no events remain (or `max_events` fired). Returns the number
   /// of events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
-  /// Runs all events with time <= `t`, then advances the clock to exactly
-  /// `t`. Returns the number of events executed.
+  /// Runs all events and lane fires with time <= `t` in time order (list
+  /// events first on a tie), then advances the clock to exactly `t`. A lane
+  /// tick after `t` stays pending. Returns the number of events executed,
+  /// lane fires included.
   std::size_t run_until(util::SimTime t);
 
-  /// Time of the earliest live (non-cancelled) pending event, or nullopt
-  /// when none remain. Exact on both backends: cancelled residue is popped
+  /// Time of the earliest live (non-cancelled) pending event or lane tick,
+  /// or nullopt when none remain. Exact on both backends: cancelled residue is popped
   /// and discarded until a live entry surfaces, which is then *staged* in a
   /// one-entry buffer in front of the backend — not pushed back — so the
   /// conservative-lookahead probe the shard runner issues once per shard
@@ -108,13 +137,16 @@ class Simulator {
   /// repeated, and run_until's beyond-horizon stop costs no re-push.
   [[nodiscard]] std::optional<util::SimTime> next_event_time();
 
-  /// Total events executed over the simulator's lifetime.
+  /// Total events executed over the simulator's lifetime, one per lane
+  /// fire included.
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
 
   /// Drops all pending events without executing them and resets the event
   /// list (including any backend dequeue-cursor state). Every EventId
   /// issued before clear() is invalidated: cancel() and pending() on such
-  /// ids safely return false. The clock and executed_count() are kept.
+  /// ids safely return false. The clock and executed_count() are kept. The
+  /// delivery lane belongs to its owner and is left alone: its due tick
+  /// and whatever it owes survive a clear().
   void clear();
 
  private:
@@ -148,12 +180,18 @@ class Simulator {
   /// repeated peeks are backend-free.
   const CalendarEntry* peek_live();
 
-  /// Pops entries until a live one surfaces (skipping cancelled residue);
-  /// nullopt when the queue is exhausted.
-  std::optional<CalendarEntry> pop_live();
+  /// Consumes and fires the staged entry, which peek_live() has just
+  /// verified live.
+  void execute_staged();
 
-  /// Fires `entry`, whose slot has already been verified live.
-  void execute(const CalendarEntry& entry);
+  /// True when the lane is due strictly before the list head `entry` (or
+  /// the list is empty): list events win every tie.
+  [[nodiscard]] bool lane_first(const CalendarEntry* entry) const {
+    return lane_due_ < (entry != nullptr ? entry->time : util::SimTime::max());
+  }
+
+  /// Fires the lane at its due tick.
+  void fire_lane();
 
   EventId schedule_impl(util::SimTime t, Callback cb, bool timer);
 
@@ -172,6 +210,11 @@ class Simulator {
   /// dominate window mechanics at hundreds of thousands of windows.
   std::optional<CalendarEntry> staged_;
   std::unique_ptr<EventList> queue_;
+  /// The delivery lane (see the file header); idle at SimTime::max(), so a
+  /// simulator without one pays a single compare per event.
+  void* lane_context_ = nullptr;
+  LaneFire lane_fire_ = nullptr;
+  util::SimTime lane_due_ = util::SimTime::max();
 };
 
 /// Self-rescheduling periodic callback, e.g. hourly metric sampling.

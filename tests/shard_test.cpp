@@ -379,7 +379,7 @@ std::array<std::vector<Delivery>, kCascadePeers> run_cascade(int num_shards,
   }
   // Initial bursts fire at ticks 1..3 — strictly before the earliest
   // possible delivery (1 + window), so pre-scheduled sends never race a
-  // drain event on their own tick.
+  // delivery drain on their own tick.
   for (std::uint64_t peer = 0; peer < kCascadePeers; ++peer) {
     const int shard = router.shard_of(PeerId{peer});
     simulators[static_cast<std::size_t>(shard)]->schedule_at(
@@ -446,6 +446,137 @@ TEST(ShardRouter, TickRingGrowsToSpanLiveTicksAndRecyclesGroups) {
   EXPECT_EQ(router.ring_slots(0), 256u);
   simulator.run_until(SimTime::millis(300));
   EXPECT_EQ(delivered, 191 + 91);
+}
+
+// ---- the delivery lane: groups drain inline, list events first ----
+
+/// One-shard router fixture: every delivery logs (tick, from), and
+/// `on_delivery` may send reentrantly.
+struct LaneFixture {
+  LaneFixture() {
+    handler = [this](const IntRouter::Envelope& envelope) {
+      log.emplace_back(simulator.now().as_millis(), envelope.from);
+      if (on_delivery) on_delivery(envelope);
+    };
+    bind_fn(router, 0, simulator, &handler);
+  }
+  void send(std::uint32_t from, std::int64_t deliver_ms) {
+    IntRouter::Envelope envelope;
+    envelope.from = from;
+    envelope.to = 0;
+    envelope.sent_at = static_cast<std::uint32_t>(simulator.now().as_millis());
+    envelope.deliver_at = static_cast<std::uint32_t>(deliver_ms);
+    router.send(0, std::move(envelope));
+  }
+
+  sim::Simulator simulator;
+  IntRouter router{1, SimTime::millis(10)};
+  std::vector<std::pair<std::int64_t, std::uint64_t>> log;  // (tick, from)
+  TestHandler handler;
+  std::function<void(const IntRouter::Envelope&)> on_delivery;
+};
+
+// The "sampler first" and "deadlines before deliveries" rules rest on this:
+// a list event on a delivery tick runs before the group, whether it was
+// scheduled before or after the group was created.
+TEST(ShardRouter, SameTickListEventsRunBeforeTheDeliveryGroup) {
+  LaneFixture f;
+  constexpr std::uint64_t kListEvent = 1000;
+  f.simulator.schedule_at(SimTime::millis(10),
+                          [&] { f.log.emplace_back(10, kListEvent); });
+  f.send(3, 10);
+  f.send(5, 10);
+  f.simulator.schedule_at(SimTime::millis(10),
+                          [&] { f.log.emplace_back(10, kListEvent + 1); });
+  EXPECT_EQ(f.simulator.pending_count(), 2u);  // the group is not an event
+  EXPECT_EQ(f.simulator.next_event_time(), SimTime::millis(10));
+  EXPECT_EQ(f.simulator.run_until(SimTime::millis(10)), 3u);
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {
+      {10, kListEvent}, {10, kListEvent + 1}, {10, 3}, {10, 5}};
+  EXPECT_EQ(f.log, expected);
+  EXPECT_EQ(f.router.pending_groups(0), 0u);
+}
+
+TEST(ShardRouter, NextEventTimeSeesADeliveryBeforeTheListHead) {
+  LaneFixture f;
+  f.simulator.schedule_at(SimTime::millis(30), [] {});
+  f.send(2, 12);
+  EXPECT_EQ(f.simulator.next_event_time(), SimTime::millis(12));
+  f.simulator.run_until(SimTime::millis(11));
+  EXPECT_TRUE(f.log.empty());  // due after the bound: still pending
+  EXPECT_EQ(f.router.pending_groups(0), 1u);
+  f.simulator.run_until(SimTime::millis(12));
+  EXPECT_EQ(f.log.size(), 1u);
+  EXPECT_EQ(f.simulator.next_event_time(), SimTime::millis(30));
+}
+
+// A handler's local send during a drain lands in a group at a later tick
+// (the lookahead guarantees it), joins the lane in time order, and step()
+// and run() drain it like run_until does.
+TEST(ShardRouter, ReentrantLocalSendsDuringADrainLandOnALaterTick) {
+  LaneFixture f;
+  f.on_delivery = [&](const IntRouter::Envelope& envelope) {
+    if (envelope.from < 100) {
+      f.send(envelope.from + 100, f.simulator.now().as_millis() + 10);
+    }
+  };
+  f.send(2, 15);  // a singleton group
+  f.send(1, 10);  // a two-envelope group: the sorted drain path
+  f.send(4, 10);
+  EXPECT_TRUE(f.simulator.step());  // drains tick 10
+  EXPECT_EQ(f.simulator.now(), SimTime::millis(10));
+  EXPECT_EQ(f.router.pending_groups(0), 2u);  // ticks 15 and 20
+  EXPECT_EQ(f.simulator.run(), 3u);           // 15, 20, then 15's echo at 25
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {
+      {10, 1}, {10, 4}, {15, 2}, {20, 101}, {20, 104}, {25, 102}};
+  EXPECT_EQ(f.log, expected);
+  EXPECT_EQ(f.simulator.executed_count(), 4u);  // one per group
+  EXPECT_EQ(f.router.pending_groups(0), 0u);
+}
+
+// The lane's next due tick comes from a circular scan of the ring's
+// occupancy bits: under random latencies that force the ring to grow
+// mid-run, every envelope must still drain exactly at its deliver tick,
+// in time order, interleaved correctly with list events.
+TEST(ShardRouter, LaneDrainsEveryEnvelopeAtItsTickUnderRingGrowth) {
+  LaneFixture f;
+  std::uint64_t draws = 0;
+  std::size_t sent = 0;
+  std::int64_t last_tick = 0;
+  const auto send_random = [&] {
+    const std::int64_t latency =
+        10 + static_cast<std::int64_t>(mix(++draws) % 300);
+    f.send(static_cast<std::uint32_t>(draws),
+           f.simulator.now().as_millis() + latency);
+    ++sent;
+  };
+  f.on_delivery = [&](const IntRouter::Envelope& envelope) {
+    EXPECT_EQ(f.simulator.now().as_millis(), envelope.deliver_at);
+    EXPECT_GE(envelope.deliver_at, last_tick);
+    last_tick = envelope.deliver_at;
+    if (sent < 4000) send_random();
+  };
+  for (int i = 0; i < 40; ++i) send_random();
+  int list_events = 0;
+  for (std::int64_t t = 7; t < 20'000; t += 97) {
+    f.simulator.schedule_at(SimTime::millis(t), [&] { ++list_events; });
+  }
+  f.simulator.run();
+  EXPECT_EQ(f.log.size(), sent);
+  EXPECT_EQ(sent, 4000u);
+  EXPECT_GT(list_events, 0);
+  EXPECT_EQ(f.router.pending_groups(0), 0u);
+  EXPECT_GE(f.router.ring_slots(0), 512u);  // grew past the 300-tick span
+}
+
+TEST(ShardRouter, ASimulatorServesAtMostOneRouterPort) {
+  sim::Simulator simulator;
+  IntRouter first(2, SimTime::millis(10));
+  IntRouter second(1, SimTime::millis(10));
+  const IntRouter::Handler ignore = [](void*, const IntRouter::Envelope&) {};
+  first.bind(0, simulator, nullptr, ignore);
+  EXPECT_THROW(first.bind(1, simulator, nullptr, ignore), util::ContractViolation);
+  EXPECT_THROW(second.bind(0, simulator, nullptr, ignore), util::ContractViolation);
 }
 
 // ---------- ShardRunner ----------

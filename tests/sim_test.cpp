@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -376,6 +377,145 @@ TEST_P(BackendParity, IdenticalFiringOrderUnderRandomWorkload) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendParity, ::testing::Range(1, 7));
 
 // ---------- Periodic ----------
+
+// ---------- the delivery lane ----------
+
+/// A minimal lane owner: a sorted set of due ticks, one log entry per fire.
+/// Each fire pops its tick and republishes the next before logging, the
+/// order the lane contract asks of every owner.
+struct TickLane {
+  explicit TickLane(Simulator& simulator) : sim(simulator) {
+    sim.attach_lane(this, &TickLane::fire);
+  }
+  void add(std::int64_t tick) {
+    ticks.insert(std::upper_bound(ticks.begin(), ticks.end(), tick), tick);
+    publish();
+  }
+  void publish() {
+    sim.set_lane_due(ticks.empty() ? SimTime::max()
+                                   : SimTime::millis(ticks.front()));
+  }
+  static void fire(void* context) {
+    TickLane& lane = *static_cast<TickLane*>(context);
+    EXPECT_EQ(lane.sim.now(), SimTime::millis(lane.ticks.front()));
+    lane.ticks.erase(lane.ticks.begin());
+    lane.publish();
+    lane.log.push_back(-lane.sim.now().as_millis());  // negative: a lane fire
+    if (lane.on_fire) lane.on_fire();
+  }
+
+  Simulator& sim;
+  std::vector<std::int64_t> ticks;
+  std::vector<std::int64_t> log;
+  std::function<void()> on_fire;
+};
+
+TEST(DeliveryLane, ListEventsWinSameTickTiesWhicheverWasScheduledFirst) {
+  for (const auto kind :
+       {EventListKind::kBinaryHeap, EventListKind::kCalendarQueue}) {
+    Simulator s(kind);
+    TickLane lane(s);
+    s.schedule_at(SimTime::millis(10), [&] { lane.log.push_back(1); });
+    lane.add(10);
+    s.schedule_at(SimTime::millis(10), [&] { lane.log.push_back(2); });
+    lane.add(5);
+    EXPECT_EQ(s.run_until(SimTime::millis(10)), 4u);
+    EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-5, 1, 2, -10}));
+    EXPECT_EQ(s.executed_count(), 4u);
+  }
+}
+
+TEST(DeliveryLane, NextEventTimeReportsALaneTickBeforeTheListHead) {
+  Simulator s;
+  TickLane lane(s);
+  EXPECT_FALSE(s.next_event_time().has_value());
+  s.schedule_at(SimTime::millis(30), [] {});
+  lane.add(20);
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(20));
+  lane.add(40);
+  s.run_until(SimTime::millis(20));
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(30));
+  s.run_until(SimTime::millis(30));
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(40));
+}
+
+TEST(DeliveryLane, RunUntilLeavesALaneTickAfterItsBoundPending) {
+  Simulator s;
+  TickLane lane(s);
+  lane.add(20);
+  EXPECT_EQ(s.run_until(SimTime::millis(15)), 0u);
+  EXPECT_EQ(s.now(), SimTime::millis(15));
+  EXPECT_TRUE(lane.log.empty());
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(20));
+  EXPECT_EQ(s.run_until(SimTime::millis(20)), 1u);
+  EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-20}));
+}
+
+TEST(DeliveryLane, StepAndRunDrainTheLane) {
+  Simulator s;
+  TickLane lane(s);
+  lane.add(7);
+  lane.add(3);
+  s.schedule_at(SimTime::millis(5), [&] { lane.log.push_back(5); });
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.now(), SimTime::millis(3));
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-3, 5, -7}));
+  EXPECT_EQ(s.executed_count(), 3u);
+  // run(max_events) counts lane fires against the budget like events.
+  lane.add(8);
+  lane.add(9);
+  EXPECT_EQ(s.run(1), 1u);
+  EXPECT_EQ(lane.ticks, (std::vector<std::int64_t>{9}));
+}
+
+TEST(DeliveryLane, FiresMayScheduleEventsAndMoreLaneWork) {
+  Simulator s;
+  TickLane lane(s);
+  lane.on_fire = [&] {
+    if (s.now() == SimTime::millis(10)) {
+      // Same-tick list work runs after this fire; later lane work is
+      // merged in time order with the list.
+      s.schedule_at(SimTime::millis(10), [&] { lane.log.push_back(10); });
+      s.schedule_at(SimTime::millis(12), [&] { lane.log.push_back(12); });
+      lane.add(11);
+    }
+  };
+  lane.add(10);
+  s.run();
+  EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-10, 10, -11, 12}));
+}
+
+TEST(DeliveryLane, PendingCountsSeeListEventsOnly) {
+  Simulator s;
+  TickLane lane(s);
+  for (std::int64_t t = 1; t <= 5; ++t) lane.add(t);
+  s.schedule_at(SimTime::millis(9), [] {});
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.peak_pending_count(), 1u);
+  EXPECT_EQ(s.run(), 6u);
+  EXPECT_EQ(s.executed_count(), 6u);
+}
+
+TEST(DeliveryLane, ClearLeavesTheLaneAlone) {
+  Simulator s;
+  TickLane lane(s);
+  lane.add(4);
+  s.schedule_at(SimTime::millis(2), [&] { lane.log.push_back(2); });
+  s.clear();
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(4));
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-4}));
+}
+
+TEST(DeliveryLane, ASecondLaneIsAContractViolation) {
+  Simulator s;
+  TickLane lane(s);
+  EXPECT_THROW(s.attach_lane(nullptr, &TickLane::fire), util::ContractViolation);
+  Simulator other;
+  EXPECT_THROW(other.attach_lane(nullptr, nullptr), util::ContractViolation);
+}
 
 TEST(Periodic, FiresAtFixedCadence) {
   Simulator s;
