@@ -136,10 +136,9 @@ class ShardRouter {
   /// Attaches shard `shard`'s simulator and delivery handler. Must be
   /// called exactly once per shard, before any send. `context` is handed
   /// back verbatim on every delivery (it may be null if the handler
-  /// ignores it).
-  /// The shard's delivery groups become `simulator`'s delivery lane, so
-  /// a simulator serves at most one router, and the router must outlive
-  /// every later run of it.
+  /// ignores it). The shard's delivery groups become `simulator`'s
+  /// delivery lane, so a simulator serves at most one router port, and
+  /// the router must outlive every later run of that simulator.
   void bind(int shard, sim::Simulator& simulator, void* context,
             Handler on_deliver) {
     Port& port = port_at(shard);
@@ -253,7 +252,11 @@ class ShardRouter {
 
   /// Delivery groups currently pending on one shard (tests/diagnostics).
   [[nodiscard]] std::size_t pending_groups(int shard) const {
-    return port_at(shard).live_groups;
+    std::size_t live = 0;
+    for (const std::uint64_t bits : port_at(shard).occupied) {
+      live += static_cast<std::size_t>(__builtin_popcountll(bits));
+    }
+    return live;
   }
   /// Current tick-ring capacity of one shard (tests/diagnostics).
   [[nodiscard]] std::size_t ring_slots(int shard) const {
@@ -293,7 +296,6 @@ class ShardRouter {
     std::vector<std::uint64_t> occupied;
     std::vector<Group> groups;
     std::uint32_t free_head = kNoGroup;
-    std::size_t live_groups = 0;
     /// Earliest live group tick (kNoTick: none) — the due tick this port
     /// publishes as its simulator's delivery lane.
     std::uint32_t due = kNoTick;
@@ -382,7 +384,6 @@ class ShardRouter {
       index = acquire_group(port, tick_ms);
       port.ring[slot] = index;
       port.occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
-      ++port.live_groups;
       if (envelope.deliver_at < port.due) {
         port.due = envelope.deliver_at;
         port.simulator->set_lane_due(util::SimTime::millis(port.due));
@@ -441,7 +442,6 @@ class ShardRouter {
     P2PS_CHECK(index != kNoGroup && port.groups[index].tick_ms == port.due);
     port.ring[slot] = kNoGroup;
     port.occupied[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-    --port.live_groups;
     port.due = next_due(port, port.due);
     port.simulator->set_lane_due(port.due == kNoTick
                                      ? util::SimTime::max()

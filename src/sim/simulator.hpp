@@ -129,12 +129,13 @@ class Simulator {
   std::size_t run_until(util::SimTime t);
 
   /// Time of the earliest live (non-cancelled) pending event or lane tick,
-  /// or nullopt when none remain. Exact on both backends: cancelled residue is popped
-  /// and discarded until a live entry surfaces, which is then *staged* in a
-  /// one-entry buffer in front of the backend — not pushed back — so the
-  /// conservative-lookahead probe the shard runner issues once per shard
-  /// per window (sim/shard_runner.hpp) costs zero backend operations when
-  /// repeated, and run_until's beyond-horizon stop costs no re-push.
+  /// or nullopt when none remain. Exact on both backends: cancelled residue
+  /// is popped and discarded until a live entry surfaces, which is then
+  /// *staged* in a one-entry buffer in front of the backend — not pushed
+  /// back — so the conservative-lookahead probe the shard runner issues
+  /// once per shard per window (sim/shard_runner.hpp) costs zero backend
+  /// operations when repeated, and run_until's beyond-horizon stop costs
+  /// no re-push.
   [[nodiscard]] std::optional<util::SimTime> next_event_time();
 
   /// Total events executed over the simulator's lifetime, one per lane

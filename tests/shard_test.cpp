@@ -497,19 +497,6 @@ TEST(ShardRouter, SameTickListEventsRunBeforeTheDeliveryGroup) {
   EXPECT_EQ(f.router.pending_groups(0), 0u);
 }
 
-TEST(ShardRouter, NextEventTimeSeesADeliveryBeforeTheListHead) {
-  LaneFixture f;
-  f.simulator.schedule_at(SimTime::millis(30), [] {});
-  f.send(2, 12);
-  EXPECT_EQ(f.simulator.next_event_time(), SimTime::millis(12));
-  f.simulator.run_until(SimTime::millis(11));
-  EXPECT_TRUE(f.log.empty());  // due after the bound: still pending
-  EXPECT_EQ(f.router.pending_groups(0), 1u);
-  f.simulator.run_until(SimTime::millis(12));
-  EXPECT_EQ(f.log.size(), 1u);
-  EXPECT_EQ(f.simulator.next_event_time(), SimTime::millis(30));
-}
-
 // A handler's local send during a drain lands in a group at a later tick
 // (the lookahead guarantees it), joins the lane in time order, and step()
 // and run() drain it like run_until does.
