@@ -2,7 +2,8 @@
 // lockstep windows, the ShardRouter's lookahead contract and canonical
 // drain order (randomized differential vs the unsharded baseline), the
 // monotone SessionEndCalendar, Simulator::next_event_time on both event
-// list backends, and the ShardedSystem / sharded-scenario byte-parity
+// list backends, the router's delivery lane (same-tick ties, reentrant
+// sends, ring growth), and the ShardedSystem / sharded-scenario byte-parity
 // contract — merged output identical for any --shards and --shard-threads.
 #include <gtest/gtest.h>
 
