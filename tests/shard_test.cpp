@@ -525,7 +525,7 @@ TEST(ShardRouter, ReentrantLocalSendsDuringADrainLandOnALaterTick) {
 // The lane's next due tick comes from a circular scan of the ring's
 // occupancy bits: under random latencies that force the ring to grow
 // mid-run, every envelope must still drain exactly at its deliver tick,
-// in time order, interleaved correctly with list events.
+// in one time order with the list events.
 TEST(ShardRouter, LaneDrainsEveryEnvelopeAtItsTickUnderRingGrowth) {
   LaneFixture f;
   std::uint64_t draws = 0;
@@ -547,7 +547,11 @@ TEST(ShardRouter, LaneDrainsEveryEnvelopeAtItsTickUnderRingGrowth) {
   for (int i = 0; i < 40; ++i) send_random();
   int list_events = 0;
   for (std::int64_t t = 7; t < 20'000; t += 97) {
-    f.simulator.schedule_at(SimTime::millis(t), [&] { ++list_events; });
+    f.simulator.schedule_at(SimTime::millis(t), [&, t] {
+      EXPECT_GE(t, last_tick);  // one time order across list and lane
+      last_tick = t;
+      ++list_events;
+    });
   }
   f.simulator.run();
   EXPECT_EQ(f.log.size(), sent);
