@@ -326,5 +326,45 @@ TEST(RunScenario, GoldenOutputHashesMatchThePreRewriteSessionEngines) {
   }
 }
 
+// The same full-payload pins under the alternative event-core mechanisms
+// the default pins above never touch: the calendar-queue event list and
+// the lazy and events timer strategies. These payloads carry
+// events_executed and the peak_event_list split, so the pins hold the
+// simulator's pending-event accounting to the exact count, not only the
+// simulated behaviour. Captured at seed 2002, --scale 10.
+TEST(RunScenario, GoldenOutputHashesHoldUnderAlternativeEventCoreMechanisms) {
+  struct Pin {
+    const char* name;
+    std::uint64_t calendar;
+    std::uint64_t lazy;
+    std::uint64_t events;
+  };
+  const Pin pins[] = {
+      {"perf_steady", 0xaabc134fdd4227e8ull, 0x2efc59675fe9f613ull,
+       0xb3f787e05b6bf18eull},
+      {"perf_flash_crowd", 0x14a592bf43706706ull, 0x56e4bd4fdd6ee68eull,
+       0xc89c11caa7158bccull},
+      {"msg_flash_crowd", 0xef774e6c440470e2ull, 0xef774e6c440470e2ull,
+       0xef774e6c440470e2ull},
+  };
+  ScenarioOptions base;
+  base.seed = 2002;
+  base.scale = 10;
+  for (const Pin& pin : pins) {
+    ScenarioOptions calendar = base;
+    calendar.event_list = sim::EventListKind::kCalendarQueue;
+    EXPECT_EQ(fnv1a(run_scenario(pin.name, calendar).dump()), pin.calendar)
+        << pin.name << " on the calendar queue";
+    ScenarioOptions lazy = base;
+    lazy.timers = sim::TimerStrategy::kLazy;
+    EXPECT_EQ(fnv1a(run_scenario(pin.name, lazy).dump()), pin.lazy)
+        << pin.name << " under lazy timers";
+    ScenarioOptions events = base;
+    events.timers = sim::TimerStrategy::kEvents;
+    EXPECT_EQ(fnv1a(run_scenario(pin.name, events).dump()), pin.events)
+        << pin.name << " under event-per-timer timers";
+  }
+}
+
 }  // namespace
 }  // namespace p2ps::scenario
