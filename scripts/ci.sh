@@ -365,9 +365,11 @@ grep -q '"windows_fused":[1-9]' \
 # (docs/sharding.md, "Threading") change only wall-clock. At 8 shards the
 # payload must be byte-identical for --shard-threads 1, 2 and 4 (and equal
 # to the one-shard run), and the --mechanics counters that every thread
-# touches — cross-shard messages, the delivery-group pool and each shard's
-# executed events (one per delivery-lane fire) — must agree exactly: a racy
-# counter, or a lane fire counted on the wrong thread, drifts here first.
+# touches — cross-shard messages, the delivery-group pool, and each shard's
+# executed events (one per delivery-lane or source-lane fire) and peak
+# pending events (armed source lanes included) — must agree exactly: a
+# racy counter, or a lane fire or arm counted on the wrong thread, drifts
+# here first.
 echo "==> thread-parity smoke: perf_sharded_scale --shards 8 x --shard-threads {1,2,4}"
 parity_scale=$(( scale * 4 ))
 "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
@@ -383,10 +385,11 @@ for threads in 1 2 4; do
   }
   "${runner}" perf_sharded_scale --seed "${seed}" --scale "${parity_scale}" \
       --compact --shards 8 --shard-threads "${threads}" --mechanics \
-      | grep -o '"\(cross_shard_messages\|pool_allocations\|pool_reuses\|events_executed\)":[0-9]*' \
+      | grep -o '"\(cross_shard_messages\|pool_allocations\|pool_reuses\|events_executed\|peak_event_list\)":[0-9]*' \
       > "${smoke_dir}/parity.t${threads}.counters"
-  # 3 run-wide counters plus events_executed for each of the 8 shards.
-  if [ "$(wc -l < "${smoke_dir}/parity.t${threads}.counters")" -ne 11 ]; then
+  # 3 run-wide counters plus events_executed and peak_event_list for each
+  # of the 8 shards.
+  if [ "$(wc -l < "${smoke_dir}/parity.t${threads}.counters")" -ne 19 ]; then
     echo "FAIL: --mechanics lacks the cross-shard/pool/per-shard event" \
          "counters" >&2
     exit 1

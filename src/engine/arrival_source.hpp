@@ -3,14 +3,15 @@
 // The engines used to materialise one simulator event per first-time
 // request at t = 0 — an O(population) event-list build whose peak queue
 // size equalled the requester count before a single event had fired. This
-// walker keeps exactly ONE arrival event in flight: when arrival i fires it
-// schedules arrival i+1 (same timestamp semantics, see below) and only then
+// walker keeps exactly ONE arrival in flight, on a simulator source lane
+// (sim/simulator.hpp) rather than as a list event: when arrival i fires it
+// arms arrival i+1 (same timestamp semantics, see below) and only then
 // invokes the engine's handler, so the peak event list shrinks to
 // O(active sessions + timers).
 //
 // Ordering argument (docs/lazy_arrivals.md has the full version):
 //   * Arrival i still fires at exactly schedule.arrival_at(i), and arrivals
-//     fire in index order — times are sorted and the next event is pushed
+//     fire in index order — times are sorted and the next arrival is armed
 //     before the current handler runs, so a same-timestamp successor gets a
 //     simulator seq *smaller* than anything the handler schedules at that
 //     instant. Runs of equal-time arrivals therefore fire back-to-back,
@@ -46,25 +47,24 @@ class ArrivalSource {
       : simulator_(simulator),
         schedule_(std::move(schedule)),
         cursor_(schedule_.cursor()),
-        on_arrival_(std::move(on_arrival)) {}
+        on_arrival_(std::move(on_arrival)),
+        lane_(simulator.add_lane(this, &ArrivalSource::fire)) {}
 
   /// If the source dies with an arrival still in flight (a run cut short of
-  /// the arrival window), the event must not outlive the callback target.
-  ~ArrivalSource() {
-    if (in_flight_.valid()) simulator_.cancel(in_flight_);
-  }
+  /// the arrival window), the lane must not outlive the callback target.
+  ~ArrivalSource() { simulator_.remove_lane(lane_); }
   ArrivalSource(const ArrivalSource&) = delete;
   ArrivalSource& operator=(const ArrivalSource&) = delete;
 
-  /// Schedules the first arrival (no-op on an empty schedule).
-  void start() { schedule_next(); }
+  /// Arms the first arrival (no-op on an empty schedule).
+  void start() { arm_next(); }
 
   /// Arrivals whose handler has been invoked so far.
   [[nodiscard]] std::int64_t emitted() const { return emitted_; }
 
   /// True once every arrival has fired.
   [[nodiscard]] bool done() const {
-    return emitted_ == schedule_.total() && !in_flight_.valid();
+    return emitted_ == schedule_.total() && !simulator_.lane_armed(lane_);
   }
 
   [[nodiscard]] const workload::ArrivalSchedule& schedule() const {
@@ -72,26 +72,25 @@ class ArrivalSource {
   }
 
  private:
-  void schedule_next() {
+  void arm_next() {
     const auto t = cursor_.next_arrival();
-    if (!t) return;
-    in_flight_ = simulator_.schedule_at(*t, [this] { fire(); });
+    if (t) simulator_.arm_lane(lane_, *t);
   }
 
-  void fire() {
-    in_flight_ = sim::EventId::invalid();
-    const std::int64_t index = emitted_++;
-    // Reschedule before invoking the handler — load-bearing for the
+  static void fire(void* context) {
+    ArrivalSource& self = *static_cast<ArrivalSource*>(context);
+    const std::int64_t index = self.emitted_++;
+    // Re-arm before invoking the handler — load-bearing for the
     // same-timestamp ordering argument above.
-    schedule_next();
-    on_arrival_(index);
+    self.arm_next();
+    self.on_arrival_(index);
   }
 
   sim::Simulator& simulator_;
   workload::ArrivalSchedule schedule_;
   workload::ArrivalCursor cursor_;
   OnArrival on_arrival_;
-  sim::EventId in_flight_ = sim::EventId::invalid();
+  sim::Simulator::LaneId lane_;
   std::int64_t emitted_ = 0;
 };
 

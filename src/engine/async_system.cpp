@@ -16,7 +16,8 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
       transport_(simulator_, config_.transport,
                  util::Rng(config_.seed).substream("transport")),
       metrics_(config_.protocol.num_classes),
-      retries_(simulator_, [this](core::PeerId id) { start_attempt(id); }),
+      retries_(simulator_, std::nullopt,
+               [this](std::uint32_t id) { start_attempt(core::PeerId{id}); }),
       session_ends_(simulator_, [this](SessionEnd&& end) {
         finish_session(end.requester, std::move(end.suppliers), end.session);
       }) {
@@ -215,7 +216,7 @@ SimulationResult AsyncStreamingSystem::run() {
     make_supplier(peers_[static_cast<std::size_t>(i)]);
   }
 
-  // Lazy arrivals: one in-flight event walks the schedule (see
+  // Lazy arrivals: one source lane walks the schedule (see
   // engine/arrival_source.hpp for the ordering argument).
   auto schedule = workload::ArrivalSchedule::make(
       config_.pattern, config_.population.requesters, config_.arrival_window);

@@ -139,12 +139,12 @@ class AsyncStreamingSystem {
   /// one-zero-delay-event-per-attempt teardown (ROADMAP open item).
   std::vector<core::PeerId> retired_;
   sim::EventId retire_event_ = sim::EventId::invalid();
-  /// Lazy backoff retries: one in-flight event for the whole waiting
-  /// population (the session-level engine's RetrySource trick).
+  /// Lazy backoff retries: one source lane for the whole waiting
+  /// population (engine/retry_source.hpp).
   RetrySource retries_;
   /// One pending finish for every admitted session (constant duration =>
   /// monotone end ticks => FIFO calendar): the session-end population that
-  /// used to cost one event per active session costs one event total
+  /// used to cost one event per active session costs one source lane
   /// (engine/session_end_calendar.hpp).
   struct SessionEnd {
     core::PeerId requester;

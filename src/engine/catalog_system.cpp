@@ -286,7 +286,7 @@ CatalogResult CatalogStreamingSystem::run() {
     make_supplier(peers_[static_cast<std::size_t>(i)]);
   }
 
-  // Lazy arrivals: one in-flight event walks the schedule (see
+  // Lazy arrivals: one source lane walks the schedule (see
   // engine/arrival_source.hpp for the ordering argument).
   auto schedule = workload::ArrivalSchedule::make(
       config_.pattern, config_.population.requesters, config_.arrival_window);

@@ -1,36 +1,47 @@
-// Lazy backoff-retry source — the ArrivalSource trick applied to the
-// rejection/backoff stream.
+// Lazy backoff-retry queue — the ArrivalSource trick applied to the
+// rejection/backoff stream, shared by every engine.
 //
-// After lazy arrivals, the simulator's event list was still O(waiting
-// peers): every rejected requester parked one pending retry event for the
-// whole backoff (the dominant term at paper scale — tens of thousands of
-// waiting peers mid-ramp). This source keeps the due retries engine-local
-// and exposes them to the simulator through a single in-flight event, so
-// the event list carries O(1) entries for the entire waiting population.
+// Every rejected requester used to park one pending retry event for its
+// whole backoff, so the event list was O(waiting peers) — the dominant term
+// at paper scale and under flash crowds. This queue keeps the waiting
+// retries engine-local and exposes only the earliest one to the simulator,
+// through one source lane (sim/simulator.hpp): the event list carries no
+// entry for the whole waiting population, and a fire costs no slab slot,
+// callback or list push.
 //
 // Ordering: retries fire in (due time, insertion seq) order, which
 // reproduces the simulator's own (time, FIFO) semantics exactly — seq is
 // assigned at schedule() time just as the simulator assigned event seqs at
-// schedule_after() time. Relative to *other* same-millisecond events the
-// in-flight event's seq differs from the old per-retry seqs (same one-time
-// perturbation as lazy arrivals, see docs/lazy_arrivals.md); it is
-// backend-independent, so heap/calendar byte-parity is preserved.
+// schedule_after() time. The lane is armed only when a new entry becomes
+// the earliest, and re-armed before the handler runs; each arm takes a
+// fresh simulator seq exactly where the one-event protocol it replaces
+// scheduled its event, so relative to *other* same-millisecond events the
+// queue sorts as that event did (docs/lazy_arrivals.md).
 //
-// Storage: one FIFO lane per distinct delay instead of one heap over every
-// waiting peer. The clock is monotone and a lane's delay is fixed, so each
-// lane is appended in nondecreasing due order (and increasing seq): its
-// front is its (due, seq) minimum, and the earliest lane front is the
-// global minimum — the order a (due, seq) min-heap pops. The engines'
-// backoffs T_bkf · E_bkf^k take a few dozen values at most, so finding the
-// earliest front is a scan of a small flat vector, where every heap
-// operation walked log2(N) scattered cache lines (docs/lazy_arrivals.md,
+// Storage: one FIFO delay lane per distinct delay instead of one heap over
+// every waiting peer. The clock is monotone and a delay lane's delay is
+// fixed, so each delay lane is appended in nondecreasing due order (and
+// increasing seq): its front is its (due, seq) minimum, and the earliest
+// front is the global minimum — the order a (due, seq) min-heap pops. The
+// engines' backoffs T_bkf · E_bkf^k take a few dozen values at most, so
+// finding the earliest front is a scan of a small flat vector, where every
+// heap operation walked log(N) scattered cache lines (docs/lazy_arrivals.md,
 // "Per-delay retry lanes").
+//
+// Entries are 12 bytes, {u32 enqueue tick, u32 seq, u32 id}: the 64-bit
+// delay is stored once per delay lane and due = enqueue tick + delay, so
+// backoffs up to the 2^53-ms cap stay exact while the per-peer cost stays
+// compact (docs/memory.md). A queue built with a horizon drops retries due
+// after it at schedule() time: such a retry could never fire (the run stops
+// at the horizon), and skipping it skips only simulator seqs, which leaves
+// the relative order of every surviving event unchanged.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,58 +54,86 @@ namespace p2ps::engine {
 
 class RetrySource {
  public:
-  using OnDue = std::function<void(core::PeerId)>;
+  using OnDue = std::function<void(std::uint32_t id)>;
 
-  /// `on_due(peer)` fires at the peer's retry time. The simulator must
-  /// outlive this object.
-  RetrySource(sim::Simulator& simulator, OnDue on_due)
-      : simulator_(simulator), on_due_(std::move(on_due)) {}
+  /// One waiting retry.
+  struct Entry {
+    std::uint32_t enqueued_ms = 0;
+    std::uint32_t seq = 0;  // FIFO tie-break, mirroring simulator seqs
+    std::uint32_t id = 0;
+  };
+  static_assert(sizeof(Entry) == 12, "retry entries must stay 12 bytes");
 
-  ~RetrySource() {
-    if (in_flight_.valid()) simulator_.cancel(in_flight_);
+  /// `on_due(id)` fires at the retry's due time. With a `horizon`, retries
+  /// due strictly after it are dropped; without one, every retry is kept.
+  /// The simulator must outlive this object.
+  RetrySource(sim::Simulator& simulator, std::optional<util::SimTime> horizon,
+              OnDue on_due)
+      : simulator_(simulator),
+        horizon_(horizon.value_or(util::SimTime::max())),
+        on_due_(std::move(on_due)),
+        lane_(simulator.add_lane(this, &RetrySource::fire)) {
+    P2PS_REQUIRE(on_due_ != nullptr);
+    P2PS_REQUIRE(horizon_ >= util::SimTime::zero());
   }
+
+  ~RetrySource() { simulator_.remove_lane(lane_); }
   RetrySource(const RetrySource&) = delete;
   RetrySource& operator=(const RetrySource&) = delete;
 
-  /// Schedules `peer`'s retry after `delay` (non-negative, from now).
-  void schedule(util::SimTime delay, core::PeerId peer) {
+  /// Schedules `id`'s retry after `delay` (non-negative, from now).
+  void schedule(util::SimTime delay, std::uint32_t id) {
     P2PS_REQUIRE(delay >= util::SimTime::zero());
+    const std::int64_t now_ms = simulator_.now().as_millis();
+    P2PS_CHECK_MSG(now_ms <= 0xFFFFFFFFll,
+                   "retry enqueue tick exceeds 32 bits");
+    const util::SimTime due = simulator_.now() + delay;
+    if (due > horizon_) {
+      ++dropped_beyond_horizon_;
+      return;
+    }
+    P2PS_CHECK_MSG(next_seq_ != 0xFFFFFFFFu, "retry seq overflow");
     const std::size_t index = lane_for(delay);
     std::deque<Entry>& lane = lanes_[index];
-    const Entry entry{simulator_.now() + delay, next_seq_++, peer};
-    P2PS_CHECK_MSG(lane.empty() || lane.back().due <= entry.due,
-                   "retry lane appended out of due order");
+    const Entry entry{static_cast<std::uint32_t>(now_ms), next_seq_++, id};
     lane.push_back(entry);
     ++waiting_;
-    // Only a new earliest entry preempts the in-flight event; otherwise
-    // the armed event still fires first and re-arms from the lanes. A
-    // non-empty lane's front already precedes the new entry.
+    // Only a new earliest entry re-arms the lane; otherwise the armed
+    // retry still fires first and re-arms from the delay lanes. A
+    // non-empty delay lane's front already precedes the new entry.
     if (lane.size() != 1) return;
-    refresh_head(index);
+    heads_[index].due = due;
+    heads_[index].seq = entry.seq;
     if (head_ == kNoLane || heads_[index].before(heads_[head_])) {
       head_ = index;
-      arm();
+      simulator_.arm_lane(lane_, due);
     }
   }
 
-  /// Peers currently waiting on a retry.
+  /// Schedules a peer's retry under its id; peer ids are dense population
+  /// indexes, far below 2^32.
+  void schedule(util::SimTime delay, core::PeerId peer) {
+    P2PS_CHECK_MSG(peer.value() <= 0xFFFFFFFFu, "retry id exceeds 32 bits");
+    schedule(delay, static_cast<std::uint32_t>(peer.value()));
+  }
+
+  /// Retries currently waiting.
   [[nodiscard]] std::size_t waiting() const { return waiting_; }
+  /// Retries dropped because they were due after the horizon.
+  [[nodiscard]] std::uint64_t dropped_beyond_horizon() const {
+    return dropped_beyond_horizon_;
+  }
 
  private:
   static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
 
-  struct Entry {
-    util::SimTime due;
-    std::uint64_t seq = 0;  // FIFO tie-break, mirroring simulator seqs
-    core::PeerId peer;
-  };
-
-  /// Lane i's fixed delay and its front's (due, seq) key, kept flat for
-  /// the earliest-front scan. An empty lane's due is SimTime::max().
+  /// Delay lane i's fixed delay and its front's (due, seq) key, kept flat
+  /// for the earliest-front scan. An empty delay lane's due is
+  /// SimTime::max().
   struct LaneHead {
     util::SimTime delay;
     util::SimTime due;
-    std::uint64_t seq;
+    std::uint32_t seq;
 
     [[nodiscard]] bool before(const LaneHead& other) const {
       if (due != other.due) return due < other.due;
@@ -102,7 +141,8 @@ class RetrySource {
     }
   };
 
-  /// The lane holding retries of exactly `delay`, created on first use.
+  /// The delay lane holding retries of exactly `delay`, created on first
+  /// use.
   std::size_t lane_for(util::SimTime delay) {
     for (std::size_t i = 0; i < heads_.size(); ++i) {
       if (heads_[i].delay == delay) return i;
@@ -112,15 +152,21 @@ class RetrySource {
     return heads_.size() - 1;
   }
 
-  /// Re-reads lane `index`'s front key after its front changed.
+  /// Re-reads delay lane `index`'s front key after its front changed.
   void refresh_head(std::size_t index) {
     const std::deque<Entry>& lane = lanes_[index];
     LaneHead& head = heads_[index];
-    head.due = lane.empty() ? util::SimTime::max() : lane.front().due;
-    head.seq = lane.empty() ? 0 : lane.front().seq;
+    if (lane.empty()) {
+      head.due = util::SimTime::max();
+      head.seq = 0;
+      return;
+    }
+    head.due = util::SimTime::millis(lane.front().enqueued_ms) + head.delay;
+    head.seq = lane.front().seq;
   }
 
-  /// The lane whose front is the earliest waiting retry (kNoLane if none).
+  /// The delay lane whose front is the earliest waiting retry (kNoLane if
+  /// none).
   [[nodiscard]] std::size_t earliest_lane() const {
     if (waiting_ == 0) return kNoLane;
     std::size_t best = 0;
@@ -130,37 +176,36 @@ class RetrySource {
     return best;
   }
 
-  void arm() {
-    if (in_flight_.valid()) simulator_.cancel(in_flight_);
-    in_flight_ = simulator_.schedule_at(heads_[head_].due, [this] { fire(); });
-  }
-
-  void fire() {
-    in_flight_ = sim::EventId::invalid();
-    P2PS_CHECK(head_ != kNoLane);
-    std::deque<Entry>& lane = lanes_[head_];
-    const core::PeerId peer = lane.front().peer;
+  static void fire(void* context) {
+    RetrySource& self = *static_cast<RetrySource*>(context);
+    P2PS_CHECK(self.head_ != kNoLane);
+    std::deque<Entry>& lane = self.lanes_[self.head_];
+    const std::uint32_t id = lane.front().id;
     lane.pop_front();
-    --waiting_;
-    refresh_head(head_);
-    head_ = earliest_lane();
+    --self.waiting_;
+    self.refresh_head(self.head_);
+    self.head_ = self.earliest_lane();
     // Re-arm before invoking — same-due retries fire back-to-back ahead of
     // whatever the handler schedules at this instant (the ArrivalSource
     // ordering argument).
-    if (head_ != kNoLane) arm();
-    on_due_(peer);
+    if (self.head_ != kNoLane) {
+      self.simulator_.arm_lane(self.lane_, self.heads_[self.head_].due);
+    }
+    self.on_due_(id);
   }
 
   sim::Simulator& simulator_;
+  util::SimTime horizon_;
   OnDue on_due_;
-  // Lane i is heads_[i] and lanes_[i]. lanes_ is a deque so adding a lane
-  // never copies the others.
+  sim::Simulator::LaneId lane_;
+  // Delay lane i is heads_[i] and lanes_[i]. lanes_ is a deque so adding a
+  // delay lane never copies the others.
   std::vector<LaneHead> heads_;
   std::deque<std::deque<Entry>> lanes_;
   std::size_t head_ = kNoLane;
   std::size_t waiting_ = 0;
-  std::uint64_t next_seq_ = 0;
-  sim::EventId in_flight_ = sim::EventId::invalid();
+  std::uint32_t next_seq_ = 0;
+  std::uint64_t dropped_beyond_horizon_ = 0;
 };
 
 }  // namespace p2ps::engine

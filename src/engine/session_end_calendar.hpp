@@ -1,20 +1,20 @@
-// One pending event for the whole population of session finishes.
+// One source lane for the whole population of session finishes.
 //
 // Every admitted session ends exactly `session_duration` after it starts,
 // and admissions fire in nondecreasing simulated time — so session end
 // ticks are *monotone* and the right data structure is a FIFO, not a heap:
-// a deque of (end tick, payload) with ONE simulator event armed at the
-// front tick. However many sessions are active, the event list carries one
-// entry for all of them (the ROADMAP session-end-calendar residual; the
-// same shape as engine/retry_source.hpp and engine/arrival_source.hpp).
+// a deque of (end tick, payload) with ONE simulator source lane
+// (sim/simulator.hpp) armed at the front tick. However many sessions are
+// active, the event list carries no entry for any of them (the same shape
+// as engine/retry_source.hpp and engine/arrival_source.hpp).
 //
 // Ordering semantics (the part that keeps byte-determinism):
-//   * the in-flight event is always armed at the earliest pending end tick,
-//     so ends fire at exactly their tick, never late;
+//   * the lane is always armed at the earliest pending end tick, so ends
+//     fire at exactly their tick, never late;
 //   * poll() lets deadline-check-on-entry sites (metric samplers, barrier
 //     reads) force "every end due at or before now happens before this
-//     read" — a deterministic rule that does not depend on same-tick event
-//     seq races between the calendar's event and the caller's;
+//     read" — a deterministic rule that does not depend on same-tick seq
+//     races between the calendar's lane and the caller's event;
 //   * within one tick, ends fire in schedule order (FIFO), which is
 //     admission order — the same order the per-session schedule_after
 //     events used to fire in.
@@ -42,12 +42,14 @@ class SessionEndCalendar {
   /// runs once per finished session, at exactly its end tick (or at the
   /// first poll() at/after it).
   SessionEndCalendar(sim::Simulator& simulator, Handler on_end)
-      : simulator_(simulator), on_end_(std::move(on_end)) {
+      : simulator_(simulator),
+        on_end_(std::move(on_end)),
+        lane_(simulator.add_lane(this, [](void* context) {
+          static_cast<SessionEndCalendar*>(context)->poll();
+        })) {
     P2PS_REQUIRE(on_end_ != nullptr);
   }
-  ~SessionEndCalendar() {
-    if (event_.valid()) simulator_.cancel(event_);
-  }
+  ~SessionEndCalendar() { simulator_.remove_lane(lane_); }
   SessionEndCalendar(const SessionEndCalendar&) = delete;
   SessionEndCalendar& operator=(const SessionEndCalendar&) = delete;
 
@@ -66,9 +68,9 @@ class SessionEndCalendar {
   /// Handlers may reentrantly schedule() new ends.
   void poll() {
     const util::SimTime now = simulator_.now();
-    // Fast path: nothing due. The armed-event invariant already holds (the
-    // queue and the in-flight event are untouched), and this runs once per
-    // delivered message in the sharded engine — tens of millions per run.
+    // Fast path: nothing due. The armed-lane invariant already holds (the
+    // queue and the lane are untouched), and this runs once per delivered
+    // message in the sharded engine — tens of millions per run.
     if (queue_.empty() || queue_.front().at > now) return;
     do {
       Slot slot = std::move(queue_.front());
@@ -87,31 +89,21 @@ class SessionEndCalendar {
     Entry entry;
   };
 
-  /// Restores the invariant: the one event is armed at the front tick iff
-  /// the queue is nonempty. Cheap no-op when already true.
+  /// Restores the invariant: the lane is armed at the front tick iff the
+  /// queue is nonempty. Cheap no-op when already true.
   void sync_arm() {
     if (queue_.empty()) {
-      if (event_.valid()) {
-        simulator_.cancel(event_);
-        event_ = sim::EventId::invalid();
-      }
+      simulator_.disarm_lane(lane_);
       return;
     }
     const util::SimTime due = queue_.front().at;
-    if (event_.valid() && armed_at_ == due) return;
-    if (event_.valid()) simulator_.cancel(event_);
-    armed_at_ = due;
-    event_ = simulator_.schedule_at(due, [this] {
-      event_ = sim::EventId::invalid();
-      poll();
-    });
+    if (simulator_.lane_due(lane_) != due) simulator_.arm_lane(lane_, due);
   }
 
   sim::Simulator& simulator_;
   Handler on_end_;
+  sim::Simulator::LaneId lane_;
   std::deque<Slot> queue_;
-  sim::EventId event_ = sim::EventId::invalid();
-  util::SimTime armed_at_ = util::SimTime::zero();
 };
 
 }  // namespace p2ps::engine

@@ -200,9 +200,9 @@ struct alignas(64) ShardedSystem::Shard {
   ShardedSystem* owner;
   int index;
   sim::Simulator sim;
-  /// Lazy sources — one pending event each for the whole population
+  /// Lazy sources — one source lane each for the whole population
   /// (declared after `sim`, destroyed before it).
-  RetryHeap retries;
+  RetrySource retries;
   SessionEndCalendar<Deadline> deadlines;
   SessionEndCalendar<SessionEnd> ends;
   std::unique_ptr<sim::Periodic> sampler;
@@ -226,8 +226,10 @@ struct alignas(64) ShardedSystem::Shard {
   std::uint64_t pool_allocations = 0;
   std::uint64_t pool_reuses = 0;
 
-  /// Next global arrival index owned by this shard (stride = shard count).
+  /// Next global arrival index owned by this shard (stride = shard count),
+  /// walked by one source lane (see ShardedSystem::arm_arrival).
   std::int64_t next_arrival = 0;
+  sim::Simulator::LaneId arrival_lane;
 
   /// Per-shard protocol trace ring (null unless trace_capacity > 0).
   /// Thread-confined during windows like every other shard member; the
@@ -298,7 +300,11 @@ struct alignas(64) ShardedSystem::Shard {
                   }),
         ends(sim, [&system, this](SessionEnd&& end) {
           system.finish_session(*this, end);
-        }) {
+        }),
+        arrival_lane(sim.add_lane(this, [](void* context) {
+          Shard& shard = *static_cast<Shard*>(context);
+          shard.owner->on_arrival(shard);
+        })) {
     if (system.config_.trace_capacity > 0) {
       trace = std::make_unique<TraceLog>(system.config_.trace_capacity);
     }
@@ -857,25 +863,20 @@ void ShardedSystem::publish_telemetry(util::SimTime now) {
 // Run
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Arms shard-strided lazy arrivals: one in-flight event per shard walks
-/// the global schedule with stride = shard count (re-arm before invoke,
-/// the ArrivalSource ordering argument).
-void arm_arrival(const workload::ArrivalSchedule& schedule, sim::Simulator& sim,
-                 std::int64_t& next, int stride,
-                 const std::function<void(std::int64_t)>& on_arrival) {
-  if (next >= schedule.total()) return;
-  sim.schedule_at(schedule.arrival_at(next),
-                  [&schedule, &sim, &next, stride, &on_arrival] {
-                    const std::int64_t index = next;
-                    next += stride;
-                    arm_arrival(schedule, sim, next, stride, on_arrival);
-                    on_arrival(index);
-                  });
+void ShardedSystem::arm_arrival(Shard& shard) {
+  if (shard.next_arrival >= arrivals_.total()) return;
+  shard.sim.arm_lane(shard.arrival_lane,
+                     arrivals_.arrival_at(shard.next_arrival));
 }
 
-}  // namespace
+void ShardedSystem::on_arrival(Shard& shard) {
+  const std::int64_t index = shard.next_arrival;
+  shard.next_arrival += config_.shards;
+  arm_arrival(shard);
+  const core::PeerId peer{
+      static_cast<std::uint64_t>(config_.population.seeds + index)};
+  first_request(shard, local_index(peer));
+}
 
 ShardedResult ShardedSystem::run() {
   P2PS_REQUIRE_MSG(!ran_, "run() may be called only once");
@@ -895,17 +896,9 @@ ShardedResult ShardedSystem::run() {
   }
 
   // Per-shard lazy arrival walkers and hourly samplers.
-  std::vector<std::function<void(std::int64_t)>> on_arrivals;
-  on_arrivals.reserve(shards_.size());
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    on_arrivals.push_back([this, &shard](std::int64_t index) {
-      const core::PeerId peer{
-          static_cast<std::uint64_t>(config_.population.seeds + index)};
-      first_request(shard, local_index(peer));
-    });
-    arm_arrival(arrivals_, shard.sim, shard.next_arrival, config_.shards,
-                on_arrivals.back());
+    arm_arrival(shard);
     take_sample(shard, util::SimTime::zero());
     shard.sampler = std::make_unique<sim::Periodic>(
         shard.sim, config_.sample_interval, config_.sample_interval,

@@ -60,7 +60,7 @@
 #include "core/selection.hpp"
 #include "core/selection_policy.hpp"
 #include "engine/config.hpp"
-#include "engine/retry_heap.hpp"
+#include "engine/retry_source.hpp"
 #include "engine/session_end_calendar.hpp"
 #include "engine/trace.hpp"
 #include "net/latency.hpp"
@@ -370,6 +370,11 @@ class ShardedSystem {
   [[nodiscard]] std::uint32_t local_index(core::PeerId peer) const;
 
   void send(Shard& shard, std::uint32_t from_local, core::PeerId to, Msg msg);
+  /// Shard-strided lazy arrivals: one source lane per shard walks the
+  /// global schedule with stride = shard count, re-arming before the
+  /// handler runs (the ArrivalSource ordering argument).
+  void arm_arrival(Shard& shard);
+  void on_arrival(Shard& shard);
   void first_request(Shard& shard, std::uint32_t local);
   void start_attempt(Shard& shard, std::uint32_t local);
   void conclude_attempt(Shard& shard, std::uint32_t local);

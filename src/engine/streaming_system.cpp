@@ -31,7 +31,10 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
     : config_(std::move(config)),
       simulator_(config_.event_list),
       timers_(simulator_, config_.timers),
-      retries_(simulator_, [this](core::PeerId id) { attempt_admission(id); }),
+      retries_(simulator_, std::nullopt,
+               [this](std::uint32_t id) {
+                 attempt_admission(core::PeerId{id});
+               }),
       lookup_(make_lookup(config_.lookup)),
       metrics_(config_.protocol.num_classes) {
   workload::validate(config_.population);
@@ -478,7 +481,7 @@ SimulationResult StreamingSystem::run() {
   }
 
   // First-time requests arrive through a lazy, self-rescheduling source:
-  // one in-flight event instead of an O(population) t=0 event-list build
+  // one source lane instead of an O(population) t=0 event-list build
   // (see engine/arrival_source.hpp for the ordering argument).
   util::Rng arrival_rng = util::Rng(config_.seed).substream("arrivals");
   auto schedule =

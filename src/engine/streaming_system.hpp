@@ -146,8 +146,8 @@ class StreamingSystem {
   /// what keeps the strategies byte-interchangeable (docs/timers.md).
   sim::TimerService timers_;
   /// Backoff retries of waiting peers, exposed to the simulator as one
-  /// in-flight event (keeps the event list O(active sessions + timers)
-  /// instead of O(waiting population); see engine/retry_source.hpp).
+  /// source lane (keeps the event list O(active sessions + timers) instead
+  /// of O(waiting population); see engine/retry_source.hpp).
   RetrySource retries_;
   std::unique_ptr<lookup::LookupService> lookup_;
   std::unique_ptr<TraceLog> trace_;

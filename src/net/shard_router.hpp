@@ -16,8 +16,9 @@
 //   * Delivery lane. bind() makes each shard's delivery groups its
 //     simulator's delivery lane (sim/simulator.hpp): no group is ever a
 //     simulator event. The simulator's run_until, step and next_event_time
-//     merge the lane with the event list in time order, list events first
-//     on a tie, and count each group drain as one executed event.
+//     merge the lane with the event list and the source lanes in time
+//     order, list events and source lanes first on a tie, and count each
+//     group drain as one executed event.
 //   * Canonical drain order. All envelopes delivered on one (shard, tick)
 //     drain in ONE lane fire, sorted by (to, sent_at, from, seq)
 //     with seq a per-*sender* counter. Every component of that key is a
@@ -144,7 +145,7 @@ class ShardRouter {
     Port& port = port_at(shard);
     P2PS_REQUIRE_MSG(port.simulator == nullptr, "shard bound twice");
     P2PS_REQUIRE(on_deliver != nullptr);
-    simulator.attach_lane(&port, &ShardRouter::fire);
+    simulator.attach_delivery_lane(&port, &ShardRouter::fire);
     port.simulator = &simulator;
     port.context = context;
     port.on_deliver = on_deliver;
@@ -386,7 +387,7 @@ class ShardRouter {
       port.occupied[slot / 64] |= std::uint64_t{1} << (slot % 64);
       if (envelope.deliver_at < port.due) {
         port.due = envelope.deliver_at;
-        port.simulator->set_lane_due(util::SimTime::millis(port.due));
+        port.simulator->set_delivery_due(util::SimTime::millis(port.due));
       }
     }
     port.groups[index].entries.push_back(std::move(envelope));
@@ -443,9 +444,9 @@ class ShardRouter {
     port.ring[slot] = kNoGroup;
     port.occupied[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     port.due = next_due(port, port.due);
-    port.simulator->set_lane_due(port.due == kNoTick
-                                     ? util::SimTime::max()
-                                     : util::SimTime::millis(port.due));
+    port.simulator->set_delivery_due(port.due == kNoTick
+                                         ? util::SimTime::max()
+                                         : util::SimTime::millis(port.due));
     drain(port, index);
   }
 

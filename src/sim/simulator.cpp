@@ -43,12 +43,7 @@ EventId Simulator::schedule_impl(util::SimTime t, Callback cb, bool timer) {
   } else {
     queue_->push(entry);
   }
-  ++live_;
-  if (timer) ++live_timers_;
-  if (live_ > peak_live_) {
-    peak_live_ = live_;
-    peak_live_timers_ = live_timers_;
-  }
+  count_pending(timer);
   return id;
 }
 
@@ -120,29 +115,139 @@ void Simulator::execute_staged() {
   cb();
 }
 
-void Simulator::attach_lane(void* context, LaneFire fire) {
-  P2PS_REQUIRE_MSG(lane_fire_ == nullptr,
-                   "a simulator carries at most one delivery lane");
+Simulator::LaneId Simulator::register_lane(void* context, LaneFire fire,
+                                           bool timer) {
   P2PS_REQUIRE(fire != nullptr);
-  lane_context_ = context;
-  lane_fire_ = fire;
+  std::uint32_t index = 0;
+  while (index < lanes_.size() && lanes_[index].fire != nullptr) ++index;
+  if (index == lanes_.size()) lanes_.emplace_back();
+  lanes_[index] = SourceLane{util::SimTime::max(), 0, context, fire, timer};
+  return index;
 }
 
-void Simulator::fire_lane() {
-  P2PS_CHECK_MSG(lane_due_ >= now_, "delivery lane time order violated");
-  now_ = lane_due_;
+Simulator::LaneId Simulator::add_lane(void* context, LaneFire fire) {
+  return register_lane(context, fire, /*timer=*/false);
+}
+
+Simulator::LaneId Simulator::add_timer_lane(void* context, LaneFire fire) {
+  return register_lane(context, fire, /*timer=*/true);
+}
+
+void Simulator::remove_lane(LaneId lane) {
+  disarm_lane(lane);
+  lanes_[lane].fire = nullptr;
+  lanes_[lane].context = nullptr;
+}
+
+void Simulator::arm_lane(LaneId lane, util::SimTime due) {
+  P2PS_REQUIRE_MSG(due >= now_, "cannot arm a lane in the past");
+  P2PS_REQUIRE(due != util::SimTime::max());
+  SourceLane& entry = lanes_[lane];
+  P2PS_REQUIRE(entry.fire != nullptr);
+  if (entry.due == util::SimTime::max()) count_pending(entry.timer);
+  entry.due = due;
+  entry.seq = next_seq_++;
+  if (lane_head_stale_) return;
+  if (lane_head_ == lane) {
+    // Its key only grew (fresh seq): another lane may sort first now.
+    lane_head_stale_ = true;
+  } else if (lane_head_ == kNoLane || due < lanes_[lane_head_].due) {
+    // A tie keeps the head: its seq is older.
+    lane_head_ = lane;
+  }
+}
+
+void Simulator::disarm_lane(LaneId lane) {
+  SourceLane& entry = lanes_[lane];
+  if (entry.due == util::SimTime::max()) return;
+  entry.due = util::SimTime::max();
+  --live_;
+  if (entry.timer) --live_timers_;
+  if (lane_head_ == lane) lane_head_stale_ = true;
+}
+
+void Simulator::rescan_lanes() {
+  lane_head_ = kNoLane;
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    const SourceLane& lane = lanes_[i];
+    if (lane.due == util::SimTime::max()) continue;
+    if (lane_head_ == kNoLane) {
+      lane_head_ = i;
+      continue;
+    }
+    const SourceLane& head = lanes_[lane_head_];
+    if (lane.due < head.due || (lane.due == head.due && lane.seq < head.seq)) {
+      lane_head_ = i;
+    }
+  }
+  lane_head_stale_ = false;
+}
+
+void Simulator::attach_delivery_lane(void* context, LaneFire fire) {
+  P2PS_REQUIRE_MSG(delivery_fire_ == nullptr,
+                   "a simulator carries at most one delivery lane");
+  P2PS_REQUIRE(fire != nullptr);
+  delivery_context_ = context;
+  delivery_fire_ = fire;
+}
+
+Simulator::Pick Simulator::pick_next() {
+  Pick pick{Next::kNone, util::SimTime::max()};
+  std::uint64_t seq = 0;
+  if (const CalendarEntry* entry = peek_live()) {
+    pick = Pick{Next::kList, entry->time};
+    seq = entry->seq;
+  }
+  const std::uint32_t lane = head_lane();
+  if (lane != kNoLane) {
+    const SourceLane& head = lanes_[lane];
+    if (pick.next == Next::kNone || head.due < pick.time ||
+        (head.due == pick.time && head.seq < seq)) {
+      pick = Pick{Next::kLane, head.due};
+    }
+  }
+  // The delivery lane's seq is the maximum: it wins strictly earlier
+  // ticks only.
+  if (delivery_due_ < pick.time) pick = Pick{Next::kDelivery, delivery_due_};
+  return pick;
+}
+
+void Simulator::fire_lane(std::uint32_t lane) {
+  SourceLane& entry = lanes_[lane];
+  P2PS_CHECK_MSG(entry.due >= now_, "source lane time order violated");
+  now_ = entry.due;
   ++executed_;
-  lane_fire_(lane_context_);
+  disarm_lane(lane);
+  entry.fire(entry.context);
+}
+
+void Simulator::fire_delivery() {
+  P2PS_CHECK_MSG(delivery_due_ >= now_, "delivery lane time order violated");
+  now_ = delivery_due_;
+  ++executed_;
+  delivery_fire_(delivery_context_);
+}
+
+void Simulator::fire(const Pick& pick) {
+  switch (pick.next) {
+    case Next::kList:
+      execute_staged();
+      return;
+    case Next::kLane:
+      fire_lane(lane_head_);
+      return;
+    case Next::kDelivery:
+      fire_delivery();
+      return;
+    case Next::kNone:
+      return;
+  }
 }
 
 bool Simulator::step() {
-  const CalendarEntry* entry = peek_live();
-  if (lane_first(entry)) {
-    fire_lane();
-    return true;
-  }
-  if (entry == nullptr) return false;
-  execute_staged();
+  const Pick pick = pick_next();
+  if (pick.next == Next::kNone) return false;
+  fire(pick);
   return true;
 }
 
@@ -156,18 +261,12 @@ std::size_t Simulator::run_until(util::SimTime t) {
   P2PS_REQUIRE(t >= now_);
   std::size_t executed = 0;
   for (;;) {
-    const CalendarEntry* entry = peek_live();
-    if (lane_first(entry)) {
-      if (lane_due_ > t) break;
-      fire_lane();
-      ++executed;
-      continue;
-    }
-    // A beyond-horizon entry simply stays staged — no reinsertion, and the
-    // next peek (this window's next_event_time probe, or the next window's
-    // run_until) finds it for free.
-    if (entry == nullptr || entry->time > t) break;
-    execute_staged();
+    // A beyond-horizon list entry simply stays staged — no reinsertion, and
+    // the next peek (this window's next_event_time probe, or the next
+    // window's run_until) finds it for free.
+    const Pick pick = pick_next();
+    if (pick.next == Next::kNone || pick.time > t) break;
+    fire(pick);
     ++executed;
   }
   now_ = t;
@@ -175,10 +274,9 @@ std::size_t Simulator::run_until(util::SimTime t) {
 }
 
 std::optional<util::SimTime> Simulator::next_event_time() {
-  const CalendarEntry* entry = peek_live();
-  if (lane_first(entry)) return lane_due_;
-  if (entry == nullptr) return std::nullopt;
-  return entry->time;
+  const Pick pick = pick_next();
+  if (pick.next == Next::kNone) return std::nullopt;
+  return pick.time;
 }
 
 void Simulator::clear() {
@@ -190,6 +288,9 @@ void Simulator::clear() {
   }
   live_ = 0;
   live_timers_ = 0;
+  for (const SourceLane& lane : lanes_) {
+    if (lane.due != util::SimTime::max()) count_pending(lane.timer);
+  }
   staged_.reset();
   queue_->clear();
 }

@@ -15,15 +15,27 @@
 // for very large event populations — with identical ordering semantics
 // either way (see sim/event_list.hpp).
 //
-// Next to the event list a simulator carries at most one *delivery lane*:
-// an out-of-list source of timed work (net::ShardRouter's per-shard
-// delivery groups) described by a context pointer, a fire function and a
-// next-due tick that the lane's owner keeps current. run_until, step, run
-// and next_event_time merge the lane with the event list in time order;
-// on equal ticks list events run first. Each lane fire advances the clock
-// to the due tick and counts as one executed event, but never occupies a
-// slab slot or a list entry, so pending_count() and peak_pending_count()
-// see list events only.
+// Next to the event list a simulator carries *source lanes*: virtual
+// events for engine sources that keep exactly one event in flight (lazy
+// arrivals, the retry queue, the sharded deadline and session-end
+// calendars, the timer wheel's notification). A lane is keyed (due, seq)
+// like an event, and arm_lane takes its seq from the same counter
+// schedule_at does, so an armed lane sorts exactly where the one event it
+// replaces would have sorted. It never occupies a slab slot, a callback or
+// a list entry, and a re-arm needs no cancel. An armed lane counts as one
+// pending event (a timer lane also in the timer split), so pending_count()
+// and peak_pending_count() read as if the lane were that event.
+//
+// Next to those sits at most one *delivery lane*: an out-of-list source of
+// timed work (net::ShardRouter's per-shard delivery groups) described by a
+// context pointer, a fire function and a next-due tick that the lane's
+// owner keeps current. Its seq is effectively the maximum, so list events
+// and source lanes win every tie with it, and it is never counted in
+// pending_count() or peak_pending_count().
+//
+// run_until, step, run and next_event_time merge the list head, the source
+// lanes and the delivery lane by (due, seq). Every lane fire advances the
+// clock to the due tick and counts as one executed event.
 #pragma once
 
 #include <cstdint>
@@ -98,34 +110,63 @@ class Simulator {
     return peak_live_timers_;
   }
 
-  /// Fire function of the delivery lane: runs everything the lane owes at
-  /// its due tick and, before it returns or runs any handler that may
-  /// enqueue more, publishes the new due tick through set_lane_due.
+  /// Fire function of a lane, source or delivery: `context` is the
+  /// pointer the lane was registered with.
   using LaneFire = void (*)(void* context);
 
-  /// Attaches the delivery lane, idle until its owner calls set_lane_due.
-  /// A simulator carries at most one lane: attaching a second is a
-  /// contract violation. `context` is handed back verbatim on every fire
-  /// and must outlive every later run of this simulator.
-  void attach_lane(void* context, LaneFire fire);
+  /// Handle of a source lane: an index into this simulator's lane table.
+  using LaneId = std::uint32_t;
 
-  /// The lane owner's earliest due tick, SimTime::max() when it owes
-  /// nothing. Must not precede now(); the owner calls this whenever its
-  /// earliest tick changes, including from inside its own fire.
-  void set_lane_due(util::SimTime due) { lane_due_ = due; }
+  /// Registers a disarmed source lane. `context` is handed back verbatim on
+  /// every fire and must stay valid until remove_lane. A timer lane is
+  /// counted in the timer split of the pending-event accounting, like an
+  /// event scheduled through schedule_timer_at.
+  LaneId add_lane(void* context, LaneFire fire);
+  LaneId add_timer_lane(void* context, LaneFire fire);
 
-  /// Executes the next event or lane fire, if any (list events first on a
-  /// tie). Returns false when both are empty.
+  /// Disarms the lane and frees its handle for reuse.
+  void remove_lane(LaneId lane);
+
+  /// Arms (or re-arms) the lane at `due` (not in the past) with a fresh
+  /// seq, exactly as cancelling its event and calling schedule_at would.
+  void arm_lane(LaneId lane, util::SimTime due);
+
+  /// Disarms the lane; a no-op when it is not armed. A fire disarms the
+  /// lane before calling its owner.
+  void disarm_lane(LaneId lane);
+
+  [[nodiscard]] bool lane_armed(LaneId lane) const {
+    return lanes_[lane].due != util::SimTime::max();
+  }
+  /// The armed lane's due tick, SimTime::max() when disarmed.
+  [[nodiscard]] util::SimTime lane_due(LaneId lane) const {
+    return lanes_[lane].due;
+  }
+
+  /// Attaches the delivery lane, idle until its owner calls
+  /// set_delivery_due. A simulator carries at most one delivery lane:
+  /// attaching a second is a contract violation. `context` must outlive
+  /// every later run of this simulator. The fire function runs everything
+  /// the lane owes at its due tick and, before it returns or runs any
+  /// handler that may enqueue more, publishes the new due tick.
+  void attach_delivery_lane(void* context, LaneFire fire);
+
+  /// The delivery lane owner's earliest due tick, SimTime::max() when it
+  /// owes nothing. Must not precede now(); the owner calls this whenever
+  /// its earliest tick changes, including from inside its own fire.
+  void set_delivery_due(util::SimTime due) { delivery_due_ = due; }
+
+  /// Executes the next event or lane fire in (due, seq) order, if any.
+  /// Returns false when nothing is pending.
   bool step();
 
   /// Runs until no events remain (or `max_events` fired). Returns the number
   /// of events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
-  /// Runs all events and lane fires with time <= `t` in time order (list
-  /// events first on a tie), then advances the clock to exactly `t`. A lane
-  /// tick after `t` stays pending. Returns the number of events executed,
-  /// lane fires included.
+  /// Runs all events and lane fires with time <= `t` in (due, seq) order,
+  /// then advances the clock to exactly `t`. A lane due after `t` stays
+  /// armed. Returns the number of events executed, lane fires included.
   std::size_t run_until(util::SimTime t);
 
   /// Time of the earliest live (non-cancelled) pending event or lane tick,
@@ -145,9 +186,9 @@ class Simulator {
   /// Drops all pending events without executing them and resets the event
   /// list (including any backend dequeue-cursor state). Every EventId
   /// issued before clear() is invalidated: cancel() and pending() on such
-  /// ids safely return false. The clock and executed_count() are kept. The
-  /// delivery lane belongs to its owner and is left alone: its due tick
-  /// and whatever it owes survive a clear().
+  /// ids safely return false. The clock and executed_count() are kept.
+  /// Lanes belong to their owners and are left alone: an armed source lane
+  /// stays armed (and pending), and the delivery lane keeps its due tick.
   void clear();
 
  private:
@@ -185,14 +226,46 @@ class Simulator {
   /// verified live.
   void execute_staged();
 
-  /// True when the lane is due strictly before the list head `entry` (or
-  /// the list is empty): list events win every tie.
-  [[nodiscard]] bool lane_first(const CalendarEntry* entry) const {
-    return lane_due_ < (entry != nullptr ? entry->time : util::SimTime::max());
-  }
+  /// One source lane. A disarmed lane has due == SimTime::max(); a free
+  /// handle also has fire == nullptr.
+  struct SourceLane {
+    util::SimTime due = util::SimTime::max();
+    std::uint64_t seq = 0;
+    void* context = nullptr;
+    LaneFire fire = nullptr;
+    bool timer = false;
+  };
 
-  /// Fires the lane at its due tick.
-  void fire_lane();
+  static constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
+
+  /// What fires next: the list head, the head source lane or the
+  /// delivery lane, and at which tick.
+  enum class Next : std::uint8_t { kNone, kList, kLane, kDelivery };
+  struct Pick {
+    Next next;
+    util::SimTime time;
+  };
+  Pick pick_next();
+  void fire(const Pick& pick);
+
+  LaneId register_lane(void* context, LaneFire fire, bool timer);
+  /// The armed source lane with the least (due, seq), kNoLane if none.
+  std::uint32_t head_lane() {
+    if (lane_head_stale_) rescan_lanes();
+    return lane_head_;
+  }
+  void rescan_lanes();
+  void fire_lane(std::uint32_t lane);
+  void fire_delivery();
+  /// Counts one more pending event (a timer one when `timer`).
+  void count_pending(bool timer) {
+    ++live_;
+    if (timer) ++live_timers_;
+    if (live_ > peak_live_) {
+      peak_live_ = live_;
+      peak_live_timers_ = live_timers_;
+    }
+  }
 
   EventId schedule_impl(util::SimTime t, Callback cb, bool timer);
 
@@ -211,11 +284,17 @@ class Simulator {
   /// dominate window mechanics at hundreds of thousands of windows.
   std::optional<CalendarEntry> staged_;
   std::unique_ptr<EventList> queue_;
+  /// Source lanes (see the file header). The head is cached and rescanned
+  /// only after it was disarmed or re-armed later; engines register a
+  /// handful of lanes, so a rescan is a short walk.
+  std::vector<SourceLane> lanes_;
+  std::uint32_t lane_head_ = kNoLane;
+  bool lane_head_stale_ = false;
   /// The delivery lane (see the file header); idle at SimTime::max(), so a
   /// simulator without one pays a single compare per event.
-  void* lane_context_ = nullptr;
-  LaneFire lane_fire_ = nullptr;
-  util::SimTime lane_due_ = util::SimTime::max();
+  void* delivery_context_ = nullptr;
+  LaneFire delivery_fire_ = nullptr;
+  util::SimTime delivery_due_ = util::SimTime::max();
 };
 
 /// Self-rescheduling periodic callback, e.g. hourly metric sampling.

@@ -30,6 +30,11 @@ TimerService::TimerService(Simulator& simulator, TimerConfig config)
   if (config_.strategy == TimerStrategy::kWheel) {
     wheel_.resize(static_cast<std::size_t>(kLevels) * kSlots);
     wheel_time_ = simulator_.now().as_millis();
+    notify_lane_ = simulator_.add_timer_lane(this, [](void* context) {
+      TimerService& self = *static_cast<TimerService*>(context);
+      self.poll();
+      self.refresh_notification();  // re-arm even when nothing was due
+    });
   }
 }
 
@@ -37,7 +42,9 @@ TimerService::~TimerService() {
   // Release every simulator event the service still owns; the engines
   // destroy the service before the simulator, but the simulator may
   // outlive it in tests.
-  if (notify_event_.valid()) simulator_.cancel(notify_event_);
+  if (config_.strategy == TimerStrategy::kWheel) {
+    simulator_.remove_lane(notify_lane_);
+  }
   if (sweep_event_.valid()) simulator_.cancel(sweep_event_);
   for (Slot& slot : slots_) {
     if (slot.armed && slot.event.valid()) simulator_.cancel(slot.event);
@@ -234,25 +241,15 @@ void TimerService::refresh_notification() {
                       ? util::SimTime::max()
                       : util::SimTime::millis(hint);
       if (next_due_ == util::SimTime::max()) {
-        if (notify_event_.valid()) {
-          simulator_.cancel(notify_event_);
-          notify_event_ = EventId::invalid();
-          notify_time_ = util::SimTime::max();
-        }
-      } else if (!simulator_.pending(notify_event_) ||
-                 notify_time_ > next_due_) {
-        if (notify_event_.valid()) simulator_.cancel(notify_event_);
-        // next_due_ can sit in the past when cancelled residue is all that
-        // is left before the cursor; wake immediately and let the dispatch
-        // walk clean it up.
-        notify_time_ = std::max(next_due_, simulator_.now());
+        simulator_.disarm_lane(notify_lane_);
+      } else if (simulator_.lane_due(notify_lane_) > next_due_) {
+        // Disarmed lanes read due SimTime::max(), so this also arms an
+        // idle lane. next_due_ can sit in the past when cancelled residue
+        // is all that is left before the cursor; wake immediately and let
+        // the dispatch walk clean it up.
         ++events_scheduled_;
-        notify_event_ = simulator_.schedule_timer_at(notify_time_, [this] {
-          notify_event_ = EventId::invalid();
-          notify_time_ = util::SimTime::max();
-          poll();
-          refresh_notification();  // re-arm even when nothing was due
-        });
+        simulator_.arm_lane(notify_lane_,
+                            std::max(next_due_, simulator_.now()));
       }
       break;
     }

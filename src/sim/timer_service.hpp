@@ -12,8 +12,9 @@
 //     parity tests and the BENCH_5 comparison point.
 //   * kWheel  — hierarchical timing wheel (64-slot levels, one occupancy
 //     bitmap per level): arm/cancel are O(1), and the simulator carries ONE
-//     "next wheel tick" notification event per non-empty horizon instead of
-//     one event per timer.
+//     "next wheel tick" notification per non-empty horizon instead of one
+//     event per timer — a timer-tagged source lane (sim/simulator.hpp), so
+//     not even that one occupies the event list.
 //   * kLazy   — deadline-check-on-probe: arming is a plain store into an
 //     engine-local heap with ZERO event-list traffic; due timers fire when
 //     the engine touches the service (poll()), backed by a coarse sweep
@@ -136,8 +137,9 @@ class TimerService {
   [[nodiscard]] std::size_t armed() const { return armed_; }
   /// Timers fired over the service's lifetime.
   [[nodiscard]] std::uint64_t fired() const { return fired_; }
-  /// Timer-tagged simulator events scheduled by this service — the event
-  /// traffic the wheel and lazy strategies exist to remove.
+  /// Timer-tagged simulator events scheduled by this service, wheel
+  /// notification lane arms included — the event traffic the wheel and
+  /// lazy strategies exist to remove.
   [[nodiscard]] std::uint64_t events_scheduled() const {
     return events_scheduled_;
   }
@@ -264,10 +266,10 @@ class TimerService {
   std::vector<Entry> overflow_;
   std::vector<Entry> due_now_;
 
-  // Notification machinery: kWheel keeps one event at next_due_; kLazy
-  // keeps one self-rescheduling sweep tick while timers are armed.
-  EventId notify_event_ = EventId::invalid();
-  util::SimTime notify_time_ = util::SimTime::max();
+  // Notification machinery: kWheel keeps one timer lane armed at
+  // next_due_; kLazy keeps one self-rescheduling sweep tick while timers
+  // are armed.
+  Simulator::LaneId notify_lane_ = 0;
   EventId sweep_event_ = EventId::invalid();
 
   std::vector<Entry> scratch_;  ///< due-collection buffer (reused)

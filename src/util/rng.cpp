@@ -7,11 +7,13 @@ namespace p2ps::util {
 
 std::uint64_t Rng::uniform_below(std::uint64_t bound) {
   P2PS_REQUIRE(bound > 0);
-  // Lemire-style rejection keeps the draw unbiased.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
+  // Rejection keeps the draw unbiased: accept r >= 2^64 mod bound. That
+  // threshold is below bound, so every r >= bound is accepted without
+  // computing it — its 64-bit division is paid only when r < bound.
   for (;;) {
     const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
+    if (r >= bound) return r % bound;
+    if (r >= (~bound + 1) % bound) return r;
   }
 }
 

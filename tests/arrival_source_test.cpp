@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -120,19 +121,20 @@ TEST(ArrivalSource, SameTimestampArrivalsFireBackToBack) {
                                       "handler-continuation"}));
 }
 
-// ---------- RetrySource (the backoff stream's single in-flight event) ----
+// ---------- RetrySource (the backoff stream's single source lane) ----
 
 TEST(RetrySource, FiresInDueOrderWithFifoTies) {
   sim::Simulator simulator;
   std::vector<std::uint64_t> order;
-  RetrySource retries(simulator,
-                      [&](core::PeerId id) { order.push_back(id.value()); });
+  RetrySource retries(simulator, std::nullopt,
+                      [&](std::uint32_t id) { order.push_back(id); });
   retries.schedule(SimTime::seconds(30), core::PeerId{3});
   retries.schedule(SimTime::seconds(10), core::PeerId{1});
   retries.schedule(SimTime::seconds(10), core::PeerId{2});  // FIFO on tie
   retries.schedule(SimTime::seconds(20), core::PeerId{0});
   EXPECT_EQ(retries.waiting(), 4u);
-  // The whole waiting population costs one pending simulator event.
+  // The whole waiting population costs one pending simulator event: the
+  // armed lane.
   EXPECT_EQ(simulator.pending_count(), 1u);
   simulator.run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 0, 3}));
@@ -143,8 +145,8 @@ TEST(RetrySource, FiresInDueOrderWithFifoTies) {
 TEST(RetrySource, EarlierInsertionPreemptsTheInFlightEvent) {
   sim::Simulator simulator;
   std::vector<std::uint64_t> order;
-  RetrySource retries(simulator,
-                      [&](core::PeerId id) { order.push_back(id.value()); });
+  RetrySource retries(simulator, std::nullopt,
+                      [&](std::uint32_t id) { order.push_back(id); });
   retries.schedule(SimTime::seconds(100), core::PeerId{9});
   retries.schedule(SimTime::seconds(5), core::PeerId{1});  // preempts
   simulator.run();
@@ -157,7 +159,7 @@ TEST(RetrySource, HandlerMayScheduleFurtherRetries) {
   sim::Simulator simulator;
   int fires = 0;
   RetrySource* source = nullptr;
-  RetrySource retries(simulator, [&](core::PeerId id) {
+  RetrySource retries(simulator, std::nullopt, [&](std::uint32_t id) {
     if (++fires < 4) source->schedule(SimTime::minutes(10 * fires), id);
   });
   source = &retries;
@@ -178,11 +180,15 @@ TEST(RetrySource, HandlerMayScheduleFurtherRetries) {
 
 class HeapRetryOracle {
  public:
-  using OnDue = std::function<void(core::PeerId)>;
-  HeapRetryOracle(sim::Simulator& simulator, OnDue on_due)
-      : simulator_(simulator), on_due_(std::move(on_due)) {}
+  using OnDue = std::function<void(std::uint32_t)>;
+  HeapRetryOracle(sim::Simulator& simulator, std::optional<SimTime> horizon,
+                  OnDue on_due)
+      : simulator_(simulator),
+        horizon_(horizon.value_or(SimTime::max())),
+        on_due_(std::move(on_due)) {}
 
-  void schedule(SimTime delay, core::PeerId peer) {
+  void schedule(SimTime delay, std::uint32_t peer) {
+    if (simulator_.now() + delay > horizon_) return;
     const Entry entry{simulator_.now() + delay, next_seq_++, peer};
     heap_.push(entry);
     if (heap_.top().seq == entry.seq) arm();
@@ -193,7 +199,7 @@ class HeapRetryOracle {
   struct Entry {
     SimTime due;
     std::uint64_t seq = 0;
-    core::PeerId peer;
+    std::uint32_t peer;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -214,6 +220,7 @@ class HeapRetryOracle {
   }
 
   sim::Simulator& simulator_;
+  SimTime horizon_;
   OnDue on_due_;
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::uint64_t next_seq_ = 0;
@@ -224,50 +231,66 @@ using DelayFn = std::function<SimTime(util::Rng&)>;
 using FiringLog = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 
 /// Runs `peers` peers through `rounds` retries each on a `Source`, every
-/// delay drawn by `delay_of`, and returns the firing log. Checks that the
-/// whole waiting population cost one pending simulator event throughout.
+/// delay drawn by `delay_of`, and returns the firing log. A fired peer
+/// re-enters only while the clock fits RetrySource's 32-bit enqueue ticks
+/// (about 49.7 days, far past every engine's horizon); a peer cut off there
+/// forfeits its remaining rounds, and the log accounts for them exactly.
+/// Checks that the whole waiting population cost one pending simulator
+/// event throughout.
 template <typename Source>
 FiringLog firing_log(std::uint64_t seed, const DelayFn& delay_of, int peers,
                      int rounds) {
+  constexpr SimTime kLastEnqueueTick = SimTime::millis(0xFFFFFFFFll);
   sim::Simulator simulator;
   util::Rng rng(seed);
   FiringLog log;
   std::vector<int> round(static_cast<std::size_t>(peers), 0);
+  std::size_t forfeited = 0;
   Source* self = nullptr;
-  Source source(simulator, [&](core::PeerId id) {
-    log.emplace_back(simulator.now().as_millis(), id.value());
-    if (++round[static_cast<std::size_t>(id.value())] < rounds) {
-      self->schedule(delay_of(rng), id);  // reentrant, like a failed retry
+  Source source(simulator, std::nullopt, [&](std::uint32_t id) {
+    log.emplace_back(simulator.now().as_millis(), id);
+    const int done = ++round[id];
+    if (done == rounds) return;
+    if (simulator.now() > kLastEnqueueTick) {
+      forfeited += static_cast<std::size_t>(rounds - done);
+      return;
     }
+    self->schedule(delay_of(rng), id);  // reentrant, like a failed retry
   });
   self = &source;
   for (int peer = 0; peer < peers; ++peer) {
-    source.schedule(delay_of(rng), core::PeerId{static_cast<std::uint64_t>(peer)});
+    source.schedule(delay_of(rng), static_cast<std::uint32_t>(peer));
   }
   simulator.run();
   EXPECT_EQ(source.waiting(), 0u);
   EXPECT_EQ(simulator.peak_pending_count(), 1u);
-  EXPECT_EQ(log.size(), static_cast<std::size_t>(peers * rounds));
+  EXPECT_EQ(log.size() + forfeited, static_cast<std::size_t>(peers * rounds));
   return log;
 }
 
-void expect_same_firing_log(const DelayFn& delay_of, int peers, int rounds) {
+/// Compares RetrySource with the oracle over four seeds and returns the
+/// last seed's log.
+FiringLog expect_same_firing_log(const DelayFn& delay_of, int peers, int rounds) {
+  FiringLog log;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    EXPECT_EQ(firing_log<RetrySource>(seed, delay_of, peers, rounds),
-              firing_log<HeapRetryOracle>(seed, delay_of, peers, rounds))
+    log = firing_log<RetrySource>(seed, delay_of, peers, rounds);
+    EXPECT_EQ(log, firing_log<HeapRetryOracle>(seed, delay_of, peers, rounds))
         << "seed " << seed;
   }
+  return log;
 }
 
 TEST(RetrySource, MatchesHeapOracleOnBackoffShapedDelays) {
   // T_bkf · 2^k for k up to 60: the exponent saturates at the 2^53 ms cap,
   // so the longest lanes sit ~285,000 simulated years out.
-  expect_same_firing_log(
+  const FiringLog log = expect_same_firing_log(
       [](util::Rng& rng) {
         return core::scaled_backoff(SimTime::minutes(10), 2,
                                     static_cast<std::int64_t>(rng.uniform_below(61)));
       },
       64, 12);
+  // Retries at the cap were queued and fired in order.
+  EXPECT_GE(log.back().first, std::int64_t{1} << 53);
 }
 
 TEST(RetrySource, MatchesHeapOracleOnManyArbitraryDelays) {
@@ -280,21 +303,28 @@ TEST(RetrySource, MatchesHeapOracleOnManyArbitraryDelays) {
         SimTime::millis(static_cast<std::int64_t>(1 + pool_rng.uniform_below(2'000)));
     if (std::find(pool.begin(), pool.end(), delay) == pool.end()) pool.push_back(delay);
   }
-  expect_same_firing_log(
-      [&pool](util::Rng& rng) { return pool[rng.uniform_below(pool.size())]; }, 50,
-      20);
+  EXPECT_EQ(expect_same_firing_log(
+                [&pool](util::Rng& rng) {
+                  return pool[rng.uniform_below(pool.size())];
+                },
+                50, 20)
+                .size(),
+            1000u);
 }
 
 TEST(RetrySource, MatchesHeapOracleOnZeroDelays) {
   // Mostly zero: a fired peer re-enters at the very instant it fired, behind
   // every retry already due then.
-  expect_same_firing_log(
-      [](util::Rng& rng) {
-        return rng.bernoulli(0.75) ? SimTime::zero()
-                                   : SimTime::millis(static_cast<std::int64_t>(
-                                         1 + rng.uniform_below(3)));
-      },
-      30, 25);
+  EXPECT_EQ(expect_same_firing_log(
+                [](util::Rng& rng) {
+                  return rng.bernoulli(0.75)
+                             ? SimTime::zero()
+                             : SimTime::millis(static_cast<std::int64_t>(
+                                   1 + rng.uniform_below(3)));
+                },
+                30, 25)
+                .size(),
+            750u);
 }
 
 // ---------- the engine-level contraction ----------

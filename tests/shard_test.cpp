@@ -21,8 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/admission/requester.hpp"
 #include "core/ids.hpp"
-#include "engine/retry_heap.hpp"
 #include "engine/retry_source.hpp"
 #include "engine/session_end_calendar.hpp"
 #include "engine/sharded_system.hpp"
@@ -33,6 +33,7 @@
 #include "sim/shard_runner.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "workload/arrival_pattern.hpp"
 
@@ -147,81 +148,137 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// ---------- RetryHeap (the compact RetrySource) ----------
+// ---------- RetrySource (the one retry queue) ----------
 
-// The compact heap must be a drop-in for RetrySource: identical firing
-// times and identical order under same-tick ties, driven by the same
-// pseudo-random retry traffic (including reentrant rescheduling from the
-// handler, the engine's actual usage pattern).
-TEST(RetryHeap, FiringLogMatchesRetrySourceDifferentially) {
-  constexpr std::uint32_t kPeers = 19;
-  constexpr int kRounds = 5;
-  const auto delay_of = [](std::uint32_t peer, int round) {
-    return SimTime::millis(static_cast<std::int64_t>(
-        mix(peer * 7919u + static_cast<std::uint64_t>(round) * 104729u) % 50));
-  };
+/// The shape the retry queue replaced: every retry is its own simulator
+/// event, and a retry due after the horizon is dropped. With nothing else
+/// on the simulator, its (time, FIFO) order is exactly the queue's
+/// (due, seq) contract.
+class EventPerRetryOracle {
+ public:
+  using OnDue = std::function<void(std::uint32_t)>;
+  EventPerRetryOracle(sim::Simulator& simulator,
+                      std::optional<SimTime> horizon, OnDue on_due)
+      : simulator_(simulator),
+        horizon_(horizon.value_or(SimTime::max())),
+        on_due_(std::move(on_due)) {}
 
-  std::vector<std::pair<std::int64_t, std::uint32_t>> source_log;
-  {
-    sim::Simulator simulator;
-    std::array<int, kPeers> round{};
-    engine::RetrySource* self = nullptr;
-    engine::RetrySource source(simulator, [&](PeerId peer) {
-      const auto local = static_cast<std::uint32_t>(peer.value());
-      source_log.emplace_back(simulator.now().as_millis(), local);
-      if (++round[local] < kRounds) {
-        self->schedule(delay_of(local, round[local]), peer);
-      }
+  void schedule(SimTime delay, std::uint32_t id) {
+    if (simulator_.now() + delay > horizon_) {
+      ++dropped_;
+      return;
+    }
+    ++waiting_;
+    simulator_.schedule_after(delay, [this, id] {
+      --waiting_;
+      on_due_(id);
     });
-    self = &source;
-    for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
-      source.schedule(delay_of(peer, 0), PeerId{peer});
-    }
-    simulator.run_until(SimTime::hours(1));
-    EXPECT_EQ(source.waiting(), 0u);
   }
+  [[nodiscard]] std::size_t waiting() const { return waiting_; }
+  [[nodiscard]] std::uint64_t dropped_beyond_horizon() const { return dropped_; }
 
-  std::vector<std::pair<std::int64_t, std::uint32_t>> heap_log;
-  {
-    sim::Simulator simulator;
-    std::array<int, kPeers> round{};
-    engine::RetryHeap* self = nullptr;
-    engine::RetryHeap heap(simulator, SimTime::hours(2),
-                           [&](std::uint32_t local) {
-                             heap_log.emplace_back(simulator.now().as_millis(),
-                                                   local);
-                             if (++round[local] < kRounds) {
-                               self->schedule(delay_of(local, round[local]),
-                                              local);
-                             }
-                           });
-    self = &heap;
-    for (std::uint32_t peer = 0; peer < kPeers; ++peer) {
-      heap.schedule(delay_of(peer, 0), peer);
+ private:
+  sim::Simulator& simulator_;
+  SimTime horizon_;
+  OnDue on_due_;
+  std::size_t waiting_ = 0;
+  std::uint64_t dropped_ = 0;
+};
+
+struct RetryRun {
+  std::vector<std::pair<std::int64_t, std::uint32_t>> log;  // (tick, id)
+  std::size_t waiting = 0;
+  std::uint64_t dropped = 0;
+
+  bool operator==(const RetryRun&) const = default;
+};
+
+/// Drives `Queue` with pseudo-random retry traffic for 72 simulated hours:
+/// 40 ids, each re-entering from its own handler (the engines' usage) up
+/// to 8 times. Delays mix zero, a small pool of millisecond values (many
+/// same-tick ties across delays), and backoff-shaped T_bkf · 2^k for k up
+/// to 60, which saturates at the 2^53-ms cap. Short retries queued behind
+/// long ones preempt the armed head.
+template <typename Queue>
+RetryRun run_retries(std::uint64_t seed, std::optional<SimTime> horizon) {
+  constexpr std::uint32_t kIds = 40;
+  constexpr int kRounds = 8;
+  sim::Simulator simulator;
+  util::Rng rng(seed);
+  const auto delay_of = [&rng]() -> SimTime {
+    switch (rng.uniform_below(4)) {
+      case 0:
+        return SimTime::zero();
+      case 1:
+        return SimTime::millis(static_cast<std::int64_t>(250 * rng.uniform_below(5)));
+      case 2:
+        return SimTime::millis(static_cast<std::int64_t>(rng.uniform_below(90'000)));
+      default:
+        return core::scaled_backoff(SimTime::minutes(1), 2,
+                                    static_cast<std::int64_t>(rng.uniform_below(61)));
     }
-    simulator.run_until(SimTime::hours(1));
-    EXPECT_EQ(heap.waiting(), 0u);
-    EXPECT_EQ(heap.dropped_beyond_horizon(), 0u);
-  }
+  };
+  RetryRun run;
+  std::array<int, kIds> round{};
+  Queue* self = nullptr;
+  Queue queue(simulator, horizon, [&](std::uint32_t id) {
+    run.log.emplace_back(simulator.now().as_millis(), id);
+    if (++round[id] < kRounds) self->schedule(delay_of(), id);
+  });
+  self = &queue;
+  for (std::uint32_t id = 0; id < kIds; ++id) queue.schedule(delay_of(), id);
+  simulator.run_until(SimTime::hours(72));
+  run.waiting = queue.waiting();
+  run.dropped = queue.dropped_beyond_horizon();
+  return run;
+}
 
-  EXPECT_EQ(heap_log.size(), kPeers * kRounds);
-  EXPECT_EQ(heap_log, source_log);
+TEST(RetryQueue, FiringLogMatchesEventPerRetryOracleDifferentially) {
+  for (const std::optional<SimTime> horizon :
+       {std::optional<SimTime>{}, std::optional<SimTime>{SimTime::hours(48)}}) {
+    std::size_t same_tick_pairs = 0;
+    std::uint64_t dropped = 0;
+    std::size_t fired = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const RetryRun queue = run_retries<engine::RetrySource>(seed, horizon);
+      EXPECT_EQ(queue, run_retries<EventPerRetryOracle>(seed, horizon))
+          << "seed " << seed << (horizon ? " with" : " without") << " horizon";
+      for (std::size_t i = 1; i < queue.log.size(); ++i) {
+        if (queue.log[i].first == queue.log[i - 1].first) ++same_tick_pairs;
+      }
+      dropped += queue.dropped;
+      fired += queue.log.size();
+      // Without a horizon, retries at the cap stay queued past the end.
+      if (!horizon) {
+        EXPECT_GT(queue.waiting, 0u);
+      }
+    }
+    EXPECT_GT(same_tick_pairs, 0u);
+    EXPECT_GT(fired, 40u * 6u);
+    EXPECT_EQ(dropped > 0, horizon.has_value());
+  }
 }
 
 // A retry due past the horizon can never fire (the runner stops at the
-// horizon), so the heap drops it at schedule() instead of parking a dead
-// 12-byte entry for the rest of the run.
-TEST(RetryHeap, DropsRetriesDueBeyondTheHorizon) {
+// horizon), so the queue drops it at schedule() instead of parking a dead
+// 12-byte entry for the rest of the run. A new earliest entry preempts the
+// armed head; equal dues fire in schedule order.
+TEST(RetryQueue, DropsRetriesDueBeyondTheHorizon) {
   sim::Simulator simulator;
   std::vector<std::uint32_t> fired;
-  engine::RetryHeap heap(simulator, SimTime::millis(100),
-                         [&](std::uint32_t local) { fired.push_back(local); });
-  heap.schedule(SimTime::millis(100), 1);  // exactly at the horizon: kept
-  heap.schedule(SimTime::millis(101), 2);  // past it: dropped
-  EXPECT_EQ(heap.waiting(), 1u);
-  EXPECT_EQ(heap.dropped_beyond_horizon(), 1u);
+  engine::RetrySource queue(simulator, SimTime::millis(100),
+                            [&](std::uint32_t id) { fired.push_back(id); });
+  queue.schedule(SimTime::millis(100), 1);  // exactly at the horizon: kept
+  queue.schedule(SimTime::millis(101), 2);  // past it: dropped
+  queue.schedule(SimTime::millis(40), 3);   // preempts the armed head
+  queue.schedule(SimTime::millis(40), 4);   // same due: after 3
+  EXPECT_EQ(queue.waiting(), 3u);
+  EXPECT_EQ(queue.dropped_beyond_horizon(), 1u);
+  EXPECT_EQ(simulator.pending_count(), 1u);  // one armed lane
+  EXPECT_EQ(simulator.next_event_time(), SimTime::millis(40));
   simulator.run_until(SimTime::millis(500));
-  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{3, 4, 1}));
+  EXPECT_EQ(simulator.pending_count(), 0u);
 }
 
 // ---------- ShardRouter ----------

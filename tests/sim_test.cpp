@@ -385,14 +385,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendParity, ::testing::Range(1, 7));
 /// order the lane contract asks of every owner.
 struct TickLane {
   explicit TickLane(Simulator& simulator) : sim(simulator) {
-    sim.attach_lane(this, &TickLane::fire);
+    sim.attach_delivery_lane(this, &TickLane::fire);
   }
   void add(std::int64_t tick) {
     ticks.insert(std::upper_bound(ticks.begin(), ticks.end(), tick), tick);
     publish();
   }
   void publish() {
-    sim.set_lane_due(ticks.empty() ? SimTime::max()
+    sim.set_delivery_due(ticks.empty() ? SimTime::max()
                                    : SimTime::millis(ticks.front()));
   }
   static void fire(void* context) {
@@ -512,9 +512,184 @@ TEST(DeliveryLane, ClearLeavesTheLaneAlone) {
 TEST(DeliveryLane, ASecondLaneIsAContractViolation) {
   Simulator s;
   TickLane lane(s);
-  EXPECT_THROW(s.attach_lane(nullptr, &TickLane::fire), util::ContractViolation);
+  EXPECT_THROW(s.attach_delivery_lane(nullptr, &TickLane::fire),
+               util::ContractViolation);
   Simulator other;
-  EXPECT_THROW(other.attach_lane(nullptr, nullptr), util::ContractViolation);
+  EXPECT_THROW(other.attach_delivery_lane(nullptr, nullptr),
+               util::ContractViolation);
+}
+
+// ---------- source lanes ----------
+
+/// A minimal source-lane owner: logs `mark` on every fire (checking the
+/// simulator disarmed the lane first) and runs `on_fire`, if set.
+struct MarkLane {
+  MarkLane(Simulator& simulator, int lane_mark, std::vector<int>& fired,
+           bool timer = false)
+      : sim(simulator),
+        mark(lane_mark),
+        log(fired),
+        id(timer ? simulator.add_timer_lane(this, &MarkLane::fire)
+                 : simulator.add_lane(this, &MarkLane::fire)) {}
+  ~MarkLane() { sim.remove_lane(id); }
+  MarkLane(const MarkLane&) = delete;
+  MarkLane& operator=(const MarkLane&) = delete;
+
+  void arm(std::int64_t tick) { sim.arm_lane(id, SimTime::millis(tick)); }
+  static void fire(void* context) {
+    MarkLane& lane = *static_cast<MarkLane*>(context);
+    EXPECT_FALSE(lane.sim.lane_armed(lane.id));
+    lane.log.push_back(lane.mark);
+    if (lane.on_fire) lane.on_fire();
+  }
+
+  Simulator& sim;
+  int mark;
+  std::vector<int>& log;
+  Simulator::LaneId id;
+  std::function<void()> on_fire;
+};
+
+TEST(SourceLane, SameDueTiesFollowArmOrderAgainstListEvents) {
+  for (const auto kind :
+       {EventListKind::kBinaryHeap, EventListKind::kCalendarQueue}) {
+    Simulator s(kind);
+    std::vector<int> log;
+    MarkLane lane(s, 0, log);
+    s.schedule_at(SimTime::millis(10), [&] { log.push_back(1); });
+    lane.arm(10);  // after event 1, before event 2
+    s.schedule_at(SimTime::millis(10), [&] { log.push_back(2); });
+    EXPECT_EQ(s.run_until(SimTime::millis(10)), 3u);
+    EXPECT_EQ(log, (std::vector<int>{1, 0, 2}));
+    EXPECT_EQ(s.executed_count(), 3u);
+  }
+}
+
+TEST(SourceLane, ReArmTakesAFreshSeq) {
+  Simulator s;
+  std::vector<int> log;
+  MarkLane a(s, 10, log);
+  MarkLane b(s, 20, log);
+  a.arm(5);
+  s.schedule_at(SimTime::millis(5), [&] { log.push_back(1); });
+  b.arm(5);
+  a.arm(5);  // same due, now behind the event and lane b
+  s.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 20, 10}));
+}
+
+TEST(SourceLane, DisarmCancelsTheFire) {
+  Simulator s;
+  std::vector<int> log;
+  MarkLane lane(s, 0, log);
+  lane.arm(7);
+  EXPECT_TRUE(s.lane_armed(lane.id));
+  EXPECT_EQ(s.lane_due(lane.id), SimTime::millis(7));
+  s.disarm_lane(lane.id);
+  s.disarm_lane(lane.id);  // idempotent
+  EXPECT_FALSE(s.lane_armed(lane.id));
+  EXPECT_EQ(s.lane_due(lane.id), SimTime::max());
+  EXPECT_EQ(s.pending_count(), 0u);
+  EXPECT_FALSE(s.next_event_time().has_value());
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_TRUE(log.empty());
+}
+
+TEST(SourceLane, ArmedLanesCountAsPendingEventsWithTheTimerSplit) {
+  Simulator s;
+  std::vector<int> log;
+  MarkLane plain(s, 0, log);
+  MarkLane timer(s, 1, log, /*timer=*/true);
+  plain.arm(3);
+  timer.arm(4);
+  plain.arm(6);  // a re-arm is still one pending event
+  s.schedule_at(SimTime::millis(5), [] {});
+  s.schedule_timer_at(SimTime::millis(8), [] {});
+  EXPECT_EQ(s.pending_count(), 4u);
+  EXPECT_EQ(s.peak_pending_count(), 4u);
+  EXPECT_EQ(s.peak_pending_timers(), 2u);
+  s.run_until(SimTime::millis(4));  // the timer lane fires
+  EXPECT_EQ(s.pending_count(), 3u);
+  timer.arm(9);
+  s.schedule_timer_at(SimTime::millis(9), [] {});
+  // 5 pending, 3 of them timers: a new peak with its own split.
+  EXPECT_EQ(s.peak_pending_count(), 5u);
+  EXPECT_EQ(s.peak_pending_timers(), 3u);
+  EXPECT_EQ(s.run(), 5u);
+  EXPECT_EQ(s.pending_count(), 0u);
+}
+
+TEST(SourceLane, RunUntilStepRunAndNextEventTimeHonourTheLane) {
+  Simulator s;
+  std::vector<int> log;
+  MarkLane lane(s, 0, log);
+  lane.arm(20);
+  s.schedule_at(SimTime::millis(30), [&] { log.push_back(1); });
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(20));
+  EXPECT_EQ(s.run_until(SimTime::millis(15)), 0u);
+  EXPECT_EQ(s.now(), SimTime::millis(15));
+  EXPECT_TRUE(s.lane_armed(lane.id));  // never fired past the bound
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(s.now(), SimTime::millis(20));
+  EXPECT_EQ(log, (std::vector<int>{0}));
+  // A fire may re-arm its own lane; run(max_events) counts lane fires.
+  lane.on_fire = [&] {
+    if (s.now() < SimTime::millis(50)) lane.arm(s.now().as_millis() + 20);
+  };
+  lane.arm(25);
+  EXPECT_EQ(s.run(2), 2u);
+  EXPECT_EQ(log, (std::vector<int>{0, 0, 1}));
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(45));
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(log, (std::vector<int>{0, 0, 1, 0, 0}));
+  EXPECT_EQ(s.now(), SimTime::millis(65));
+  EXPECT_FALSE(s.next_event_time().has_value());
+}
+
+TEST(SourceLane, TheDeliveryLaneStillLosesTiesAndStaysUncounted) {
+  Simulator s;
+  TickLane delivery(s);
+  std::vector<int> log;
+  MarkLane lane(s, 7, log);
+  delivery.add(10);
+  lane.arm(10);  // armed after the delivery tick was published
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(log, (std::vector<int>{7}));
+  EXPECT_EQ(delivery.log, (std::vector<std::int64_t>{-10}));
+  EXPECT_EQ(s.peak_pending_count(), 1u);
+}
+
+TEST(SourceLane, ClearLeavesLanesArmed) {
+  Simulator s;
+  std::vector<int> log;
+  MarkLane lane(s, 0, log);
+  MarkLane timer(s, 1, log, /*timer=*/true);
+  lane.arm(4);
+  timer.arm(6);
+  s.schedule_at(SimTime::millis(2), [&] { log.push_back(2); });
+  s.clear();
+  EXPECT_EQ(s.pending_count(), 2u);
+  EXPECT_EQ(s.next_event_time(), SimTime::millis(4));
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(log, (std::vector<int>{0, 1}));
+}
+
+TEST(SourceLane, RemovedHandlesAreReusedAndNeverFire) {
+  Simulator s;
+  std::vector<int> log;
+  auto first = std::make_unique<MarkLane>(s, 1, log);
+  const Simulator::LaneId id = first->id;
+  first->arm(5);
+  first.reset();  // removes the armed lane
+  EXPECT_EQ(s.pending_count(), 0u);
+  MarkLane second(s, 2, log);
+  EXPECT_EQ(second.id, id);
+  EXPECT_FALSE(s.lane_armed(second.id));
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_TRUE(log.empty());
+  EXPECT_THROW(s.arm_lane(second.id, SimTime::millis(-1)),
+               util::ContractViolation);
 }
 
 TEST(Periodic, FiresAtFixedCadence) {

@@ -182,6 +182,50 @@ TEST(Rng, UniformBelowIsRoughlyUniform) {
   }
 }
 
+/// uniform_below as it stood with an eagerly computed threshold: the
+/// reference for the accept set and the draw count.
+std::uint64_t eager_threshold_uniform_below(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, UniformBelowMatchesTheEagerThresholdReference) {
+  std::vector<std::uint64_t> bounds = {1,
+                                       3,
+                                       10,
+                                       (std::uint64_t{1} << 63) + 1,
+                                       (std::uint64_t{1} << 63) + 12345,
+                                       0xC000000000000000ull,
+                                       ~std::uint64_t{0} - 1,
+                                       ~std::uint64_t{0}};
+  for (int k = 0; k < 64; ++k) bounds.push_back(std::uint64_t{1} << k);
+  Rng pick(2002);
+  for (int i = 0; i < 300; ++i) {
+    // Every magnitude: a raw draw shifted right by 0..63 bits.
+    bounds.push_back(std::max<std::uint64_t>(1, pick() >> pick.uniform_below(64)));
+  }
+  std::uint64_t calls = 0;
+  std::uint64_t draws = 0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    Rng lazy(i + 1);
+    Rng eager(i + 1);
+    for (int draw = 0; draw < 64; ++draw) {
+      ASSERT_EQ(lazy.uniform_below(bounds[i]),
+                eager_threshold_uniform_below(eager, bounds[i]))
+          << "bound " << bounds[i] << " draw " << draw;
+      ASSERT_EQ(lazy.draws(), eager.draws()) << "bound " << bounds[i];
+    }
+    calls += 64;
+    draws += lazy.draws();
+  }
+  // Bounds just above 2^63 reject about half their raw draws, so the
+  // rejection loop itself was compared too.
+  EXPECT_GT(draws, calls + 100);
+}
+
 TEST(Rng, UniformIntInclusiveBounds) {
   Rng rng(3);
   bool saw_lo = false, saw_hi = false;
