@@ -94,7 +94,8 @@ class Simulator {
   /// Returns true if the event is still pending.
   [[nodiscard]] bool pending(EventId id) const;
 
-  /// Number of pending (non-cancelled) events.
+  /// Number of pending (non-cancelled) events, one per armed source lane
+  /// included.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
   /// Largest pending_count() ever reached over the simulator's lifetime
@@ -103,9 +104,9 @@ class Simulator {
   [[nodiscard]] std::size_t peak_pending_count() const { return peak_live_; }
 
   /// How many of the events pending at the peak_pending_count() instant
-  /// were timer-tagged (schedule_timer_at) — the timer vs non-timer split
-  /// of the peak. This share is what the wheel/lazy timer strategies
-  /// collapse.
+  /// were timer-tagged (schedule_timer_at, armed timer lanes) — the timer
+  /// vs non-timer split of the peak. This share is what the wheel/lazy
+  /// timer strategies collapse.
   [[nodiscard]] std::size_t peak_pending_timers() const {
     return peak_live_timers_;
   }
