@@ -1,6 +1,7 @@
 // Tests for the protocol trace log and its engine integration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "engine/streaming_system.hpp"
@@ -153,6 +154,79 @@ TEST(EngineTrace, JourneysAreWellFormed) {
     EXPECT_LE(admissions, 1u);
     EXPECT_EQ(rejections + admissions, attempts);
   }
+}
+
+// FNV-1a over every trace record (t, kind, peer, class, session, detail),
+// then over every peer's final supplier state: -1 for a non-supplier, else
+// busy() and the vector's lowest favored class. Reads only the public
+// surface, so it pins behaviour, not the peer record's layout.
+struct EngineFingerprint {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  std::size_t departures = 0;
+  std::size_t reclassed = 0;  ///< became-supplier records at a class other than the request's
+
+  void mix(std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= bits & 0xFFu;
+      hash *= 0x100000001B3ULL;
+      bits >>= 8;
+    }
+  }
+};
+
+EngineFingerprint fingerprint(const SimulationConfig& config) {
+  StreamingSystem system(config);
+  (void)system.run();
+  const TraceLog* trace = system.trace();
+  EngineFingerprint fp;
+  if (trace == nullptr) return fp;
+  EXPECT_EQ(trace->dropped(), 0u);
+  std::vector<core::PeerClass> requested_class(
+      static_cast<std::size_t>(config.population.seeds + config.population.requesters), 0);
+  for (const TraceEvent& event : trace->events()) {
+    fp.mix(event.t.as_millis());
+    fp.mix(static_cast<std::int64_t>(event.kind));
+    fp.mix(static_cast<std::int64_t>(event.peer.value()));
+    fp.mix(event.cls);
+    fp.mix(static_cast<std::int64_t>(event.session.value()));
+    fp.mix(event.detail);
+    auto& requested = requested_class[static_cast<std::size_t>(event.peer.value())];
+    if (event.kind == TraceKind::kFirstRequest) requested = event.cls;
+    if (event.kind == TraceKind::kBecameSupplier && requested != 0 &&
+        requested != event.cls) {
+      ++fp.reclassed;
+    }
+    if (event.kind == TraceKind::kDeparture) ++fp.departures;
+  }
+  for (std::size_t i = 0; i < requested_class.size(); ++i) {
+    const core::SupplierAdmission* supplier = system.supplier_state(core::PeerId{i});
+    if (supplier == nullptr) {
+      fp.mix(-1);
+    } else {
+      fp.mix(supplier->busy() ? 1 : 0);
+      fp.mix(supplier->vector().lowest_favored_class());
+    }
+  }
+  return fp;
+}
+
+// Recorded on the engine whose peer record spanned two cache lines (an
+// eagerly derived grant stream, an optional supplier state and a stored
+// id). Any later peer layout must leave every record and every final
+// supplier state bit-identical.
+TEST(EngineTrace, RecordsMatchThePre64BytePeerEngine) {
+  EXPECT_EQ(fingerprint(traced_config()).hash, 0xE80289F3F39B31C7ULL);
+
+  // Departures, defection's class rewrite and the requester-to-supplier
+  // phase switch all in one run.
+  SimulationConfig churn = traced_config();
+  churn.supplier_departure_probability = 0.2;
+  churn.defection_probability = 0.3;
+  const EngineFingerprint fp = fingerprint(churn);
+  EXPECT_GT(fp.departures, 0u);
+  EXPECT_GT(fp.reclassed, 0u);
+  EXPECT_EQ(fp.hash, 0x3C70790C1536E4AAULL);
 }
 
 }  // namespace
