@@ -427,6 +427,28 @@ if [ -z "${sanitize}" ]; then
     exit 1
   fi
   echo "    peak RSS ${rss} bytes (budget ${rss_budget_bytes})"
+
+  # The session engine's one-cache-line Peer (docs/memory.md, "Session
+  # engine"): full-size perf_steady (150,100 peers) measured 34.9 MB with
+  # the two-line record and ~25.2 MB with the 64-byte one, so a 30 MiB
+  # ceiling fails a regression back to two lines per peer.
+  rss_budget_bytes=$(( 30 * 1024 * 1024 ))
+  echo "==> memory smoke: perf_steady peak RSS <= ${rss_budget_bytes}"
+  "${runner}" perf_steady --seed "${seed}" --compact --mechanics \
+      > "${smoke_dir}/memory_steady.json"
+  rss="$(grep -o '"peak_rss_bytes":[0-9]*' "${smoke_dir}/memory_steady.json" \
+      | head -1 | cut -d: -f2)"
+  if [ -z "${rss}" ] || [ "${rss}" -eq 0 ]; then
+    echo "FAIL: perf_steady memory smoke reported no peak_rss_bytes" >&2
+    exit 1
+  fi
+  if [ "${rss}" -gt "${rss_budget_bytes}" ]; then
+    echo "FAIL: perf_steady peak RSS ${rss} exceeds the" \
+         "${rss_budget_bytes}-byte budget; the session engine's Peer record" \
+         "has outgrown one cache line (docs/memory.md)" >&2
+    exit 1
+  fi
+  echo "    peak RSS ${rss} bytes (budget ${rss_budget_bytes})"
 else
   echo "==> memory smoke: skipped under -fsanitize=${sanitize}"
 fi

@@ -236,6 +236,10 @@ SimulationResult AsyncStreamingSystem::run() {
   // Expire timers due by the horizon that no message touched, so the
   // endpoint states read below agree across timer strategies.
   timers_.poll();
+  if (config_.telemetry != nullptr) {  // final totals (telemetry_probe.hpp)
+    publish_event_core(config_.telemetry->registry(), simulator_);
+    publish_timer_service(config_.telemetry->registry(), timers_);
+  }
 
   SimulationResult result;
   result.num_classes = config_.protocol.num_classes;

@@ -304,6 +304,10 @@ CatalogResult CatalogStreamingSystem::run() {
   sampler.stop();
   timers_.poll();  // fire stragglers due by the horizon (lazy strategies)
   if (config_.validate_invariants) check_invariants();
+  if (config_.telemetry != nullptr) {  // final totals (telemetry_probe.hpp)
+    publish_event_core(config_.telemetry->registry(), simulator_);
+    publish_timer_service(config_.telemetry->registry(), timers_);
+  }
 
   CatalogResult result;
   result.overall.num_classes = config_.protocol.num_classes;

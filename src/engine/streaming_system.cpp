@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <numeric>
 
 #include "core/ots.hpp"
@@ -73,6 +74,7 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
   departure_rng_ = master.substream("departure");
   selection_rng_ = master.substream("selection");
   util::Rng population_rng = master.substream("population");
+  grant_master_ = master;
 
   // Build the population: seeds first, then requesters with the paper's
   // exact class mix.
@@ -80,15 +82,13 @@ StreamingSystem::StreamingSystem(SimulationConfig config)
       workload::build_requester_classes(config_.population, population_rng);
   peers_.resize(static_cast<std::size_t>(config_.population.seeds) +
                 requester_classes.size());
+  // workload::validate bounds every class by kMaxSupportedClasses, so
+  // each fits Peer::cls's byte.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Peer& p = peers_[i];
-    p.id = core::PeerId{i};
-    p.grant_rng = master.substream("grant", i);
-    if (i < static_cast<std::size_t>(config_.population.seeds)) {
-      p.cls = config_.population.seed_class;
-    } else {
-      p.cls = requester_classes[i - static_cast<std::size_t>(config_.population.seeds)];
-    }
+    peers_[i].cls = static_cast<std::uint8_t>(
+        i < static_cast<std::size_t>(config_.population.seeds)
+            ? config_.population.seed_class
+            : requester_classes[i - static_cast<std::size_t>(config_.population.seeds)]);
   }
 }
 
@@ -110,7 +110,7 @@ std::int64_t StreamingSystem::supplier_count() const { return suppliers_; }
 
 const core::SupplierAdmission* StreamingSystem::supplier_state(core::PeerId id) const {
   const Peer& p = peer(id);
-  return p.supplier.has_value() ? &*p.supplier : nullptr;
+  return p.is_supplier ? &p.supplier : nullptr;
 }
 
 void StreamingSystem::trace_event(TraceKind kind, const Peer& p,
@@ -122,44 +122,47 @@ void StreamingSystem::trace_event_at(util::SimTime t, TraceKind kind,
                                      const Peer& p, core::SessionId session,
                                      std::int64_t detail) {
   if (trace_) {
-    trace_->record(TraceEvent{t, kind, p.id, p.cls, session, detail});
+    trace_->record(TraceEvent{t, kind, id_of(p), p.cls, session, detail});
   }
 }
 
 template <typename Mutation>
 void StreamingSystem::mutate_supplier(Peer& p, Mutation&& mutation) {
   const auto idx = static_cast<std::size_t>(p.cls - 1);
-  const auto before = p.supplier->vector().lowest_favored_class();
+  const auto before = p.supplier.vector().lowest_favored_class();
   mutation();
-  favored_sum_[idx] += p.supplier->vector().lowest_favored_class() - before;
+  favored_sum_[idx] += p.supplier.vector().lowest_favored_class() - before;
 }
 
 void StreamingSystem::depart_supplier(Peer& p) {
-  P2PS_CHECK(p.is_supplier && p.supplier.has_value() && !p.supplier->busy());
+  P2PS_CHECK(p.is_supplier && !p.supplier.busy());
   disarm_idle_timer(p);
-  lookup_->deregister_supplier(p.id);
+  lookup_->deregister_supplier(id_of(p));
   supplier_bandwidth_ -= core::Bandwidth::class_offer(p.cls);
   --suppliers_;
   ++departures_;
   const auto idx = static_cast<std::size_t>(p.cls - 1);
-  favored_sum_[idx] -= p.supplier->vector().lowest_favored_class();
+  favored_sum_[idx] -= p.supplier.vector().lowest_favored_class();
   --class_suppliers_[idx];
   p.is_supplier = false;
   p.departed = true;
-  p.supplier.reset();
   trace_event(TraceKind::kDeparture, p, core::SessionId::invalid(), capacity());
 }
 
 void StreamingSystem::make_supplier(Peer& p) {
   P2PS_CHECK(!p.is_supplier && !p.departed);
+  const core::PeerId id = id_of(p);
+  // The phase switch: the requester fields are dead from here on, and the
+  // grant stream takes over their storage.
+  ::new (&p.grant_rng) util::Rng(grant_master_.substream("grant", id.value()));
   p.is_supplier = true;
-  p.supplier.emplace(config_.protocol.num_classes, p.cls,
-                     config_.protocol.differentiated);
-  lookup_->register_supplier(p.id, p.cls);
+  p.supplier = core::SupplierAdmission(config_.protocol.num_classes, p.cls,
+                                       config_.protocol.differentiated);
+  lookup_->register_supplier(id, p.cls);
   supplier_bandwidth_ += core::Bandwidth::class_offer(p.cls);
   ++suppliers_;
   const auto idx = static_cast<std::size_t>(p.cls - 1);
-  favored_sum_[idx] += p.supplier->vector().lowest_favored_class();
+  favored_sum_[idx] += p.supplier.vector().lowest_favored_class();
   ++class_suppliers_[idx];
   arm_idle_timer(p);
   trace_event(TraceKind::kBecameSupplier, p, core::SessionId::invalid(), capacity());
@@ -173,16 +176,16 @@ void StreamingSystem::arm_idle_timer_at(Peer& p, util::SimTime deadline) {
   // Timers only exist where the protocol can still change: DAC mode with a
   // not-yet-fully-relaxed vector.
   if (!config_.protocol.differentiated ||
-      (p.supplier.has_value() && p.supplier->vector().fully_relaxed())) {
+      (p.is_supplier && p.supplier.vector().fully_relaxed())) {
     disarm_idle_timer(p);
     return;
   }
-  P2PS_CHECK(p.supplier.has_value());
+  P2PS_CHECK(p.is_supplier);
   // Rearm keeps the handle and callback — the hot path (one per released
   // supplier per session) is a deadline update, which under the lazy
   // strategy costs no event-list traffic at all.
   if (timers_.rearm_at(p.idle_timer, deadline)) return;
-  const core::PeerId id = p.id;
+  const core::PeerId id = id_of(p);
   p.idle_timer = timers_.arm_at(
       deadline, [this, id](util::SimTime at) { on_idle_timeout(id, at); });
 }
@@ -197,8 +200,8 @@ void StreamingSystem::disarm_idle_timer(Peer& p) {
 void StreamingSystem::on_idle_timeout(core::PeerId id, util::SimTime at) {
   Peer& p = peer(id);
   p.idle_timer = sim::TimerId::invalid();
-  P2PS_CHECK(p.supplier.has_value() && !p.supplier->busy());
-  mutate_supplier(p, [&] { p.supplier->on_idle_timeout(); });
+  P2PS_CHECK(p.is_supplier && !p.supplier.busy());
+  mutate_supplier(p, [&] { p.supplier.on_idle_timeout(); });
   trace_event_at(at, TraceKind::kIdleElevation, p);
   // The chain anchors at the deadline, NOT the clock: a lazily delivered
   // elevation must schedule the next one exactly where the event-per-timer
@@ -210,7 +213,7 @@ void StreamingSystem::on_idle_timeout(core::PeerId id, util::SimTime at) {
 void StreamingSystem::first_request(core::PeerId id) {
   timers_.poll();  // deadline-check-on-entry: see docs/timers.md
   Peer& p = peer(id);
-  p.first_request_time = simulator_.now();
+  p.requester.first_request_time = simulator_.now();
   metrics_.on_first_request(p.cls);
   trace_event(TraceKind::kFirstRequest, p);
   attempt_admission(id);
@@ -230,10 +233,10 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
   // steady state must not allocate.
   std::vector<lookup::CandidateInfo>& candidates = scratch_candidates_;
   lookup_->candidates_into(candidates, config_.protocol.m_candidates, lookup_rng_,
-                           p.id);
-  // Every probe lands on a random peer's first cache line (Peer layout):
-  // request them all before the first probe reads one, so the M misses
-  // overlap instead of queueing behind each other.
+                           id);
+  // Every probe lands on a random peer's record, one cache line (Peer
+  // layout): request them all before the first probe reads one, so the M
+  // misses overlap instead of queueing behind each other.
   for (const auto& candidate : candidates) {
     __builtin_prefetch(&peers_[static_cast<std::size_t>(candidate.id.value())]);
   }
@@ -254,8 +257,8 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
       continue;  // transiently unreachable: neither grants nor reminders
     }
     Peer& s = peer(candidate.id);
-    P2PS_CHECK(s.supplier.has_value());
-    const core::ProbeOutcome outcome = s.supplier->handle_probe(p.cls, s.grant_rng);
+    P2PS_CHECK(s.is_supplier);
+    const core::ProbeOutcome outcome = s.supplier.handle_probe(p.cls, s.grant_rng);
     switch (outcome.reply) {
       case core::ProbeReply::kGranted:
         granted.push_back(candidate);
@@ -287,11 +290,11 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
     for (std::size_t pick : selection.chosen) {
       Peer& s = peer(granted[pick].id);
       disarm_idle_timer(s);
-      s.supplier->on_session_start();
-      ledger_suppliers_.push_back(s.id);
+      s.supplier.on_session_start();
+      ledger_suppliers_.push_back(granted[pick].id);
       session_classes.push_back(s.cls);
     }
-    ledger_.push_back(LedgerEntry{session_id, p.id, selection.chosen.size()});
+    ledger_.push_back(LedgerEntry{session_id, id, selection.chosen.size()});
     // Granted-but-unchosen candidates were never committed; in the
     // session-level model their grant expires instantly.
 
@@ -312,8 +315,8 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
 
     p.admitted = true;
     p.in_service = true;
-    metrics_.on_admission(p.cls, p.rejections, delay_dt,
-                          simulator_.now() - p.first_request_time);
+    metrics_.on_admission(p.cls, p.requester.rejections, delay_dt,
+                          simulator_.now() - p.requester.first_request_time);
     trace_event(TraceKind::kAdmission, p, session_id, delay_dt);
 
     simulator_.schedule_after(config_.session_duration,
@@ -328,15 +331,15 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
     std::vector<std::size_t>& omega = scratch_omega_;
     core::reminder_set_into(omega, busy, selection.shortfall);
     for (std::size_t index : omega) {
-      peer(busy_ids[index]).supplier->leave_reminder(p.cls);
+      peer(busy_ids[index]).supplier.leave_reminder(p.cls);
     }
     reminders_left = static_cast<std::int64_t>(omega.size());
   }
   trace_event(TraceKind::kRejection, p, core::SessionId::invalid(), reminders_left);
-  ++p.rejections;
-  retries_.schedule(core::scaled_backoff(config_.protocol.t_bkf,
-                                         config_.protocol.e_bkf, p.rejections - 1),
-                    p.id);
+  ++p.requester.rejections;
+  retries_.schedule(core::scaled_backoff(config_.protocol.t_bkf, config_.protocol.e_bkf,
+                                         p.requester.rejections - 1),
+                    id);
 }
 
 void StreamingSystem::end_session(core::SessionId id) {
@@ -350,7 +353,7 @@ void StreamingSystem::end_session(core::SessionId id) {
   for (std::size_t i = 0; i < session.supplier_count; ++i) {
     Peer& s = peer(ledger_suppliers_.front());
     ledger_suppliers_.pop_front();
-    mutate_supplier(s, [&] { s.supplier->on_session_end(); });
+    mutate_supplier(s, [&] { s.supplier.on_session_end(); });
     if (config_.supplier_departure_probability > 0.0 &&
         departure_rng_.bernoulli(config_.supplier_departure_probability)) {
       depart_supplier(s);
@@ -368,7 +371,7 @@ void StreamingSystem::end_session(core::SessionId id) {
       departure_rng_.bernoulli(config_.defection_probability)) {
     // Broken commitment: it gained admission with its pledged class but
     // will supply only the minimum from now on.
-    requester.cls = config_.protocol.num_classes;
+    requester.cls = static_cast<std::uint8_t>(config_.protocol.num_classes);
   }
   make_supplier(requester);  // play-while-downloading: it now owns the file
   ++sessions_completed_;
@@ -425,12 +428,13 @@ void StreamingSystem::check_invariants() const {
     if (p.is_supplier) {
       recount += core::Bandwidth::class_offer(p.cls);
       ++supplier_recount;
-      if (p.supplier->busy()) ++busy_recount;
+      if (p.supplier.busy()) ++busy_recount;
       const auto idx = static_cast<std::size_t>(p.cls - 1);
-      favored_recount[idx] += p.supplier->vector().lowest_favored_class();
+      favored_recount[idx] += p.supplier.vector().lowest_favored_class();
       ++class_recount[idx];
     } else {
-      P2PS_CHECK_MSG(!p.supplier.has_value(), "non-supplier carrying supplier state");
+      P2PS_CHECK_MSG(!p.idle_timer.valid() && !lookup_->contains(id_of(p)),
+                     "non-supplier holding an idle timer or a lookup registration");
     }
   }
   P2PS_CHECK_MSG(recount == supplier_bandwidth_, "capacity ledger drifted");
@@ -457,7 +461,7 @@ void StreamingSystem::check_invariants() const {
     core::Bandwidth sum = core::Bandwidth::zero();
     for (std::size_t i = 0; i < session.supplier_count; ++i) {
       const Peer& s = peer(ledger_suppliers_[next_supplier++]);
-      P2PS_CHECK_MSG(s.supplier->busy(), "session supplier not busy");
+      P2PS_CHECK_MSG(s.supplier.busy(), "session supplier not busy");
       sum += core::Bandwidth::class_offer(s.cls);
     }
     P2PS_CHECK_MSG(sum == core::Bandwidth::playback_rate(),
@@ -520,6 +524,10 @@ SimulationResult StreamingSystem::run() {
   P2PS_CHECK_MSG(arrivals.done(), "horizon covers the arrival window, so "
                                   "every first request must have fired");
   if (config_.validate_invariants) check_invariants();
+  if (config_.telemetry != nullptr) {  // final totals (telemetry_probe.hpp)
+    publish_event_core(config_.telemetry->registry(), simulator_);
+    publish_timer_service(config_.telemetry->registry(), timers_);
+  }
 
   SimulationResult result;
   result.num_classes = config_.protocol.num_classes;

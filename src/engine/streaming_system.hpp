@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/admission/requester.hpp"
@@ -50,39 +49,43 @@ class StreamingSystem {
   [[nodiscard]] const lookup::LookupService& lookup_service() const { return *lookup_; }
   [[nodiscard]] const metrics::MetricsCollector& metrics() const { return metrics_; }
 
-  /// Supplier-side protocol state of a peer (nullopt when not a supplier).
+  /// Supplier-side protocol state of a peer (nullptr when not a supplier).
   [[nodiscard]] const core::SupplierAdmission* supplier_state(core::PeerId id) const;
 
   /// Protocol trace (nullptr unless config.trace_capacity > 0).
   [[nodiscard]] const TraceLog* trace() const { return trace_.get(); }
 
  private:
-  /// Two cache lines per peer. A probe reads and writes only the first:
-  /// the grant stream, the supplier state machine and the class. The
-  /// second holds what a requester's own lifecycle touches. The layout is
-  /// asserted below (docs/memory.md, "Session engine").
+  /// One cache line per peer (docs/memory.md, "Session engine"). A peer
+  /// is a requester until its session ends and a supplier from then on;
+  /// the two phases never overlap, so the requester's backoff state and
+  /// the supplier's grant stream share storage. A probe reads only the
+  /// supplier fields, an attempt only the requester fields and the class.
   struct alignas(64) Peer {
-    // ---- cache line 0: the probe path ----
-    util::Rng grant_rng{0};  ///< supplier-side probabilistic admission tests
-    std::optional<core::SupplierAdmission> supplier;
-    core::PeerClass cls = core::kHighestClass;
-    bool is_supplier = false;
-    bool admitted = false;
-    bool in_service = false;  ///< currently being streamed to
-    bool departed = false;    ///< left the system permanently (churn)
-    // ---- cache line 1: the requester lifecycle ----
-    core::PeerId id;
-    util::SimTime first_request_time = util::SimTime::zero();
+    /// Requester phase: dead once admitted (last read by the admission's
+    /// metrics and by the final backoff).
+    struct Requester {
+      util::SimTime first_request_time = util::SimTime::zero();
+      /// Rejections so far; the next backoff is core::scaled_backoff of it.
+      std::int32_t rejections = 0;
+    };
+    Peer() : requester() {}
+
+    union {
+      Requester requester;
+      /// Supplier phase: started by make_supplier, drawn by admission tests.
+      util::Rng grant_rng;
+    };
     sim::TimerId idle_timer = sim::TimerId::invalid();
-    /// Rejections so far; the next backoff is core::scaled_backoff of it.
-    std::int32_t rejections = 0;
+    /// Valid iff is_supplier; a placeholder before that.
+    core::SupplierAdmission supplier{core::kHighestClass, core::kHighestClass, false};
+    std::uint8_t cls = core::kHighestClass;  ///< K <= kMaxSupportedClasses
+    bool is_supplier : 1 = false;
+    bool admitted : 1 = false;
+    bool in_service : 1 = false;  ///< currently being streamed to
+    bool departed : 1 = false;    ///< left the system permanently (churn)
   };
-  static_assert(sizeof(Peer) == 128, "a peer is exactly two cache lines");
-  static_assert(offsetof(Peer, grant_rng) + sizeof(util::Rng) <= 64 &&
-                    offsetof(Peer, supplier) +
-                            sizeof(std::optional<core::SupplierAdmission>) <= 64 &&
-                    offsetof(Peer, cls) + sizeof(core::PeerClass) <= 64,
-                "the probe-path fields must share the first cache line");
+  static_assert(sizeof(Peer) == 64, "a peer is exactly one cache line");
 
   /// One admitted, not yet ended session. Every session lasts exactly
   /// config.session_duration, so end events fire in admission order (ties
@@ -96,6 +99,10 @@ class StreamingSystem {
 
   [[nodiscard]] Peer& peer(core::PeerId id);
   [[nodiscard]] const Peer& peer(core::PeerId id) const;
+  /// A peer's id is its index in peers_.
+  [[nodiscard]] core::PeerId id_of(const Peer& p) const {
+    return core::PeerId{static_cast<std::uint64_t>(&p - peers_.data())};
+  }
 
   /// Turns `p` into a registered supplying peer (seed start-up or session
   /// completion) and updates the capacity ledger.
@@ -161,6 +168,10 @@ class StreamingSystem {
   /// it in cannot perturb the existing streams; deterministic policies
   /// never draw from it.
   util::Rng selection_rng_{0};
+  /// The construction-time master: make_supplier derives each peer's grant
+  /// stream from it on demand. Derivation is const and this copy never
+  /// draws, so a lazily derived stream equals an eager t = 0 one.
+  util::Rng grant_master_{0};
 
   std::vector<Peer> peers_;
   /// The session ledger: active sessions in admission order, and their

@@ -4,7 +4,11 @@
 // telemetry->snapshot_due() gate), from sites the simulation already
 // visits — the hourly Periodic sampler for session engines, window
 // barriers for the sharded engine — so publishing costs nothing per event
-// and cannot perturb the run (docs/observability.md).
+// and cannot perturb the run (docs/observability.md). The session engines
+// also publish the event-core and timer gauges once at the end of run(),
+// without a snapshot: the summary record then carries exact totals even
+// for a run shorter than one snapshot interval, and the watchdog sees no
+// extra evaluation.
 //
 // Naming/kind conventions (shared across engines so a comparison scenario
 // running several engines against one registry never hits a kind clash):

@@ -6,15 +6,18 @@ namespace p2ps::lookup {
 
 void DirectoryService::register_supplier(core::PeerId id, core::PeerClass cls) {
   P2PS_REQUIRE(id.valid());
+  // Ids and slots must both fit a 32-bit slot below the kNoSlot sentinel;
+  // there are never more slots than ids.
+  P2PS_REQUIRE_MSG(id.value() < kNoSlot, "supplier id exceeds the 32-bit slot index");
   P2PS_REQUIRE_MSG(slot_of(id) == kNoSlot, "supplier already registered");
   const auto v = static_cast<std::size_t>(id.value());
   if (v >= slot_by_id_.size()) slot_by_id_.resize(v + 1, kNoSlot);
-  slot_by_id_[v] = entries_.size();
+  slot_by_id_[v] = static_cast<std::uint32_t>(entries_.size());
   entries_.push_back(CandidateInfo{id, cls});
 }
 
 void DirectoryService::deregister_supplier(core::PeerId id) {
-  const std::size_t slot = slot_of(id);
+  const std::uint32_t slot = slot_of(id);
   P2PS_REQUIRE_MSG(slot != kNoSlot, "supplier not registered");
   slot_by_id_[static_cast<std::size_t>(id.value())] = kNoSlot;
   if (slot + 1 != entries_.size()) {
@@ -31,7 +34,7 @@ bool DirectoryService::contains(core::PeerId id) const {
 std::size_t DirectoryService::supplier_count() const { return entries_.size(); }
 
 core::PeerClass DirectoryService::class_of(core::PeerId id) const {
-  const std::size_t slot = slot_of(id);
+  const std::uint32_t slot = slot_of(id);
   P2PS_REQUIRE_MSG(slot != kNoSlot, "supplier not registered");
   return entries_[slot].cls;
 }

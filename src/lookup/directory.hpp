@@ -5,9 +5,11 @@
 // The id -> slot index is a dense direct-mapped table rather than a hash
 // map: the engine's peer ids are small consecutive integers, and the
 // directory sits on the admission hot path (one lookup per probe round),
-// so memory is O(max id) in exchange for hash-free access.
+// so memory is O(max id) in exchange for hash-free access. Slots are
+// 32-bit: 4 bytes per id in the engine's whole population.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lookup/lookup_service.hpp"
@@ -27,16 +29,16 @@ class DirectoryService final : public LookupService {
   [[nodiscard]] core::PeerClass class_of(core::PeerId id) const;
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
 
   /// entries_ slot of `id`, or kNoSlot when not registered.
-  [[nodiscard]] std::size_t slot_of(core::PeerId id) const {
+  [[nodiscard]] std::uint32_t slot_of(core::PeerId id) const {
     const auto v = static_cast<std::size_t>(id.value());
     return v < slot_by_id_.size() ? slot_by_id_[v] : kNoSlot;
   }
 
   std::vector<CandidateInfo> entries_;
-  std::vector<std::size_t> slot_by_id_;  // id.value() -> entries_ slot
+  std::vector<std::uint32_t> slot_by_id_;  // id.value() -> entries_ slot
   std::vector<std::size_t> scratch_picks_;  // reused by candidates_into
 };
 

@@ -37,6 +37,15 @@ TEST(Directory, DuplicateRegistrationThrows) {
   EXPECT_THROW(d.register_supplier(PeerId::invalid(), 1), util::ContractViolation);
 }
 
+TEST(Directory, IdsBeyondTheThirtyTwoBitSlotIndexAreRejected) {
+  // Checked before the index grows, so neither call allocates.
+  DirectoryService d;
+  EXPECT_THROW(d.register_supplier(PeerId{0xFFFFFFFFULL}, 1), util::ContractViolation);
+  EXPECT_THROW(d.register_supplier(PeerId{0x1'0000'0000ULL}, 1), util::ContractViolation);
+  EXPECT_EQ(d.supplier_count(), 0u);
+  EXPECT_FALSE(d.contains(PeerId{0xFFFFFFFFULL}));
+}
+
 TEST(Directory, DeregisterSwapRemoveKeepsOthersIntact) {
   DirectoryService d;
   for (std::uint64_t i = 0; i < 10; ++i) {

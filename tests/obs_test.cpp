@@ -646,6 +646,49 @@ TEST(RunScenario, EveryScenarioIsByteIdenticalWithTelemetryOnOrOff) {
   EXPECT_GE(checked, 24u);
 }
 
+// The integer after `"key":` in a JSON dump, or -1 when absent.
+std::int64_t json_int_after(const std::string& text, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + needle.size()));
+}
+
+// A run shorter than one snapshot interval takes no snapshot at all, yet
+// its summary must still carry the engine's exact final counters: the
+// session engines publish them once more at the end of run().
+TEST(RunScenario, SummaryCarriesFinalCountersOfARunShorterThanOneInterval) {
+  scenario::register_all_scenarios();
+  // perf_steady runs the session engine, perf_messages the message-level one.
+  for (const std::string name : {"perf_steady", "perf_messages"}) {
+    const std::string path = temp_path("obs_final_counters.jsonl");
+    std::string payload;
+    {
+      obs::TelemetryOptions telemetry_options;
+      telemetry_options.path = path;
+      telemetry_options.interval_ms = 3'600'000;  // an hour of wall clock
+      telemetry_options.heartbeat = false;
+      obs::Telemetry telemetry(std::move(telemetry_options));
+      ASSERT_TRUE(telemetry.ok());
+      scenario::ScenarioOptions options;
+      options.seed = 2002;
+      options.scale = 100;
+      options.telemetry = &telemetry;
+      payload = scenario::run_scenario(name, options).dump();
+      EXPECT_EQ(telemetry.snapshots(), 0) << name;
+      telemetry.finish();
+    }
+    const auto lines = read_lines(path);
+    ASSERT_EQ(lines.size(), 1u) << name;
+    const std::string& summary = lines[0];
+    EXPECT_NE(summary.find("\"type\":\"summary\""), std::string::npos) << name;
+    EXPECT_GT(json_int_after(summary, "timers_fired"), 0) << name;
+    const std::int64_t events = json_int_after(payload, "events_executed");
+    EXPECT_GT(events, 0) << name;
+    EXPECT_EQ(json_int_after(summary, "events_executed"), events) << name;
+  }
+}
+
 // And across shard/thread counts WITH telemetry attached: instrumentation
 // must not reintroduce partition sensitivity.
 TEST(RunScenario, ShardedScenarioStaysPartitionInvariantUnderTelemetry) {
