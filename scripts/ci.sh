@@ -519,6 +519,19 @@ else
   echo "==> benchmark smoke: skipped under -fsanitize=${sanitize}"
 fi
 
+# Benchmark output contract: one short --workload run per workload, traced
+# (plus an untraced steady run), whose last stdout line must be strict JSON
+# with correct=true and exactly BENCHMARK.json's metric rows, each finite.
+# A deleted mechanism whose per_layer row is still listed fails here.
+# Skipped under sanitizers like the benchmark smoke.
+if [ -z "${sanitize}" ]; then
+  echo "==> benchmark output contract: scripts/check_bench_output.py"
+  python3 "${repo_root}/scripts/check_bench_output.py" --self-test
+  python3 "${repo_root}/scripts/check_bench_output.py" --seconds 2
+else
+  echo "==> benchmark output contract: skipped under -fsanitize=${sanitize}"
+fi
+
 # ThreadSanitizer pass: the threaded shard runner (window pool, parity
 # outbox rows, per-shard telemetry lanes and profiler cells) must be
 # race-free with no suppressions. A dedicated build tree, because
@@ -544,5 +557,5 @@ echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
      "golden smoke, message smoke, sweep smoke, latency-axis smoke, timer smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
      "thread-parity smoke, memory smoke, telemetry smoke, benchmark" \
-     "smoke and tsan pass" \
+     "smoke, benchmark output contract and tsan pass" \
      "all green"

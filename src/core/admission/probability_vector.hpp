@@ -35,8 +35,9 @@ class AdmissionProbabilityVector {
 
   [[nodiscard]] PeerClass num_classes() const { return num_classes_; }
 
-  // The three probe-path accessors are defined inline: a supplier consults
-  // them once per received probe (millions of times per paper-scale run).
+  // The accessors are defined inline: a supplier consults exponent() and
+  // favors() once per received probe (millions of times per paper-scale
+  // run) and decides the grant with Rng::bernoulli_pow2, never via a double.
 
   /// P[c] as a double (exactly representable: a power of two).
   [[nodiscard]] double probability(PeerClass c) const {

@@ -23,7 +23,7 @@ ProbeOutcome SupplierAdmission::handle_probe(PeerClass requester_class, util::Rn
     if (differentiated_ && outcome.favors_requester) favored_request_seen_ = true;
     return outcome;
   }
-  const bool granted = rng.bernoulli(vector_.probability(requester_class));
+  const bool granted = rng.bernoulli_pow2(vector_.exponent(requester_class));
   outcome.reply = granted ? ProbeReply::kGranted : ProbeReply::kDenied;
   return outcome;
 }

@@ -124,6 +124,7 @@ void AsyncStreamingSystem::start_attempt(core::PeerId id) {
   attempt_config.policy = config_.selection_policy;
   attempt_config.selection_rng = &selection_rng_;
   attempt_config.selection_scratch = &scratch_selection_;
+  attempt_config.ots_delays = &ots_delays_;
 
   const core::SessionId session{next_session_++};
   auto attempt = std::make_unique<net::AsyncAdmissionAttempt>(

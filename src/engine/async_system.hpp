@@ -156,6 +156,8 @@ class AsyncStreamingSystem {
   /// Shared selection buffer handed to every attempt (conclude() never
   /// re-enters, so one buffer serves all in-flight attempts).
   core::SelectionResult scratch_selection_;
+  /// Shared Theorem-1 delay table, handed to every attempt the same way.
+  core::OtsDelayCache ots_delays_;
   core::Bandwidth supplier_bandwidth_ = core::Bandwidth::zero();
   std::int64_t suppliers_ = 0;
   std::int64_t sessions_completed_ = 0;

@@ -188,8 +188,7 @@ void CatalogStreamingSystem::attempt_admission(core::PeerId id) {
       session.suppliers.push_back(s.id);
       session_classes.push_back(s.cls);
     }
-    const std::int64_t delay_dt =
-        core::ots_assignment(session_classes).min_buffering_delay_dt();
+    const std::int64_t delay_dt = ots_delays_.delay_dt(session_classes);
     p.admitted = true;
     p.in_service = true;
     metrics_.on_admission(p.cls, p.backoff->rejections(), delay_dt,

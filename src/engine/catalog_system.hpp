@@ -20,6 +20,7 @@
 #include "core/admission/supplier.hpp"
 #include "core/bandwidth.hpp"
 #include "core/ids.hpp"
+#include "core/ots.hpp"
 #include "core/selection.hpp"
 #include "engine/config.hpp"
 #include "engine/result.hpp"
@@ -154,6 +155,8 @@ class CatalogStreamingSystem {
   std::vector<core::PeerId> scratch_busy_ids_;
   std::vector<core::PeerClass> scratch_session_classes_;
   core::SelectionResult scratch_selection_;
+  /// Theorem-1 delay per supplier-class composition (one OTS build each).
+  core::OtsDelayCache ots_delays_;
 };
 
 }  // namespace p2ps::engine

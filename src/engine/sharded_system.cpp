@@ -250,6 +250,7 @@ struct alignas(64) ShardedSystem::Shard {
   core::SelectionResult selection;
   std::vector<core::PeerClass> classes_scratch;
   std::vector<std::size_t> indices_scratch;
+  core::OtsDelayCache ots_delays;
 
   // Per-shard integer sums, merged at the end of the run.
   std::vector<ShardedClassTotals> totals;
@@ -707,8 +708,7 @@ void ShardedSystem::conclude_attempt(Shard& shard, std::uint32_t local) {
       shard.classes_scratch.push_back(
           static_cast<core::PeerClass>(attempt.replies[r].cls));
     }
-    const std::int64_t delay_dt =
-        core::ots_assignment(shard.classes_scratch).min_buffering_delay_dt();
+    const std::int64_t delay_dt = shard.ots_delays.delay_dt(shard.classes_scratch);
     totals.delay_dt_sum += delay_dt;
     shard.record(now, TraceKind::kAdmission, global_id(shard.index, local),
                  cls, core::SessionId{attempt.session}, delay_dt);

@@ -298,14 +298,16 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
     // Granted-but-unchosen candidates were never committed; in the
     // session-level model their grant expires instantly.
 
-    // The paper's media-data assignment for this supplier set; its delay is
-    // the session's buffering delay (Theorem 1: == supplier count).
-    const auto assignment = core::ots_assignment(session_classes);
-    const std::int64_t delay_dt = assignment.min_buffering_delay_dt();
+    // The delay of the paper's media-data assignment for this supplier set
+    // is the session's buffering delay (Theorem 1: == supplier count).
+    const std::int64_t delay_dt = ots_delays_.delay_dt(session_classes);
     P2PS_CHECK(delay_dt == core::theorem1_min_delay_dt(session_classes.size()));
     if (config_.validate_invariants) {
-      // Media-level cross-check: replay the schedule's segment arrivals for
-      // two windows and confirm continuous playback at exactly this delay.
+      // Media-level cross-check: rebuild this session's schedule, replay its
+      // segment arrivals for two windows and confirm continuous playback at
+      // exactly the memoised delay.
+      const auto assignment = core::ots_assignment(session_classes);
+      P2PS_CHECK(assignment.min_buffering_delay_dt() == delay_dt);
       const auto buffer =
           assignment.simulate_arrivals(config_.segment_duration, 2);
       P2PS_CHECK_MSG(

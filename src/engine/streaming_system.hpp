@@ -18,6 +18,7 @@
 #include "core/admission/supplier.hpp"
 #include "core/bandwidth.hpp"
 #include "core/ids.hpp"
+#include "core/ots.hpp"
 #include "core/selection.hpp"
 #include "engine/config.hpp"
 #include "engine/result.hpp"
@@ -207,6 +208,8 @@ class StreamingSystem {
   std::vector<core::PeerClass> scratch_session_classes_;
   std::vector<std::size_t> scratch_omega_;
   core::SelectionResult scratch_selection_;
+  /// Theorem-1 delay per supplier-class composition (one OTS build each).
+  core::OtsDelayCache ots_delays_;
 };
 
 }  // namespace p2ps::engine

@@ -263,20 +263,25 @@ void AsyncAdmissionAttempt::conclude() {
   if (selection.success()) {
     std::vector<bool> chosen(granted.size(), false);
     for (std::size_t pick : selection.chosen) chosen[pick] = true;
-    std::vector<core::PeerClass> session_classes;
+    // The chosen classes are compacted into granted_classes' front: the
+    // selection is done with it, and the delay needs only the composition.
+    std::size_t session_size = 0;
     for (std::size_t g = 0; g < granted.size(); ++g) {
       const auto& info = candidates_[granted[g]].info;
       if (chosen[g]) {
         transport_.send(self_, info.id, StartSession{session_});
         result.suppliers.push_back(info);
-        session_classes.push_back(info.cls);
+        granted_classes[session_size++] = info.cls;
       } else {
         transport_.send(self_, info.id, Release{});
       }
     }
+    granted_classes.resize(session_size);
+    core::OtsDelayCache local_delays;
+    core::OtsDelayCache& delays =
+        config_.ots_delays != nullptr ? *config_.ots_delays : local_delays;
     result.admitted = true;
-    result.buffering_delay_dt =
-        core::ots_assignment(session_classes).min_buffering_delay_dt();
+    result.buffering_delay_dt = delays.delay_dt(granted_classes);
   } else {
     for (std::size_t g : granted) {
       transport_.send(self_, candidates_[g].info.id, Release{});

@@ -20,6 +20,7 @@
 #include "core/admission/requester.hpp"
 #include "core/admission/supplier.hpp"
 #include "core/ids.hpp"
+#include "core/ots.hpp"
 #include "core/selection.hpp"
 #include "core/selection_policy.hpp"
 #include "lookup/lookup_service.hpp"
@@ -138,6 +139,9 @@ class AsyncAdmissionAttempt {
     /// a per-conclude local when null). Sharing is safe because conclude()
     /// never re-enters: message deliveries are scheduled events.
     core::SelectionResult* selection_scratch = nullptr;
+    /// Host-owned Theorem-1 delay table, shared across attempts like the
+    /// selection buffer (falls back to a per-conclude local when null).
+    core::OtsDelayCache* ots_delays = nullptr;
   };
 
   AsyncAdmissionAttempt(core::PeerId self, core::PeerClass own_class,

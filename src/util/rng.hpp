@@ -103,6 +103,15 @@ class Rng {
   /// Bernoulli trial; p is clamped to [0, 1].
   [[nodiscard]] bool bernoulli(double p);
 
+  /// Bernoulli trial with p = 2^-e, decided in integers: uniform01() < 2^-e
+  /// exactly when the 53-bit draw is below 2^(53-e). Same outcome and same
+  /// draws as bernoulli(std::ldexp(1.0, -e)) — none when e == 0 — without
+  /// the libm call. Requires 0 <= e <= 53.
+  [[nodiscard]] bool bernoulli_pow2(std::int32_t e) {
+    P2PS_REQUIRE(e >= 0 && e <= 53);
+    return e == 0 || (next() >> 11) < (std::uint64_t{1} << (53 - e));
+  }
+
   /// Exponentially distributed value with the given rate (mean 1/rate).
   [[nodiscard]] double exponential(double rate);
 

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "core/ots.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace p2ps::core {
 namespace {
@@ -348,6 +350,69 @@ TEST(NaiveRoundRobin, NeverBeatsOts) {
     EXPECT_GE(naive_round_robin_assignment(classes).min_buffering_delay_dt(),
               ots_assignment(classes).min_buffering_delay_dt());
   }
+}
+
+// ---------- the memoised delay (OtsDelayCache) against OTS itself ----------
+
+TEST(OtsDelayCache, MatchesOtsOnEveryPermutedSessionUpToClass5) {
+  // Every class multiset over classes 1..5 with at most 8 suppliers and
+  // offers summing to R0, each looked up in several orders: ascending,
+  // descending and shuffled. Only the first order of a composition may add
+  // an entry; every later order and every repeat must hit it.
+  OtsDelayCache cache;
+  util::Rng rng(2002);
+  std::size_t compositions = 0;
+  for (const auto& session : all_sessions(5)) {
+    if (session.size() > 8) continue;
+    ++compositions;
+    std::vector<PeerClass> order = session;
+    for (int k = 0; k < 5; ++k) {
+      if (k == 1) std::reverse(order.begin(), order.end());
+      if (k >= 2) rng.shuffle(std::span<PeerClass>(order));
+      const std::size_t before = cache.size();
+      const std::int64_t delay = cache.delay_dt(order);
+      EXPECT_EQ(cache.size(), k == 0 ? before + 1 : before);
+      EXPECT_EQ(delay, ots_assignment(order).min_buffering_delay_dt());
+      EXPECT_EQ(delay, theorem1_min_delay_dt(order.size()));
+      EXPECT_EQ(cache.delay_dt(order), delay);
+      EXPECT_EQ(cache.size(), k == 0 ? before + 1 : before);
+    }
+  }
+  EXPECT_GT(compositions, 16u);  // the table grew past its first size
+  EXPECT_EQ(cache.size(), compositions);
+  // Every composition is still found after the table has grown.
+  for (const auto& session : all_sessions(5)) {
+    if (session.size() > 8) continue;
+    EXPECT_EQ(cache.delay_dt(session), theorem1_min_delay_dt(session.size()));
+  }
+  EXPECT_EQ(cache.size(), compositions);
+}
+
+TEST(OtsDelayCache, ServesDeepClassesAndLongSessions) {
+  // One mechanism for every K: a class-12 tail (window 4096) and a
+  // 64-supplier all-class-6 session.
+  std::vector<PeerClass> deep;
+  for (PeerClass c = 1; c <= 12; ++c) deep.push_back(c);
+  deep.push_back(12);
+  const std::vector<PeerClass> wide(64, 6);
+  OtsDelayCache cache;
+  EXPECT_EQ(cache.delay_dt(deep), 13);
+  EXPECT_EQ(cache.delay_dt(wide), 64);
+  std::reverse(deep.begin(), deep.end());
+  EXPECT_EQ(cache.delay_dt(deep), 13);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(OtsDelayCache, RejectsWhatOtsRejectsAndStoresNothing) {
+  OtsDelayCache cache;
+  EXPECT_THROW((void)cache.delay_dt(std::vector<PeerClass>{}), util::ContractViolation);
+  EXPECT_THROW((void)cache.delay_dt(std::vector<PeerClass>{1}), util::ContractViolation);
+  EXPECT_THROW((void)cache.delay_dt(std::vector<PeerClass>{1, 1, 1}),
+               util::ContractViolation);
+  EXPECT_THROW((void)cache.delay_dt(std::vector<PeerClass>{0, 1}), util::ContractViolation);
+  EXPECT_THROW((void)cache.delay_dt(std::vector<PeerClass>{1, kMaxSupportedClasses + 1}),
+               util::ContractViolation);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -265,6 +266,26 @@ TEST(Rng, BernoulliMatchesProbability) {
   const int n = 100'000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.25);
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.01);
+}
+
+TEST(Rng, BernoulliPow2MatchesBernoulliOfLdexp) {
+  // The integer power-of-two trial must reproduce bernoulli(2^-e) outcome
+  // for outcome and draw for draw, e == 0 (no draw) included.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    for (std::int32_t e = 0; e <= 30; ++e) {
+      Rng reference(seed * 1'000 + static_cast<std::uint64_t>(e));
+      Rng integer = reference;
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(integer.bernoulli_pow2(e), reference.bernoulli(std::ldexp(1.0, -e)))
+            << "seed " << seed << " e " << e << " trial " << i;
+      }
+      EXPECT_EQ(integer.draws(), reference.draws());
+      EXPECT_EQ(integer(), reference());  // same stream position
+    }
+  }
+  Rng rng(5);
+  EXPECT_THROW((void)rng.bernoulli_pow2(-1), ContractViolation);
+  EXPECT_THROW((void)rng.bernoulli_pow2(54), ContractViolation);
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {
