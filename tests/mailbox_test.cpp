@@ -161,6 +161,31 @@ TEST(MailboxRouter, DropProbabilityOneLosesEverything) {
   EXPECT_EQ(router.dropped(), 10u);
 }
 
+TEST(MailboxRouter, PartialLossMatchesProbability) {
+  sim::Simulator simulator;
+  MailboxConfig config;
+  config.drop_probability = 0.3;
+  MailboxRouter<int> router(simulator, config, util::Rng(3));
+  int received = 0;
+  router.attach(PeerId{2}, [&](const Envelope<int>&) { ++received; });
+  const int n = 10'000;
+  for (int i = 0; i < n; ++i) router.send(PeerId{1}, PeerId{2}, i);
+  simulator.run();
+  EXPECT_NEAR(static_cast<double>(received) / n, 0.7, 0.02);
+  EXPECT_EQ(router.delivered() + router.dropped(), router.sent());
+}
+
+TEST(MailboxRouter, ZeroLatencyDeliversAtSameInstant) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(0), util::Rng(5));
+  SimTime seen = SimTime::max();
+  router.attach(PeerId{2}, [&](const Envelope<int>&) { seen = simulator.now(); });
+  simulator.schedule_at(SimTime::seconds(3),
+                        [&] { router.send(PeerId{1}, PeerId{2}, 1); });
+  simulator.run();
+  EXPECT_EQ(seen, SimTime::seconds(3));
+}
+
 TEST(MailboxRouter, DetachedReceiverIsUndeliverable) {
   sim::Simulator simulator;
   MailboxRouter<std::string> router(simulator, MailboxConfig{}, util::Rng(6));
