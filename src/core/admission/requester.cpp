@@ -68,11 +68,4 @@ void reminder_set_into(std::vector<std::size_t>& omega,
       });
 }
 
-std::vector<std::size_t> reminder_set(std::span<const BusyCandidate> busy_candidates,
-                                      Bandwidth shortfall) {
-  std::vector<std::size_t> omega;
-  reminder_set_into(omega, busy_candidates, shortfall);
-  return omega;
-}
-
 }  // namespace p2ps::core

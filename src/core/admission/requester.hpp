@@ -67,11 +67,8 @@ struct BusyCandidate {
 /// and stop once their aggregated offer covers `shortfall`
 /// (= R0 − Σ granted offers). If the shortfall cannot be covered exactly,
 /// the greedy prefix that fits is returned (documented resolution).
-[[nodiscard]] std::vector<std::size_t> reminder_set(
-    std::span<const BusyCandidate> busy_candidates, Bandwidth shortfall);
-
-/// In-place variant of reminder_set for hot paths: clears `omega` and
-/// fills it, reusing its capacity. Identical output.
+/// Clears `omega` and fills it with the chosen `index` values, reusing its
+/// capacity.
 void reminder_set_into(std::vector<std::size_t>& omega,
                        std::span<const BusyCandidate> busy_candidates,
                        Bandwidth shortfall);

@@ -203,7 +203,9 @@ void CatalogStreamingSystem::attempt_admission(core::PeerId id) {
 
   metrics_.on_rejection(p.cls);
   if (config_.protocol.differentiated && config_.protocol.reminders_enabled) {
-    for (std::size_t index : core::reminder_set(busy, selection.shortfall)) {
+    std::vector<std::size_t>& omega = scratch_omega_;
+    core::reminder_set_into(omega, busy, selection.shortfall);
+    for (std::size_t index : omega) {
       peer(busy_ids[index]).supplier->leave_reminder(p.cls);
     }
   }

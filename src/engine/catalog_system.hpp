@@ -154,6 +154,7 @@ class CatalogStreamingSystem {
   std::vector<core::BusyCandidate> scratch_busy_;
   std::vector<core::PeerId> scratch_busy_ids_;
   std::vector<core::PeerClass> scratch_session_classes_;
+  std::vector<std::size_t> scratch_omega_;
   core::SelectionResult scratch_selection_;
   /// Theorem-1 delay per supplier-class composition (one OTS build each).
   core::OtsDelayCache ots_delays_;

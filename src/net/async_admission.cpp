@@ -287,7 +287,8 @@ void AsyncAdmissionAttempt::conclude() {
       transport_.send(self_, candidates_[g].info.id, Release{});
     }
     if (config_.reminders_enabled) {
-      const auto omega = core::reminder_set(busy, selection.shortfall);
+      std::vector<std::size_t> omega;
+      core::reminder_set_into(omega, busy, selection.shortfall);
       for (std::size_t index : omega) {
         transport_.send(self_, candidates_[index].info.id, Reminder{own_class_});
         ++result.reminders_left;

@@ -273,40 +273,46 @@ TEST(RequesterBackoff, InvalidParametersThrow) {
   EXPECT_THROW(RequesterBackoff(SimTime::minutes(10), 0), util::ContractViolation);
 }
 
-// ---------- reminder_set ----------
+// ---------- reminder_set_into ----------
 
 TEST(ReminderSet, CoversShortfallHighClassFirst) {
   // Shortfall 1/2; busy favored candidates of classes 2,2,3 → picks the two
   // class-2 peers (1/4 + 1/4).
   const std::vector<BusyCandidate> busy{
       {0, 3, true}, {1, 2, true}, {2, 2, true}};
-  const auto omega = reminder_set(busy, Bandwidth::class_offer(1));
+  std::vector<std::size_t> omega;
+  reminder_set_into(omega, busy, Bandwidth::class_offer(1));
   EXPECT_EQ(omega, (std::vector<std::size_t>{1, 2}));
 }
 
 TEST(ReminderSet, SkipsNonFavoringCandidates) {
   const std::vector<BusyCandidate> busy{
       {0, 1, false}, {1, 1, true}, {2, 1, false}};
-  const auto omega = reminder_set(busy, Bandwidth::class_offer(1));
+  std::vector<std::size_t> omega;
+  reminder_set_into(omega, busy, Bandwidth::class_offer(1));
   EXPECT_EQ(omega, (std::vector<std::size_t>{1}));
 }
 
 TEST(ReminderSet, PartialCoverageWhenShortfallNotReachable) {
   // Shortfall R0 but only 1/8 available: the greedy prefix that fits.
   const std::vector<BusyCandidate> busy{{0, 3, true}};
-  const auto omega = reminder_set(busy, Bandwidth::playback_rate());
+  std::vector<std::size_t> omega;
+  reminder_set_into(omega, busy, Bandwidth::playback_rate());
   EXPECT_EQ(omega, (std::vector<std::size_t>{0}));
 }
 
 TEST(ReminderSet, ZeroShortfallMeansNoReminders) {
   const std::vector<BusyCandidate> busy{{0, 1, true}};
-  EXPECT_TRUE(reminder_set(busy, Bandwidth::zero()).empty());
+  std::vector<std::size_t> omega{7};  // stale entries are cleared
+  reminder_set_into(omega, busy, Bandwidth::zero());
+  EXPECT_TRUE(omega.empty());
 }
 
 TEST(ReminderSet, StopsOnceCovered) {
   const std::vector<BusyCandidate> busy{
       {0, 1, true}, {1, 1, true}, {2, 2, true}};
-  const auto omega = reminder_set(busy, Bandwidth::class_offer(1));
+  std::vector<std::size_t> omega;
+  reminder_set_into(omega, busy, Bandwidth::class_offer(1));
   EXPECT_EQ(omega, (std::vector<std::size_t>{0}));
 }
 
@@ -314,7 +320,8 @@ TEST(ReminderSet, SkipsOvershootingOffers) {
   // Shortfall 1/4: a class-1 (1/2) busy candidate overshoots and must be
   // skipped in favor of the exact class-2.
   const std::vector<BusyCandidate> busy{{0, 1, true}, {1, 2, true}};
-  const auto omega = reminder_set(busy, Bandwidth::class_offer(2));
+  std::vector<std::size_t> omega;
+  reminder_set_into(omega, busy, Bandwidth::class_offer(2));
   EXPECT_EQ(omega, (std::vector<std::size_t>{1}));
 }
 
