@@ -12,7 +12,8 @@
 #                  sanitized RSS is not comparable to production RSS.
 #                  Independently of this, every unsanitized run ends with a
 #                  ThreadSanitizer pass over the shard, sweep and obs
-#                  suites in <build-dir>-tsan.
+#                  suites in <build-dir>-tsan, preceded by a build-flavour
+#                  pass that rebuilds p2ps_run in <build-dir>-flavour.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -532,6 +533,38 @@ else
   echo "==> benchmark output contract: skipped under -fsanitize=${sanitize}"
 fi
 
+# Build-flavour stage: payloads must not depend on the host ISA or on the
+# compiler fusing floating-point multiply-adds. p2ps_run alone is rebuilt
+# with -march=native -ffp-contract=fast in <build-dir>-flavour, and every
+# registered scenario must emit the tier-1 build's bytes once the
+# event-core mechanics are zeroed (seed 2002, --scale 10; perf_sharded_10m
+# at --scale 100). Skipped under sanitizers like the memory smokes.
+if [ -z "${sanitize}" ]; then
+  flavour_dir="${build_dir}-flavour"
+  flavour_flags="-march=native -ffp-contract=fast"
+  echo "==> build flavour: every scenario under ${flavour_flags}"
+  cmake -B "${flavour_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
+      -DCMAKE_CXX_FLAGS="${flavour_flags}" -DP2PS_BUILD_TESTS=OFF \
+      -DP2PS_BUILD_EXAMPLES=OFF > /dev/null
+  cmake --build "${flavour_dir}" -j "$(nproc)" --target p2ps_run
+  flavour_runner="${flavour_dir}/src/p2ps_run"
+  for scenario in ${scenarios}; do
+    flavour_scale=10
+    if [ "${scenario}" = perf_sharded_10m ]; then flavour_scale=100; fi
+    "${runner}" "${scenario}" --seed 2002 --scale "${flavour_scale}" \
+        --compact | strip_mechanics > "${smoke_dir}/${scenario}.tier1.json"
+    "${flavour_runner}" "${scenario}" --seed 2002 --scale "${flavour_scale}" \
+        --compact | strip_mechanics > "${smoke_dir}/${scenario}.flavour.json"
+    cmp "${smoke_dir}/${scenario}.tier1.json" \
+        "${smoke_dir}/${scenario}.flavour.json" || {
+      echo "FAIL: ${scenario} differs under ${flavour_flags}" >&2
+      exit 1
+    }
+  done
+else
+  echo "==> build flavour: skipped under -fsanitize=${sanitize}"
+fi
+
 # ThreadSanitizer pass: the threaded shard runner (window pool, parity
 # outbox rows, per-shard telemetry lanes and profiler cells) must be
 # race-free with no suppressions. A dedicated build tree, because
@@ -541,8 +574,7 @@ if [ -z "${sanitize}" ]; then
   tsan_dir="${build_dir}-tsan"
   echo "==> tsan: shard, sweep and obs suites under -fsanitize=thread"
   cmake -B "${tsan_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
-      -DP2PS_SANITIZE=thread -DP2PS_BUILD_BENCH=OFF \
-      -DP2PS_BUILD_EXAMPLES=OFF > /dev/null
+      -DP2PS_SANITIZE=thread -DP2PS_BUILD_EXAMPLES=OFF > /dev/null
   cmake --build "${tsan_dir}" -j "$(nproc)" \
       --target shard_test sweep_test obs_test
   for suite in shard_test sweep_test obs_test; do
@@ -557,5 +589,5 @@ echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
      "golden smoke, message smoke, sweep smoke, latency-axis smoke, timer smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
      "thread-parity smoke, memory smoke, telemetry smoke, benchmark" \
-     "smoke, benchmark output contract and tsan pass" \
+     "smoke, benchmark output contract, build flavour and tsan pass" \
      "all green"

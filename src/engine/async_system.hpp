@@ -1,7 +1,7 @@
 // Message-level (asynchronous) streaming-system simulator.
 //
 // The same peer-to-peer community as engine::StreamingSystem, but every
-// control exchange travels over net::Transport with latency and optional
+// control exchange travels over net::MailboxRouter with latency and optional
 // loss: probes, grants (with timeout-guarded holds), commits, releases,
 // reminders and session teardowns are all messages, and every peer decision
 // is taken locally on message receipt. This is the existence proof that

@@ -118,8 +118,8 @@ struct SimulationConfig {
 }
 
 /// The paper's Section 5.1 evaluation configuration — the single source of
-/// truth shared by the bench harnesses and the scenario runner, so both
-/// reproduce every figure from identical parameters. `population_divisor`
+/// truth behind every figure scenario, so all of them reproduce from
+/// identical parameters. `population_divisor`
 /// shrinks the 100-seed / 50,000-requester population for quick runs
 /// (seeds are floored at 4 so tiny runs stay feasible). Invariant
 /// validation is off: these are throughput-oriented reproductions; the

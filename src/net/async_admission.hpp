@@ -2,7 +2,7 @@
 //
 // The paper evaluates DAC_p2p with instantaneous control exchanges (as does
 // src/engine). This module runs the *same* protocol state machines over the
-// lossy, latency-bearing Transport, showing the protocol is genuinely
+// lossy, latency-bearing MailboxRouter, showing the protocol is genuinely
 // distributed and tolerant of message loss:
 //   * suppliers answer probes locally and place a timeout-guarded hold on a
 //     grant, so a crashed or silent requester cannot pin them forever;

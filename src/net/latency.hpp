@@ -9,8 +9,8 @@
 //   * kFixed     — every message takes exactly `fixed` (maximally
 //                  batchable: a whole probe fan-out's responses land on one
 //                  tick);
-//   * kUniform   — per-message U[min, max] at millisecond granularity (the
-//                  legacy Transport regime; models jitter and reordering);
+//   * kUniform   — per-message U[min, max] at millisecond granularity
+//                  (models jitter and reordering);
 //   * kTwoClass  — deterministic per-endpoint half-latencies split by the
 //                  paper's bandwidth classes: classes 1..ethernet_class_max
 //                  are "ethernet" peers, the rest "modem" peers, and a

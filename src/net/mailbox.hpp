@@ -1,13 +1,11 @@
 // Batched mailbox delivery: per-(destination peer, delivery tick) message
 // batching over the discrete-event simulator.
 //
-// The legacy Transport schedules one simulator event per message — at
-// message-level paper scale that is one queue insertion, one heap-boxed
-// callback (an Envelope does not fit the simulator's inline callback
-// storage) and one dispatch per control message. The MailboxRouter instead
-// appends messages bound for the same peer at the same simulator tick to a
-// pooled inbox and drains the whole group with a single event whose
-// callback is three words (receiver id, tick, group id).
+// Scheduling one simulator event per message costs, at message-level paper
+// scale, one queue insertion and one dispatch per control message. The
+// MailboxRouter instead appends messages bound for the same peer at the
+// same simulator tick to a pooled inbox and drains the whole group with a
+// single event whose callback is three words (receiver id, tick, group id).
 //
 // Delivery ordering rule (the subsystem's documented semantics, argued in
 // docs/message_batching.md):
@@ -35,7 +33,6 @@
 #include "core/peer_class.hpp"
 #include "net/envelope_pool.hpp"
 #include "net/latency.hpp"
-#include "net/transport.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -53,6 +50,14 @@ enum class TransportMode {
 [[nodiscard]] std::optional<TransportMode> parse_transport_mode(
     std::string_view token);
 
+/// An envelope delivered to a node's handler.
+template <typename Payload>
+struct Envelope {
+  core::PeerId from;
+  core::PeerId to;
+  Payload payload;
+};
+
 struct MailboxConfig {
   LatencyModel latency;
   /// Probability that a message is silently dropped (failure injection).
@@ -62,8 +67,8 @@ struct MailboxConfig {
 
 /// Unicast message router with per-(peer, tick) batched delivery.
 ///
-/// Delivery guarantees match the legacy Transport: messages to a node are
-/// delivered while it stays attached; messages to detached nodes vanish.
+/// Delivery guarantees: messages to a node are delivered while it stays
+/// attached; messages to detached nodes vanish (peer down).
 /// Peer ids must be small dense integers (the engines' ids are) — per-peer
 /// state is a direct-mapped table, O(max id) memory for hash-free access,
 /// the same trade the directory index makes.

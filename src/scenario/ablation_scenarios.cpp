@@ -1,9 +1,9 @@
 // Protocol ablations as registered scenarios: transient/permanent churn
 // and defection, the reminder technique, and the supplier selection
-// policy. Each mirrors the corresponding bench/ablation_* harness. The
-// event-queue ablation is deliberately NOT a scenario — it measures
-// wall-clock throughput, which would violate the determinism contract; it
-// remains a bench binary.
+// policy. The event-queue ablation is deliberately NOT a scenario — it
+// measures wall-clock throughput, which would violate the determinism
+// contract; the heap and calendar queues are timed by the
+// sim.schedule_step_ns.{heap,calendar} rows of benchmark/layers.cpp.
 #include <string>
 #include <utility>
 #include <vector>

@@ -1,6 +1,5 @@
 // Paper figure/table reproductions as registered scenarios (Fig 1, 3–9,
-// Table 1, Theorem 1). Each mirrors the corresponding bench/ harness but
-// returns deterministic JSON instead of printing tables, so `p2ps_run`
+// Table 1, Theorem 1). Each returns deterministic JSON, so `p2ps_run`
 // (and CI) can track every figure from one binary.
 #include <algorithm>
 #include <cmath>

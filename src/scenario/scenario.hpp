@@ -128,8 +128,8 @@ void register_all_scenarios();
 // ---- helpers shared by scenario implementations ----
 
 /// The paper's Section 5.1 simulation config at `options.scale` — a thin
-/// wrapper over engine::section51_config, the single definition shared
-/// with bench_util so figures and scenarios agree by construction.
+/// wrapper over engine::section51_config, the single definition of the
+/// paper's parameters.
 [[nodiscard]] engine::SimulationConfig paper_config(const ScenarioOptions& options,
                                                     workload::ArrivalPattern pattern,
                                                     bool differentiated);

@@ -6,7 +6,8 @@
 // large event populations with roughly stationary inter-event gaps. It is
 // provided as a substrate component with the same ordering semantics as the
 // Simulator's queue (time order, FIFO on equal timestamps via sequence
-// numbers) and is compared against the heap in bench/ablation_event_queue.
+// numbers) and is timed against the heap by the
+// sim.schedule_step_ns.{heap,calendar} rows of benchmark/layers.cpp.
 #pragma once
 
 #include <cstdint>

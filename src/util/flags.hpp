@@ -1,4 +1,5 @@
-// Minimal command-line flag parsing for the examples and harnesses.
+// Minimal command-line flag parsing for p2ps_run, the examples and the
+// benchmark driver.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Typed
 // accessors validate and fall back to defaults; `usage()` renders the

@@ -1,7 +1,5 @@
-// Plain-text table and CSV rendering for the benchmark harnesses.
-//
-// Every figure/table reproduction binary prints an aligned text table (the
-// "rows/series the paper reports") and can optionally dump CSV for plotting.
+// Plain-text table and CSV rendering for the examples and the engines'
+// console reports.
 #pragma once
 
 #include <iosfwd>

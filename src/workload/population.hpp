@@ -28,9 +28,9 @@ struct PopulationConfig {
 void validate(const PopulationConfig& config);
 
 /// Shrinks a population by `divisor` for quick runs — the single
-/// definition of the scaling policy shared by the bench harnesses
-/// (P2PS_BENCH_SCALE) and the scenario runner (--scale). Floors keep tiny
-/// runs feasible: at least 4 seeds and 20 requesters.
+/// definition of the scaling policy behind the scenario runner's
+/// --scale. Floors keep tiny runs feasible: at least 4 seeds and 20
+/// requesters.
 inline void apply_population_divisor(PopulationConfig& population,
                                      std::int64_t divisor) {
   if (divisor <= 1) return;

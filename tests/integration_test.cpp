@@ -106,7 +106,8 @@ TEST(PaperFindings, DacOrdersRejectionsByClass) {
   // Every class does better (or no worse) under DAC than under NDAC. The
   // paper itself notes class 4 lags during the first hours (Fig. 5); at
   // this 1/25 scale that early penalty weighs more, so class 4 gets wider
-  // slack here — the full-scale comparison is bench/table1_rejections.
+  // slack here — the full-scale comparison is the `p2ps_run
+  // table1_rejections` scenario at --scale 1.
   for (int cls = 1; cls <= 4; ++cls) {
     const double slack = cls == 4 ? 0.75 : 0.25;
     EXPECT_LE(rejections(dac, cls), rejections(ndac, cls) + slack) << "class " << cls;

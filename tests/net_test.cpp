@@ -1,13 +1,12 @@
-// Tests for the message-level substrate: transport semantics and the
-// asynchronous (distributed) DAC_p2p admission round.
+// Tests for the asynchronous (distributed) DAC_p2p admission round over
+// the mailbox router. The router's own delivery semantics are tested in
+// mailbox_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/async_admission.hpp"
-#include "net/transport.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -16,90 +15,6 @@ namespace {
 
 using core::PeerId;
 using util::SimTime;
-
-// ---------- Transport ----------
-
-TEST(Transport, DeliversWithinLatencyBounds) {
-  sim::Simulator simulator;
-  TransportConfig config;
-  config.min_latency = SimTime::millis(10);
-  config.max_latency = SimTime::millis(50);
-  Transport<int> transport(simulator, config, util::Rng(1));
-
-  std::vector<std::int64_t> delivery_times;
-  transport.attach(PeerId{2}, [&](const Envelope<int>& envelope) {
-    EXPECT_EQ(envelope.from, PeerId{1});
-    EXPECT_EQ(envelope.payload, 42);
-    delivery_times.push_back(simulator.now().as_millis());
-  });
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(transport.send(PeerId{1}, PeerId{2}, 42));
-  }
-  simulator.run();
-  ASSERT_EQ(delivery_times.size(), 100u);
-  for (auto t : delivery_times) {
-    EXPECT_GE(t, 10);
-    EXPECT_LE(t, 50);
-  }
-  EXPECT_EQ(transport.sent(), 100u);
-  EXPECT_EQ(transport.delivered(), 100u);
-}
-
-TEST(Transport, DropProbabilityOneLosesEverything) {
-  sim::Simulator simulator;
-  TransportConfig config;
-  config.drop_probability = 1.0;
-  Transport<int> transport(simulator, config, util::Rng(2));
-  int received = 0;
-  transport.attach(PeerId{2}, [&](const Envelope<int>&) { ++received; });
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(transport.send(PeerId{1}, PeerId{2}, i));
-  }
-  simulator.run();
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(transport.dropped(), 10u);
-}
-
-TEST(Transport, PartialLossMatchesProbability) {
-  sim::Simulator simulator;
-  TransportConfig config;
-  config.drop_probability = 0.3;
-  Transport<int> transport(simulator, config, util::Rng(3));
-  int received = 0;
-  transport.attach(PeerId{2}, [&](const Envelope<int>&) { ++received; });
-  const int n = 10'000;
-  for (int i = 0; i < n; ++i) transport.send(PeerId{1}, PeerId{2}, i);
-  simulator.run();
-  EXPECT_NEAR(static_cast<double>(received) / n, 0.7, 0.02);
-}
-
-TEST(Transport, DetachedReceiverIsUndeliverable) {
-  sim::Simulator simulator;
-  Transport<std::string> transport(simulator, TransportConfig{}, util::Rng(4));
-  int received = 0;
-  transport.attach(PeerId{9}, [&](const Envelope<std::string>&) { ++received; });
-  transport.send(PeerId{1}, PeerId{9}, "hello");
-  transport.detach(PeerId{9});
-  simulator.run();
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(transport.undeliverable(), 1u);
-  EXPECT_FALSE(transport.attached(PeerId{9}));
-}
-
-TEST(Transport, ZeroLatencyDeliversAtSameInstant) {
-  sim::Simulator simulator;
-  TransportConfig config;
-  config.min_latency = SimTime::zero();
-  config.max_latency = SimTime::zero();
-  Transport<int> transport(simulator, config, util::Rng(5));
-  SimTime seen = SimTime::max();
-  transport.attach(PeerId{2},
-                   [&](const Envelope<int>&) { seen = simulator.now(); });
-  simulator.schedule_at(SimTime::seconds(3),
-                        [&] { transport.send(PeerId{1}, PeerId{2}, 1); });
-  simulator.run();
-  EXPECT_EQ(seen, SimTime::seconds(3));
-}
 
 // ---------- async admission fixture ----------
 
