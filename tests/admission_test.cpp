@@ -325,5 +325,21 @@ TEST(ReminderSet, SkipsOvershootingOffers) {
   EXPECT_EQ(omega, (std::vector<std::size_t>{1}));
 }
 
+TEST(ReminderSet, ReusedBufferMatchesAFreshOne) {
+  // The engines keep one Ω buffer across rejections: whatever an earlier
+  // call left in it must not leak into the next result.
+  const std::vector<BusyCandidate> busy{
+      {0, 3, true}, {1, 1, true}, {2, 2, true}, {3, 2, false}, {4, 3, true}};
+  std::vector<std::size_t> reused;
+  for (const Bandwidth shortfall :
+       {Bandwidth::playback_rate(), Bandwidth::class_offer(3),
+        Bandwidth::class_offer(1), Bandwidth::zero(), Bandwidth::class_offer(2)}) {
+    std::vector<std::size_t> fresh;
+    reminder_set_into(fresh, busy, shortfall);
+    reminder_set_into(reused, busy, shortfall);
+    EXPECT_EQ(reused, fresh);
+  }
+}
+
 }  // namespace
 }  // namespace p2ps::core

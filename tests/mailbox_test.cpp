@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/async_system.hpp"
@@ -305,6 +308,146 @@ TEST(MailboxRouter, AttachReplacesTheHandler) {
   simulator.run();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
+}
+
+TEST(MailboxRouter, EnvelopeCarriesBothEndpoints) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(12));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (handler, to)
+  for (std::uint64_t id : {3u, 4u, 5u}) {
+    router.attach(PeerId{id}, [&, id](const Envelope<int>& envelope) {
+      EXPECT_EQ(envelope.from, PeerId{1});
+      EXPECT_EQ(envelope.payload, static_cast<int>(id) * 10);
+      seen.emplace_back(id, envelope.to.value());
+    });
+  }
+  for (std::uint64_t id : {3u, 4u, 5u}) {
+    router.send(PeerId{1}, PeerId{id}, static_cast<int>(id) * 10);
+  }
+  simulator.run();
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+      {3, 3}, {4, 4}, {5, 5}};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(MailboxRouter, AttachmentIsCheckedAtDeliveryNotAtSend) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(13));
+  int received = 0;
+  const auto handler = [&](const Envelope<int>&) { ++received; };
+  router.attach(PeerId{2}, handler);
+  router.send(PeerId{1}, PeerId{2}, 0);  // lands at 10 ms
+  // The receiver goes down and comes back while the message is in flight.
+  simulator.schedule_at(SimTime::millis(5), [&] { router.detach(PeerId{2}); });
+  simulator.schedule_at(SimTime::millis(6), [&] { router.attach(PeerId{2}, handler); });
+  simulator.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(router.delivered(), 1u);
+  EXPECT_EQ(router.undeliverable(), 0u);
+}
+
+TEST(MailboxRouter, PeerClassPersistsAcrossDetachAndReattach) {
+  sim::Simulator simulator;
+  MailboxConfig config;
+  config.latency.kind = LatencyModelKind::kTwoClass;  // 10 ms eth, 80 ms modem
+  MailboxRouter<int> router(simulator, config, util::Rng(14));
+  std::int64_t arrived_ms = -1;
+  const auto record = [&](const Envelope<int>&) {
+    arrived_ms = simulator.now().as_millis();
+  };
+  router.set_peer_class(PeerId{3}, 4);  // modem
+  router.attach(PeerId{3}, record);
+  router.detach(PeerId{3});
+  router.attach(PeerId{3}, record);
+  router.send(PeerId{1}, PeerId{3}, 0);  // unclassed sender: highest class
+  simulator.run();
+  EXPECT_EQ(arrived_ms, 90);  // 10 (ethernet) + 80 (modem)
+}
+
+TEST(MailboxRouter, RejectsInvalidEndpointsAndHandlers) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(15));
+  EXPECT_THROW(router.attach(PeerId{}, [](const Envelope<int>&) {}),
+               util::ContractViolation);
+  EXPECT_THROW(router.attach(PeerId{1}, nullptr), util::ContractViolation);
+  EXPECT_THROW(router.send(PeerId{}, PeerId{1}, 0), util::ContractViolation);
+  EXPECT_THROW(router.send(PeerId{1}, PeerId{}, 0), util::ContractViolation);
+  EXPECT_EQ(router.sent(), 0u);
+  EXPECT_FALSE(router.attached(PeerId{1}));
+}
+
+TEST(MailboxRouter, RejectsDropProbabilityOutsideTheUnitInterval) {
+  sim::Simulator simulator;
+  for (const double p : {-0.1, 1.5}) {
+    MailboxConfig config;
+    config.drop_probability = p;
+    EXPECT_THROW(MailboxRouter<int>(simulator, config, util::Rng(16)),
+                 util::ContractViolation)
+        << p;
+  }
+  for (const double p : {0.0, 1.0}) {
+    MailboxConfig config;
+    config.drop_probability = p;
+    EXPECT_NO_THROW(MailboxRouter<int>(simulator, config, util::Rng(16))) << p;
+  }
+}
+
+TEST(TransportMode, ParsesAndPrintsBothModes) {
+  for (const TransportMode mode : {TransportMode::kBatched, TransportMode::kUnbatched}) {
+    EXPECT_EQ(parse_transport_mode(to_string(mode)), mode);
+  }
+  EXPECT_EQ(to_string(TransportMode::kBatched), "batched");
+  EXPECT_EQ(to_string(TransportMode::kUnbatched), "unbatched");
+  EXPECT_EQ(parse_transport_mode("Batched"), std::nullopt);
+  EXPECT_EQ(parse_transport_mode(""), std::nullopt);
+}
+
+constexpr LatencyModelKind kAllLatencyKinds[] = {
+    LatencyModelKind::kFixed, LatencyModelKind::kUniform,
+    LatencyModelKind::kTwoClass, LatencyModelKind::kLogNormal};
+
+TEST(LatencyModel, EveryKindRoundTripsThroughItsName) {
+  for (const LatencyModelKind kind : kAllLatencyKinds) {
+    EXPECT_EQ(parse_latency_model_kind(to_string(kind)), kind);
+  }
+  EXPECT_EQ(parse_latency_model_kind("two-class"), std::nullopt);
+  EXPECT_EQ(parse_latency_model_kind(""), std::nullopt);
+}
+
+TEST(LatencyModel, SamplesStayWithinTheDeclaredBounds) {
+  // Default parameters: the bounds the sharded runner's lookahead and the
+  // engines' hold timeouts are sized from.
+  const std::pair<std::int64_t, std::int64_t> expected_bounds_ms[] = {
+      {40, 40}, {20, 80}, {20, 160}, {1, 2000}};
+  util::Rng rng(17);
+  for (std::size_t k = 0; k < std::size(kAllLatencyKinds); ++k) {
+    const LatencyModel model = LatencyModel::of(kAllLatencyKinds[k]);
+    EXPECT_EQ(model.min_latency().as_millis(), expected_bounds_ms[k].first) << k;
+    EXPECT_EQ(model.max_latency().as_millis(), expected_bounds_ms[k].second) << k;
+    for (const auto& [from, to] : {std::pair{1, 1}, std::pair{1, 4}, std::pair{4, 4}}) {
+      for (int i = 0; i < 2'000; ++i) {
+        const SimTime latency = model.sample(from, to, rng);
+        ASSERT_GE(latency, model.min_latency()) << k;
+        ASSERT_LE(latency, model.max_latency()) << k;
+      }
+    }
+  }
+}
+
+TEST(LatencyModel, DeterministicExactlyWhenSamplingDrawsNothing) {
+  LatencyModel zero_spread = LatencyModel::of(LatencyModelKind::kUniform);
+  zero_spread.max = zero_spread.min;
+  std::vector<LatencyModel> models{zero_spread};
+  for (const LatencyModelKind kind : kAllLatencyKinds) {
+    models.push_back(LatencyModel::of(kind));
+  }
+  for (const LatencyModel& model : models) {
+    util::Rng rng(18);
+    for (int i = 0; i < 50; ++i) (void)model.sample(1, 4, rng);
+    EXPECT_EQ(rng.draws() == 0, model.deterministic()) << to_string(model.kind);
+  }
+  EXPECT_TRUE(zero_spread.deterministic());
+  EXPECT_FALSE(LatencyModel::of(LatencyModelKind::kUniform).deterministic());
 }
 
 // ---------- the engine-level contracts ----------
