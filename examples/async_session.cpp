@@ -25,11 +25,11 @@ int main() {
 
   // Five supplying peers of mixed classes come online.
   const p2ps::core::PeerClass classes[] = {1, 2, 2, 3, 3};
+  p2ps::net::SupplierEndpoint::Config config;  // shared by every endpoint
+  config.num_classes = 4;
   std::vector<std::unique_ptr<p2ps::net::SupplierEndpoint>> suppliers;
   std::vector<p2ps::lookup::CandidateInfo> candidates;
   for (std::uint64_t i = 0; i < std::size(classes); ++i) {
-    p2ps::net::SupplierEndpoint::Config config;
-    config.num_classes = 4;
     suppliers.push_back(std::make_unique<p2ps::net::SupplierEndpoint>(
         PeerId{i}, classes[i], config, timers, transport,
         p2ps::util::Rng(100 + i)));
@@ -43,9 +43,8 @@ int main() {
 
   p2ps::net::AsyncAdmissionAttempt::Result outcome;
   p2ps::net::AsyncAdmissionAttempt attempt(
-      PeerId{50}, /*own_class=*/2, p2ps::core::SessionId{1}, candidates, {},
-      simulator, transport, [&](const auto& result) { outcome = result; });
-  attempt.start();
+      {}, simulator, transport, [&](const auto& result) { outcome = result; });
+  attempt.start(PeerId{50}, /*own_class=*/2, p2ps::core::SessionId{1}, candidates);
   simulator.run();
 
   std::cout << "responses received: " << outcome.responses << " of "

@@ -450,6 +450,29 @@ if [ -z "${sanitize}" ]; then
     exit 1
   fi
   echo "    peak RSS ${rss} bytes (budget ${rss_budget_bytes})"
+
+  # The message engine's pooled delivery groups and dense endpoints
+  # (docs/memory.md, "Message engine"): full-size perf_messages (50,100
+  # peers) measured ~26 MiB with a heap-grown pending-group vector and a
+  # heap endpoint per peer and ~20 MiB pooled, so a 24 MiB ceiling fails
+  # a regression back to per-peer heap records.
+  rss_budget_bytes=$(( 24 * 1024 * 1024 ))
+  echo "==> memory smoke: perf_messages peak RSS <= ${rss_budget_bytes}"
+  "${runner}" perf_messages --seed "${seed}" --compact --mechanics \
+      > "${smoke_dir}/memory_messages.json"
+  rss="$(grep -o '"peak_rss_bytes":[0-9]*' "${smoke_dir}/memory_messages.json" \
+      | head -1 | cut -d: -f2)"
+  if [ -z "${rss}" ] || [ "${rss}" -eq 0 ]; then
+    echo "FAIL: perf_messages memory smoke reported no peak_rss_bytes" >&2
+    exit 1
+  fi
+  if [ "${rss}" -gt "${rss_budget_bytes}" ]; then
+    echo "FAIL: perf_messages peak RSS ${rss} exceeds the" \
+         "${rss_budget_bytes}-byte budget; the message engine's pooled" \
+         "per-peer state has regressed (docs/memory.md)" >&2
+    exit 1
+  fi
+  echo "    peak RSS ${rss} bytes (budget ${rss_budget_bytes})"
 else
   echo "==> memory smoke: skipped under -fsanitize=${sanitize}"
 fi

@@ -1,5 +1,6 @@
 #include "engine/async_system.hpp"
 
+#include <new>
 #include <utility>
 
 #include "engine/arrival_source.hpp"
@@ -18,9 +19,7 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
       metrics_(config_.protocol.num_classes),
       retries_(simulator_, std::nullopt,
                [this](std::uint32_t id) { start_attempt(core::PeerId{id}); }),
-      session_ends_(simulator_, [this](SessionEnd&& end) {
-        finish_session(end.requester, std::move(end.suppliers), end.session);
-      }) {
+      session_ends_(simulator_, [this](SessionEnd&& end) { finish_session(end); }) {
   workload::validate(config_.population);
   P2PS_REQUIRE(config_.population.num_classes == config_.protocol.num_classes);
   P2PS_REQUIRE(config_.protocol.m_candidates > 0);
@@ -36,6 +35,24 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
     metrics_.bind_telemetry(config_.telemetry->registry());
   }
 
+  endpoint_config_.num_classes = config_.protocol.num_classes;
+  endpoint_config_.differentiated = config_.protocol.differentiated;
+  endpoint_config_.hold_timeout = config_.hold_timeout;
+  endpoint_config_.t_out = config_.protocol.t_out;
+  // Self-recovery if a teardown message is lost: a session cannot engage a
+  // supplier for much longer than the show time plus control slack.
+  endpoint_config_.session_watchdog =
+      config_.session_duration + 4 * config_.hold_timeout;
+
+  attempt_config_.response_timeout = config_.response_timeout;
+  attempt_config_.reminders_enabled =
+      config_.protocol.differentiated && config_.protocol.reminders_enabled;
+  attempt_config_.policy = config_.selection_policy;
+  attempt_config_.selection_rng = &selection_rng_;
+  attempt_config_.selection_scratch = &scratch_selection_;
+  attempt_config_.conclude_scratch = &scratch_conclude_;
+  attempt_config_.ots_delays = &ots_delays_;
+
   util::Rng master(config_.seed);
   lookup_rng_ = master.substream("lookup");
   endpoint_seed_rng_ = master.substream("endpoint-seeds");
@@ -48,7 +65,6 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
                 requester_classes.size());
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Peer& p = peers_[i];
-    p.id = core::PeerId{i};
     if (i < static_cast<std::size_t>(config_.population.seeds)) {
       p.cls = config_.population.seed_class;
     } else {
@@ -57,14 +73,24 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
     }
     // The two-class latency model keys on bandwidth class; classes persist
     // across the per-attempt attach/detach churn, so register them once.
-    transport_.set_peer_class(p.id, p.cls);
+    transport_.set_peer_class(core::PeerId{i}, p.cls);
   }
-  attempts_.resize(peers_.size());
+}
+
+AsyncStreamingSystem::~AsyncStreamingSystem() {
+  // Endpoints cancel their timers and detach on destruction, so they go
+  // first, while the timer service and the transport still live.
+  for (std::size_t i = 0; i < endpoints_built_; ++i) endpoint(i).~SupplierEndpoint();
 }
 
 AsyncStreamingSystem::Peer& AsyncStreamingSystem::peer(core::PeerId id) {
   P2PS_REQUIRE(id.valid() && id.value() < peers_.size());
   return peers_[static_cast<std::size_t>(id.value())];
+}
+
+net::SupplierEndpoint& AsyncStreamingSystem::endpoint(std::size_t index) const {
+  return *std::launder(
+      reinterpret_cast<net::SupplierEndpoint*>(endpoint_slots_[index].bytes));
 }
 
 std::int64_t AsyncStreamingSystem::capacity() const {
@@ -73,27 +99,19 @@ std::int64_t AsyncStreamingSystem::capacity() const {
 
 std::int64_t AsyncStreamingSystem::busy_suppliers() const {
   std::int64_t busy = 0;
-  for (const Peer& p : peers_) {
-    if (p.endpoint && p.endpoint->in_session()) ++busy;
+  for (std::size_t i = 0; i < endpoints_built_; ++i) {
+    if (endpoint(i).in_session()) ++busy;
   }
   return busy;
 }
 
-void AsyncStreamingSystem::make_supplier(Peer& p) {
-  P2PS_CHECK(!p.endpoint);
-  net::SupplierEndpoint::Config endpoint_config;
-  endpoint_config.num_classes = config_.protocol.num_classes;
-  endpoint_config.differentiated = config_.protocol.differentiated;
-  endpoint_config.hold_timeout = config_.hold_timeout;
-  endpoint_config.t_out = config_.protocol.t_out;
-  // Self-recovery if a teardown message is lost: a session cannot engage a
-  // supplier for much longer than the show time plus control slack.
-  endpoint_config.session_watchdog =
-      config_.session_duration + 4 * config_.hold_timeout;
-  p.endpoint = std::make_unique<net::SupplierEndpoint>(
-      p.id, p.cls, endpoint_config, timers_, transport_,
-      util::Rng(endpoint_seed_rng_()));
-  directory_.register_supplier(p.id, p.cls);
+void AsyncStreamingSystem::make_supplier(core::PeerId id) {
+  Peer& p = peer(id);
+  P2PS_CHECK(p.endpoint == kNoSlot && endpoints_built_ < peers_.size());
+  ::new (endpoint_slots_[endpoints_built_].bytes) net::SupplierEndpoint(
+      id, p.cls, endpoint_config_, timers_, transport_, util::Rng(endpoint_seed_rng_()));
+  p.endpoint = static_cast<std::uint32_t>(endpoints_built_++);
+  directory_.register_supplier(id, p.cls);
   supplier_bandwidth_ += core::Bandwidth::class_offer(p.cls);
   ++suppliers_;
 }
@@ -109,33 +127,25 @@ void AsyncStreamingSystem::first_request(core::PeerId id) {
 void AsyncStreamingSystem::start_attempt(core::PeerId id) {
   timers_.poll();
   Peer& p = peer(id);
-  P2PS_CHECK(!p.admitted && !p.endpoint);
-  const auto index = static_cast<std::size_t>(id.value());
-  P2PS_CHECK_MSG(!attempts_[index], "overlapping attempts for one peer");
+  P2PS_CHECK(!p.admitted && p.endpoint == kNoSlot);
+  P2PS_CHECK_MSG(p.attempt == kNoSlot, "overlapping attempts for one peer");
   metrics_.on_attempt(p.cls);
 
-  auto candidates =
-      directory_.candidates(config_.protocol.m_candidates, lookup_rng_, p.id);
-
-  net::AsyncAdmissionAttempt::Config attempt_config;
-  attempt_config.response_timeout = config_.response_timeout;
-  attempt_config.reminders_enabled =
-      config_.protocol.differentiated && config_.protocol.reminders_enabled;
-  attempt_config.policy = config_.selection_policy;
-  attempt_config.selection_rng = &selection_rng_;
-  attempt_config.selection_scratch = &scratch_selection_;
-  attempt_config.ots_delays = &ots_delays_;
+  directory_.candidates_into(candidate_scratch_, config_.protocol.m_candidates,
+                             lookup_rng_, id);
 
   const core::SessionId session{next_session_++};
-  auto attempt = std::make_unique<net::AsyncAdmissionAttempt>(
-      p.id, p.cls, session, std::move(candidates), attempt_config, simulator_,
-      transport_,
-      [this, id](const net::AsyncAdmissionAttempt::Result& result) {
-        on_attempt_done(id, result);
-      });
-  net::AsyncAdmissionAttempt* raw = attempt.get();
-  attempts_[index] = std::move(attempt);
-  raw->start();
+  if (idle_attempts_.empty()) {
+    idle_attempts_.push_back(static_cast<std::uint32_t>(attempts_.size()));
+    attempts_.push_back(std::make_unique<net::AsyncAdmissionAttempt>(
+        attempt_config_, simulator_, transport_,
+        [this](const net::AsyncAdmissionAttempt::Result& result) {
+          on_attempt_done(result);
+        }));
+  }
+  p.attempt = idle_attempts_.back();
+  idle_attempts_.pop_back();
+  attempts_[p.attempt]->start(id, p.cls, session, candidate_scratch_);
 }
 
 void AsyncStreamingSystem::retire_attempt(core::PeerId id) {
@@ -148,7 +158,10 @@ void AsyncStreamingSystem::retire_attempt(core::PeerId id) {
     retire_event_ = simulator_.schedule_after(util::SimTime::zero(), [this] {
       retire_event_ = sim::EventId::invalid();
       for (const core::PeerId retired : retired_) {
-        attempts_[static_cast<std::size_t>(retired.value())].reset();
+        Peer& p = peer(retired);
+        attempts_[p.attempt]->reset();
+        idle_attempts_.push_back(p.attempt);
+        p.attempt = kNoSlot;
       }
       retired_.clear();  // capacity kept — the list itself is pooled
     });
@@ -156,7 +169,8 @@ void AsyncStreamingSystem::retire_attempt(core::PeerId id) {
 }
 
 void AsyncStreamingSystem::on_attempt_done(
-    core::PeerId id, const net::AsyncAdmissionAttempt::Result& result) {
+    const net::AsyncAdmissionAttempt::Result& result) {
+  const core::PeerId id = result.requester;
   Peer& p = peer(id);
   retire_attempt(id);
 
@@ -165,9 +179,14 @@ void AsyncStreamingSystem::on_attempt_done(
     ++sessions_active_;
     metrics_.on_admission(p.cls, p.backoff->rejections(), result.buffering_delay_dt,
                           simulator_.now() - p.first_request_time);
-    session_ends_.schedule(
-        simulator_.now() + config_.session_duration,
-        SessionEnd{id, result.session, result.suppliers});
+    std::vector<lookup::CandidateInfo> suppliers;
+    if (!spare_supplier_lists_.empty()) {
+      suppliers = std::move(spare_supplier_lists_.back());
+      spare_supplier_lists_.pop_back();
+    }
+    suppliers.assign(result.suppliers.begin(), result.suppliers.end());
+    session_ends_.schedule(simulator_.now() + config_.session_duration,
+                           SessionEnd{id, result.session, std::move(suppliers)});
     return;
   }
 
@@ -175,19 +194,19 @@ void AsyncStreamingSystem::on_attempt_done(
   retries_.schedule(p.backoff->on_rejected(), id);
 }
 
-void AsyncStreamingSystem::finish_session(core::PeerId requester_id,
-                                          std::vector<lookup::CandidateInfo> suppliers,
-                                          core::SessionId session) {
+void AsyncStreamingSystem::finish_session(SessionEnd& end) {
   timers_.poll();
   // Tear down: one EndSession per supplier (loss is survivable — each
   // endpoint also runs a session watchdog).
-  for (const auto& supplier : suppliers) {
-    transport_.send(requester_id, supplier.id, net::EndSession{session});
+  for (const auto& supplier : end.suppliers) {
+    transport_.send(end.requester, supplier.id, net::EndSession{end.session});
   }
+  end.suppliers.clear();
+  spare_supplier_lists_.push_back(std::move(end.suppliers));
   --sessions_active_;
   ++sessions_completed_;
   // Play-while-downloading: the requester now owns the file and supplies.
-  make_supplier(peer(requester_id));
+  make_supplier(end.requester);
 }
 
 void AsyncStreamingSystem::take_sample(util::SimTime t) {
@@ -213,8 +232,11 @@ SimulationResult AsyncStreamingSystem::run() {
   P2PS_REQUIRE_MSG(!ran_, "run() may be called only once");
   ran_ = true;
 
+  // Default-initialised: no page of the slab is touched before its
+  // endpoint is built.
+  endpoint_slots_.reset(new EndpointSlot[peers_.size()]);
   for (std::int64_t i = 0; i < config_.population.seeds; ++i) {
-    make_supplier(peers_[static_cast<std::size_t>(i)]);
+    make_supplier(core::PeerId{static_cast<std::uint64_t>(i)});
   }
 
   // Lazy arrivals: one source lane walks the schedule (see
@@ -255,8 +277,8 @@ SimulationResult AsyncStreamingSystem::run() {
   result.suppliers_at_end = suppliers_;
   result.sessions_completed = sessions_completed_;
   result.sessions_active_at_end = sessions_active_;
-  for (const Peer& p : peers_) {
-    if (p.endpoint) result.watchdog_recoveries += p.endpoint->watchdog_recoveries();
+  for (std::size_t i = 0; i < endpoints_built_; ++i) {
+    result.watchdog_recoveries += endpoint(i).watchdog_recoveries();
   }
   result.events_executed = simulator_.executed_count();
   result.peak_event_list =

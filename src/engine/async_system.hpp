@@ -18,6 +18,8 @@
 // (paper fidelity) has no such races.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -79,6 +81,9 @@ struct AsyncSimulationConfig {
 class AsyncStreamingSystem {
  public:
   explicit AsyncStreamingSystem(AsyncSimulationConfig config);
+  ~AsyncStreamingSystem();
+  AsyncStreamingSystem(const AsyncStreamingSystem&) = delete;
+  AsyncStreamingSystem& operator=(const AsyncStreamingSystem&) = delete;
 
   /// Runs to the horizon; may be called once.
   SimulationResult run();
@@ -93,25 +98,42 @@ class AsyncStreamingSystem {
   [[nodiscard]] std::int64_t busy_suppliers() const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
   struct Peer {
-    core::PeerId id;
-    core::PeerClass cls = core::kHighestClass;
-    std::unique_ptr<net::SupplierEndpoint> endpoint;  ///< set once a supplier
     std::optional<core::RequesterBackoff> backoff;
-    bool admitted = false;
     util::SimTime first_request_time = util::SimTime::zero();
+    /// endpoint_slots_ index once a supplier (kNoSlot: not yet).
+    std::uint32_t endpoint = kNoSlot;
+    /// attempts_ slot from start to retirement (kNoSlot: none).
+    std::uint32_t attempt = kNoSlot;
+    core::PeerClass cls = core::kHighestClass;
+    bool admitted = false;
+  };
+  static_assert(sizeof(Peer) == 64, "a peer is exactly one cache line");
+
+  /// Raw room for one endpoint; see endpoint_slots_.
+  struct EndpointSlot {
+    alignas(net::SupplierEndpoint) std::byte bytes[sizeof(net::SupplierEndpoint)];
+  };
+
+  /// One pending finish per admitted session. `suppliers` is a pooled
+  /// list: finish_session() hands it back to spare_supplier_lists_.
+  struct SessionEnd {
+    core::PeerId requester;
+    core::SessionId session;
+    std::vector<lookup::CandidateInfo> suppliers;
   };
 
   [[nodiscard]] Peer& peer(core::PeerId id);
+  [[nodiscard]] net::SupplierEndpoint& endpoint(std::size_t index) const;
 
-  void make_supplier(Peer& p);
+  void make_supplier(core::PeerId id);
   void first_request(core::PeerId id);
   void start_attempt(core::PeerId id);
-  void on_attempt_done(core::PeerId id, const net::AsyncAdmissionAttempt::Result& r);
+  void on_attempt_done(const net::AsyncAdmissionAttempt::Result& r);
   void retire_attempt(core::PeerId id);
-  void finish_session(core::PeerId requester_id,
-                      std::vector<lookup::CandidateInfo> suppliers,
-                      core::SessionId session);
+  void finish_session(SessionEnd& end);
   void take_sample(util::SimTime t);
 
   AsyncSimulationConfig config_;
@@ -130,13 +152,29 @@ class AsyncStreamingSystem {
   util::Rng selection_rng_{0};
 
   std::vector<Peer> peers_;
-  /// In-flight admission attempts, dense by peer index (one per requester
-  /// at most — no hashing on the conclusion path).
+  /// Supplier endpoints, dense in the order peers start supplying. Each
+  /// peer supplies at most once, so run() reserves raw room for one
+  /// endpoint per peer in a single allocation and make_supplier()
+  /// constructs them in place; only the built prefix is ever touched.
+  /// Endpoints never move (their handler and timers capture `this`), and
+  /// the destructor tears them down while the timers and transport live.
+  std::unique_ptr<EndpointSlot[]> endpoint_slots_;
+  std::size_t endpoints_built_ = 0;
+  /// The Config every endpoint borrows.
+  net::SupplierEndpoint::Config endpoint_config_;
+  /// Admission attempts, pooled: every attempt object ever built — at most
+  /// the peak number in flight — recycled through idle_attempts_. Each is
+  /// bound to this host once and runs one round per start().
   std::vector<std::unique_ptr<net::AsyncAdmissionAttempt>> attempts_;
+  std::vector<std::uint32_t> idle_attempts_;
+  /// The Config every attempt is built with (host-owned scratch included).
+  net::AsyncAdmissionAttempt::Config attempt_config_;
+  /// Candidate list filled per attempt by DirectoryService::candidates_into.
+  std::vector<lookup::CandidateInfo> candidate_scratch_;
   /// Pooled retirement list: an attempt's completion callback runs with
   /// the attempt still on the call stack, so concluded attempts are parked
-  /// here and destroyed by ONE drain event per tick — replacing the old
-  /// one-zero-delay-event-per-attempt teardown (ROADMAP open item).
+  /// here and reset for reuse by ONE drain event per tick — replacing the
+  /// old one-zero-delay-event-per-attempt teardown.
   std::vector<core::PeerId> retired_;
   sim::EventId retire_event_ = sim::EventId::invalid();
   /// Lazy backoff retries: one source lane for the whole waiting
@@ -146,16 +184,15 @@ class AsyncStreamingSystem {
   /// monotone end ticks => FIFO calendar): the session-end population that
   /// used to cost one event per active session costs one source lane
   /// (engine/session_end_calendar.hpp).
-  struct SessionEnd {
-    core::PeerId requester;
-    core::SessionId session;
-    std::vector<lookup::CandidateInfo> suppliers;
-  };
   SessionEndCalendar<SessionEnd> session_ends_;
+  /// Drained SessionEnd::suppliers lists, capacity kept for reuse.
+  std::vector<std::vector<lookup::CandidateInfo>> spare_supplier_lists_;
   std::uint64_t next_session_ = 0;
   /// Shared selection buffer handed to every attempt (conclude() never
   /// re-enters, so one buffer serves all in-flight attempts).
   core::SelectionResult scratch_selection_;
+  /// Shared conclude() buffers, handed to every attempt the same way.
+  net::AsyncAdmissionAttempt::Scratch scratch_conclude_;
   /// Shared Theorem-1 delay table, handed to every attempt the same way.
   core::OtsDelayCache ots_delays_;
   core::Bandwidth supplier_bandwidth_ = core::Bandwidth::zero();

@@ -159,35 +159,46 @@ void SupplierEndpoint::idle_elevate() {
   if (!admission_.busy()) admission_.on_idle_timeout();
 }
 
-AsyncAdmissionAttempt::AsyncAdmissionAttempt(core::PeerId self, core::PeerClass own_class,
-                                             core::SessionId session,
-                                             std::vector<lookup::CandidateInfo> candidates,
-                                             const Config& config,
+AsyncAdmissionAttempt::AsyncAdmissionAttempt(const Config& config,
                                              sim::Simulator& simulator,
                                              MessageTransport& transport, Callback done)
-    : self_(self),
-      own_class_(own_class),
-      session_(session),
-      config_(config),
-      simulator_(simulator),
-      transport_(transport),
-      done_(std::move(done)) {
+    : config_(config), simulator_(simulator), transport_(transport), done_(std::move(done)) {
   P2PS_REQUIRE(done_ != nullptr);
-  candidates_.reserve(candidates.size());
-  for (auto& candidate : candidates) {
+}
+
+AsyncAdmissionAttempt::~AsyncAdmissionAttempt() { reset(); }
+
+void AsyncAdmissionAttempt::reset() {
+  if (timeout_event_.valid()) {
+    simulator_.cancel(timeout_event_);
+    timeout_event_ = sim::EventId::invalid();
+  }
+  if (started_) transport_.detach(self_);
+  started_ = false;
+}
+
+void AsyncAdmissionAttempt::start(core::PeerId self, core::PeerClass own_class,
+                                  core::SessionId session,
+                                  std::span<const lookup::CandidateInfo> candidates) {
+  P2PS_REQUIRE_MSG(!started_, "attempt already started");
+  started_ = true;
+  concluded_ = false;
+  self_ = self;
+  own_class_ = own_class;
+  candidates_.clear();
+  for (const auto& candidate : candidates) {
     P2PS_REQUIRE_MSG(candidate.id != self_, "requester cannot probe itself");
     candidates_.push_back(CandidateState{candidate, std::nullopt});
   }
-}
+  answered_ = 0;
+  result_.admitted = false;
+  result_.requester = self;
+  result_.session = session;
+  result_.suppliers.clear();
+  result_.buffering_delay_dt = 0;
+  result_.responses = 0;
+  result_.reminders_left = 0;
 
-AsyncAdmissionAttempt::~AsyncAdmissionAttempt() {
-  if (timeout_event_.valid()) simulator_.cancel(timeout_event_);
-  if (started_) transport_.detach(self_);
-}
-
-void AsyncAdmissionAttempt::start() {
-  P2PS_REQUIRE_MSG(!started_, "attempt already started");
-  started_ = true;
   transport_.attach(self_, [this](const Envelope<Message>& envelope) {
     on_message(envelope);
   });
@@ -208,13 +219,11 @@ void AsyncAdmissionAttempt::on_message(const Envelope<Message>& envelope) {
   for (auto& candidate : candidates_) {
     if (candidate.info.id == envelope.from && !candidate.response.has_value()) {
       candidate.response = *response;
+      ++answered_;
       break;
     }
   }
-  const bool all_answered =
-      std::all_of(candidates_.begin(), candidates_.end(),
-                  [](const CandidateState& c) { return c.response.has_value(); });
-  if (all_answered) conclude();
+  if (answered_ == candidates_.size()) conclude();
 }
 
 void AsyncAdmissionAttempt::conclude() {
@@ -225,12 +234,16 @@ void AsyncAdmissionAttempt::conclude() {
     timeout_event_ = sim::EventId::invalid();
   }
 
-  Result result;
-  result.session = session_;
-
-  std::vector<std::size_t> granted;       // indices into candidates_
-  std::vector<core::PeerClass> granted_classes;
-  std::vector<core::BusyCandidate> busy;
+  Result& result = result_;
+  Scratch local_scratch;
+  Scratch& scratch =
+      config_.conclude_scratch != nullptr ? *config_.conclude_scratch : local_scratch;
+  auto& granted = scratch.granted;
+  auto& granted_classes = scratch.granted_classes;
+  auto& busy = scratch.busy;
+  granted.clear();
+  granted_classes.clear();
+  busy.clear();
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     const auto& candidate = candidates_[i];
     if (!candidate.response.has_value()) continue;  // down / lost message
@@ -261,7 +274,8 @@ void AsyncAdmissionAttempt::conclude() {
   policy.select_into(selection, granted_classes, core::Bandwidth::playback_rate(),
                      selection_context);
   if (selection.success()) {
-    std::vector<bool> chosen(granted.size(), false);
+    auto& chosen = scratch.chosen;
+    chosen.assign(granted.size(), false);
     for (std::size_t pick : selection.chosen) chosen[pick] = true;
     // The chosen classes are compacted into granted_classes' front: the
     // selection is done with it, and the delay needs only the composition.
@@ -269,7 +283,7 @@ void AsyncAdmissionAttempt::conclude() {
     for (std::size_t g = 0; g < granted.size(); ++g) {
       const auto& info = candidates_[granted[g]].info;
       if (chosen[g]) {
-        transport_.send(self_, info.id, StartSession{session_});
+        transport_.send(self_, info.id, StartSession{result.session});
         result.suppliers.push_back(info);
         granted_classes[session_size++] = info.cls;
       } else {
@@ -287,7 +301,7 @@ void AsyncAdmissionAttempt::conclude() {
       transport_.send(self_, candidates_[g].info.id, Release{});
     }
     if (config_.reminders_enabled) {
-      std::vector<std::size_t> omega;
+      auto& omega = scratch.omega;
       core::reminder_set_into(omega, busy, selection.shortfall);
       for (std::size_t index : omega) {
         transport_.send(self_, candidates_[index].info.id, Reminder{own_class_});
@@ -296,7 +310,6 @@ void AsyncAdmissionAttempt::conclude() {
     }
   }
 
-  // Callback last: it may destroy this object.
   done_(result);
 }
 

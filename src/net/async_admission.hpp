@@ -13,8 +13,8 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/admission/requester.hpp"
@@ -58,7 +58,9 @@ class SupplierEndpoint {
   /// watchdog) ride `timers` — they are message-silent, so they satisfy the
   /// TimerService callback contract. The requester-side response timeout
   /// does NOT (its firing sends commits/releases) and stays a plain
-  /// simulator event in AsyncAdmissionAttempt.
+  /// simulator event in AsyncAdmissionAttempt. `config` is borrowed, not
+  /// copied: one host-owned Config serves every endpoint and must outlive
+  /// them all.
   SupplierEndpoint(core::PeerId self, core::PeerClass own_class, const Config& config,
                    sim::TimerService& timers, MessageTransport& transport,
                    util::Rng rng);
@@ -98,7 +100,7 @@ class SupplierEndpoint {
   void end_session_at(util::SimTime at);
 
   core::PeerId self_;
-  Config config_;
+  const Config& config_;
   sim::TimerService& timers_;
   MessageTransport& transport_;
   util::Rng rng_;
@@ -112,19 +114,37 @@ class SupplierEndpoint {
 
 /// One asynchronous admission attempt by a requesting peer.
 ///
-/// Owns a temporary transport binding for the requester; invokes `done`
-/// exactly once — after commit, or after rejection (reminders sent).
+/// An attempt object is bound to its host (simulator, transport, config,
+/// completion callback) once and runs any number of admission rounds, one
+/// at a time: start() binds the requester to the transport and probes;
+/// `done` runs exactly once per round — after commit, or after rejection
+/// (reminders sent); reset() unbinds the requester and makes the object
+/// reusable. Hosts recycle attempts through a pool, so a round allocates
+/// nothing once the pooled buffers have grown.
 class AsyncAdmissionAttempt {
  public:
   struct Result {
     bool admitted = false;
+    core::PeerId requester;                       ///< who ran the round
     core::SessionId session;                      ///< set when admitted
     std::vector<lookup::CandidateInfo> suppliers; ///< chosen session suppliers
     std::int64_t buffering_delay_dt = 0;          ///< Theorem-1 delay of the session
     std::size_t responses = 0;                    ///< probe responses received
     std::size_t reminders_left = 0;
   };
+  /// Receives the round's result, which stays valid until the next
+  /// start(). Must not destroy or reset the attempt (it is still on the
+  /// call stack); hosts park it for retirement instead.
   using Callback = std::function<void(const Result&)>;
+
+  /// conclude()'s working buffers, reused across rounds.
+  struct Scratch {
+    std::vector<std::size_t> granted;  ///< indices into the candidates
+    std::vector<core::PeerClass> granted_classes;
+    std::vector<core::BusyCandidate> busy;
+    std::vector<bool> chosen;
+    std::vector<std::size_t> omega;    ///< reminder targets
+  };
 
   struct Config {
     /// Give up on unresponsive candidates after this long.
@@ -139,22 +159,28 @@ class AsyncAdmissionAttempt {
     /// a per-conclude local when null). Sharing is safe because conclude()
     /// never re-enters: message deliveries are scheduled events.
     core::SelectionResult* selection_scratch = nullptr;
+    /// Host-owned conclude() buffers, shared across attempts like the
+    /// selection buffer (falls back to a per-conclude local when null).
+    Scratch* conclude_scratch = nullptr;
     /// Host-owned Theorem-1 delay table, shared across attempts like the
     /// selection buffer (falls back to a per-conclude local when null).
     core::OtsDelayCache* ots_delays = nullptr;
   };
 
-  AsyncAdmissionAttempt(core::PeerId self, core::PeerClass own_class,
-                        core::SessionId session,
-                        std::vector<lookup::CandidateInfo> candidates,
-                        const Config& config, sim::Simulator& simulator,
+  AsyncAdmissionAttempt(const Config& config, sim::Simulator& simulator,
                         MessageTransport& transport, Callback done);
   ~AsyncAdmissionAttempt();
   AsyncAdmissionAttempt(const AsyncAdmissionAttempt&) = delete;
   AsyncAdmissionAttempt& operator=(const AsyncAdmissionAttempt&) = delete;
 
-  /// Sends the probes. Must be called exactly once.
-  void start();
+  /// Starts one round: binds `self` to the transport and probes every
+  /// candidate. The attempt must be idle (new, or reset()).
+  void start(core::PeerId self, core::PeerClass own_class, core::SessionId session,
+             std::span<const lookup::CandidateInfo> candidates);
+
+  /// Ends the current round, if any: cancels a pending response timeout
+  /// and unbinds the requester from the transport. Idempotent.
+  void reset();
 
  private:
   struct CandidateState {
@@ -166,13 +192,14 @@ class AsyncAdmissionAttempt {
   void conclude();
 
   core::PeerId self_;
-  core::PeerClass own_class_;
-  core::SessionId session_;
+  core::PeerClass own_class_ = core::kHighestClass;
   Config config_;
   sim::Simulator& simulator_;
   MessageTransport& transport_;
   Callback done_;
   std::vector<CandidateState> candidates_;
+  std::size_t answered_ = 0;
+  Result result_;
   sim::EventId timeout_event_ = sim::EventId::invalid();
   bool started_ = false;
   bool concluded_ = false;

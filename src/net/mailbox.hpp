@@ -6,6 +6,11 @@
 // MailboxRouter instead appends messages bound for the same peer at the
 // same simulator tick to a pooled inbox and drains the whole group with a
 // single event whose callback is three words (receiver id, tick, group id).
+// Groups are slots of one router-wide table recycled through a free list,
+// and each peer keeps only the 32-bit head of an intrusive list of its
+// pending groups — net::ShardRouter's pooled-group design — so once the
+// table and the inbox pool have grown to the peak in-flight load, delivery
+// allocates nothing per peer, group or message.
 //
 // Delivery ordering rule (the subsystem's documented semantics, argued in
 // docs/message_batching.md):
@@ -129,20 +134,22 @@ class MailboxRouter {
         simulator_.now() +
         config_.latency.sample(class_of(from), class_of(to), rng_);
     Mailbox& box = mailbox(to);
-    Group* group = nullptr;
-    for (auto& pending : box.pending) {
-      if (pending.tick == tick) {
-        group = &pending;
-        break;
-      }
+    std::uint32_t index = box.pending;
+    while (index != kNoGroup && groups_[index].tick != tick) {
+      index = groups_[index].next;
     }
-    const bool new_group = group == nullptr;
+    const bool new_group = index == kNoGroup;
     if (new_group) {
-      box.pending.push_back(Group{tick, next_group_, pool_.acquire()});
-      group = &box.pending.back();
-      ++next_group_;
+      index = acquire_group();
+      Group& fresh = groups_[index];
+      fresh.tick = tick;
+      fresh.id = next_group_++;
+      fresh.inbox = pool_.acquire();
+      fresh.next = box.pending;
+      box.pending = index;
     }
-    group->inbox.push_back(Envelope<Payload>{from, to, std::move(payload)});
+    Group& group = groups_[index];
+    group.inbox.push_back(Envelope<Payload>{from, to, std::move(payload)});
     // Batched: one drain event per group, scheduled at first append — its
     // queue position (and hence the group's order among same-tick events)
     // is fixed here. Unbatched: one event per message; only the first to
@@ -150,7 +157,7 @@ class MailboxRouter {
     // the same tick cannot be drained early by a stale event).
     if (new_group || config_.mode == TransportMode::kUnbatched) {
       ++events_scheduled_;
-      const std::uint64_t id = group->id;
+      const std::uint64_t id = group.id;
       simulator_.schedule_at(tick, [this, to, tick, id] { drain(to, tick, id); });
     }
     return true;
@@ -170,22 +177,32 @@ class MailboxRouter {
   [[nodiscard]] std::size_t max_batch() const { return max_batch_; }
 
   [[nodiscard]] const EnvelopePool<Envelope<Payload>>& pool() const { return pool_; }
+  /// Delivery-group slots ever created — bounded by the peak number of
+  /// groups simultaneously in flight, not by the peer or message count.
+  [[nodiscard]] std::size_t group_slots() const { return groups_.size(); }
   [[nodiscard]] const MailboxConfig& config() const { return config_; }
 
  private:
-  /// One in-flight (peer, tick) batch. `id` is a router-wide sequence
-  /// number: drain events capture it so a stale unbatched event can never
-  /// drain a group re-created at the same tick.
+  static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
+
+  /// One in-flight (peer, tick) batch: a slot of the router-wide group
+  /// table. `id` is a router-wide sequence number: drain events capture it
+  /// so a stale unbatched event can never drain a group re-created at the
+  /// same tick, nor a recycled slot. `next` links the slot into its peer's
+  /// pending list while live, and into the free list once drained.
   struct Group {
     util::SimTime tick;
     std::uint64_t id = 0;
+    std::uint32_t next = kNoGroup;
     std::vector<Envelope<Payload>> inbox;
   };
 
   struct Mailbox {
     Handler handler;  // attached iff non-null
+    /// Head of this peer's intrusive list of pending groups (few entries:
+    /// ticks in the latency window); kNoGroup when none.
+    std::uint32_t pending = kNoGroup;
     core::PeerClass cls = core::kHighestClass;
-    std::vector<Group> pending;  // few entries: ticks in the latency window
   };
 
   Mailbox& mailbox(core::PeerId node) {
@@ -200,22 +217,35 @@ class MailboxRouter {
                : core::kHighestClass;
   }
 
-  void drain(core::PeerId to, util::SimTime tick, std::uint64_t id) {
-    auto& pending = nodes_[static_cast<std::size_t>(to.value())].pending;
-    std::size_t slot = pending.size();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (pending[i].id == id) {
-        slot = i;
-        break;
-      }
+  /// A group slot off the free list, or a fresh one: the table grows to
+  /// the peak number of groups in flight and is recycled from then on.
+  /// Growth may relocate the table, so callers index it afresh.
+  std::uint32_t acquire_group() {
+    if (free_head_ != kNoGroup) {
+      const std::uint32_t index = free_head_;
+      free_head_ = groups_[index].next;
+      return index;
     }
-    if (slot == pending.size()) return;  // unbatched: group already drained
-    P2PS_CHECK(pending[slot].tick == tick);
-    auto inbox = std::move(pending[slot].inbox);
-    // Swap-remove: order within `pending` carries no meaning (drain order
-    // is fixed by the events' queue positions, groups are matched by id).
-    pending[slot] = std::move(pending.back());
-    pending.pop_back();
+    P2PS_CHECK_MSG(groups_.size() < kNoGroup, "delivery group table exhausted");
+    groups_.emplace_back();
+    return static_cast<std::uint32_t>(groups_.size() - 1);
+  }
+
+  void drain(core::PeerId to, util::SimTime tick, std::uint64_t id) {
+    std::uint32_t* link = &nodes_[static_cast<std::size_t>(to.value())].pending;
+    while (*link != kNoGroup && groups_[*link].id != id) link = &groups_[*link].next;
+    if (*link == kNoGroup) return;  // unbatched: group already drained
+    const std::uint32_t index = *link;
+    Group& group = groups_[index];
+    P2PS_CHECK(group.tick == tick);
+    // Unlink and free the slot before any handler runs: list order carries
+    // no meaning (drain order is fixed by the events' queue positions,
+    // groups are matched by id), and a reentrant send may reuse the slot
+    // or relocate the table.
+    *link = group.next;
+    auto inbox = std::move(group.inbox);
+    group.next = free_head_;
+    free_head_ = index;
     ++drains_;
     if (inbox.size() > max_batch_) max_batch_ = inbox.size();
     for (const auto& envelope : inbox) {
@@ -242,6 +272,11 @@ class MailboxRouter {
   /// table must not relocate the Mailbox whose handler is executing.
   std::deque<Mailbox> nodes_;
   EnvelopePool<Envelope<Payload>> pool_;
+  /// Router-wide group table shared by every peer's pending list, with a
+  /// free list threaded through `Group::next` — the pooled-group design of
+  /// net::ShardRouter, minus its tick ring (each peer's list is short).
+  std::vector<Group> groups_;
+  std::uint32_t free_head_ = kNoGroup;
   std::uint64_t next_group_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

@@ -64,16 +64,4 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c) os << ',';
-      if (c < cells.size()) os << cells[c];
-    }
-    os << '\n';
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) print_row(row);
-}
-
 }  // namespace p2ps::util

@@ -1,5 +1,5 @@
-// Plain-text table and CSV rendering for the examples and the engines'
-// console reports.
+// Plain-text table rendering for the examples and the engines' console
+// reports.
 #pragma once
 
 #include <iosfwd>
@@ -23,9 +23,6 @@ class TextTable {
   /// Renders with column padding. Rows shorter than the header are padded
   /// with empty cells.
   void print(std::ostream& os) const;
-
-  /// Renders as CSV (no quoting needed for our numeric content).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const { return headers_.size(); }

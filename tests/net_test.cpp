@@ -8,6 +8,7 @@
 
 #include "net/async_admission.hpp"
 #include "sim/simulator.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace p2ps::net {
@@ -22,18 +23,18 @@ struct AsyncWorld {
   sim::Simulator simulator;
   sim::TimerService timers{simulator};
   MessageTransport transport;
+  /// Borrowed by every endpoint, so it outlives them (declared first).
+  SupplierEndpoint::Config supplier_config;
   std::vector<std::unique_ptr<SupplierEndpoint>> suppliers;
 
   explicit AsyncWorld(MailboxConfig config = {})
-      : transport(simulator, config, util::Rng(11)) {}
+      : transport(simulator, config, util::Rng(11)) {
+    supplier_config.num_classes = 4;
+  }
 
-  SupplierEndpoint& add_supplier(std::uint64_t id, core::PeerClass cls,
-                                 bool differentiated = true) {
-    SupplierEndpoint::Config config;
-    config.num_classes = 4;
-    config.differentiated = differentiated;
+  SupplierEndpoint& add_supplier(std::uint64_t id, core::PeerClass cls) {
     suppliers.push_back(std::make_unique<SupplierEndpoint>(
-        PeerId{id}, cls, config, timers, transport, util::Rng(100 + id)));
+        PeerId{id}, cls, supplier_config, timers, transport, util::Rng(100 + id)));
     return *suppliers.back();
   }
 
@@ -54,13 +55,12 @@ TEST(AsyncAdmission, SuccessfulSessionCommitsExactlyR0) {
 
   AsyncAdmissionAttempt::Result result;
   bool done = false;
-  AsyncAdmissionAttempt attempt(PeerId{50}, /*own_class=*/1, core::SessionId{7},
-                                world.all_candidates(), {}, world.simulator,
-                                world.transport, [&](const auto& r) {
+  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+                                [&](const auto& r) {
                                   result = r;
                                   done = true;
                                 });
-  attempt.start();
+  attempt.start(PeerId{50}, 1, core::SessionId{7}, world.all_candidates());
   world.simulator.run();
 
   ASSERT_TRUE(done);
@@ -86,11 +86,9 @@ TEST(AsyncAdmission, InsufficientBandwidthRejects) {
   AsyncWorld world;
   world.add_supplier(1, 3);  // 1/8 R0 alone
   bool admitted = true;
-  AsyncAdmissionAttempt attempt(PeerId{50}, 2, core::SessionId{1},
-                                world.all_candidates(), {}, world.simulator,
-                                world.transport,
+  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
                                 [&](const auto& r) { admitted = r.admitted; });
-  attempt.start();
+  attempt.start(PeerId{50}, 2, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   EXPECT_FALSE(admitted);
   EXPECT_FALSE(world.suppliers[0]->in_session());
@@ -104,11 +102,9 @@ TEST(AsyncAdmission, BusySuppliersReceiveReminders) {
 
   // First requester takes both suppliers.
   bool first_admitted = false;
-  AsyncAdmissionAttempt first(PeerId{50}, 1, core::SessionId{1},
-                              world.all_candidates(), {}, world.simulator,
-                              world.transport,
+  AsyncAdmissionAttempt first({}, world.simulator, world.transport,
                               [&](const auto& r) { first_admitted = r.admitted; });
-  first.start();
+  first.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   ASSERT_TRUE(first_admitted);
   ASSERT_TRUE(s1.in_session() && s2.in_session());
@@ -116,11 +112,9 @@ TEST(AsyncAdmission, BusySuppliersReceiveReminders) {
   // Second (favored class 1) requester finds everyone busy: rejected, and
   // reminders land on busy candidates covering the full shortfall R0.
   AsyncAdmissionAttempt::Result second_result;
-  AsyncAdmissionAttempt second(PeerId{51}, 1, core::SessionId{2},
-                               world.all_candidates(), {}, world.simulator,
-                               world.transport,
+  AsyncAdmissionAttempt second({}, world.simulator, world.transport,
                                [&](const auto& r) { second_result = r; });
-  second.start();
+  second.start(PeerId{51}, 1, core::SessionId{2}, world.all_candidates());
   world.simulator.run();
   EXPECT_FALSE(second_result.admitted);
   EXPECT_EQ(second_result.reminders_left, 2u);
@@ -136,20 +130,18 @@ TEST(AsyncAdmission, RemindersCanBeDisabled) {
   auto& s1 = world.add_supplier(1, 1);
   world.add_supplier(2, 1);
   bool ok = false;
-  AsyncAdmissionAttempt first(PeerId{50}, 1, core::SessionId{1},
-                              world.all_candidates(), {}, world.simulator,
-                              world.transport, [&](const auto& r) { ok = r.admitted; });
-  first.start();
+  AsyncAdmissionAttempt first({}, world.simulator, world.transport,
+                              [&](const auto& r) { ok = r.admitted; });
+  first.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   ASSERT_TRUE(ok);
 
   AsyncAdmissionAttempt::Config config;
   config.reminders_enabled = false;
   AsyncAdmissionAttempt::Result result;
-  AsyncAdmissionAttempt second(PeerId{51}, 1, core::SessionId{2},
-                               world.all_candidates(), config, world.simulator,
-                               world.transport, [&](const auto& r) { result = r; });
-  second.start();
+  AsyncAdmissionAttempt second(config, world.simulator, world.transport,
+                               [&](const auto& r) { result = r; });
+  second.start(PeerId{51}, 1, core::SessionId{2}, world.all_candidates());
   world.simulator.run();
   EXPECT_FALSE(result.admitted);
   EXPECT_EQ(result.reminders_left, 0u);
@@ -165,18 +157,66 @@ TEST(AsyncAdmission, TotalMessageLossTimesOutAndRejects) {
 
   AsyncAdmissionAttempt::Result result;
   bool done = false;
-  AsyncAdmissionAttempt attempt(PeerId{50}, 1, core::SessionId{1},
-                                world.all_candidates(), {}, world.simulator,
-                                world.transport, [&](const auto& r) {
+  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+                                [&](const auto& r) {
                                   result = r;
                                   done = true;
                                 });
-  attempt.start();
+  attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   EXPECT_TRUE(done);  // the response timeout concluded the attempt
   EXPECT_FALSE(result.admitted);
   EXPECT_EQ(result.responses, 0u);
   EXPECT_FALSE(world.suppliers[0]->in_session());
+}
+
+// Hosts pool attempts: one object runs round after round, each starting
+// from a clean result.
+TEST(AsyncAdmission, ResetAttemptRunsAFreshRound) {
+  AsyncWorld world;
+  world.add_supplier(1, 1);
+  world.add_supplier(2, 1);
+  std::vector<AsyncAdmissionAttempt::Result> results;
+  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+                                [&](const auto& r) { results.push_back(r); });
+  attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
+  EXPECT_THROW(attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates()),
+               util::ContractViolation);
+  world.simulator.run();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].admitted);
+  EXPECT_EQ(results[0].requester, PeerId{50});
+  EXPECT_TRUE(world.transport.attached(PeerId{50}));  // bound until reset
+  attempt.reset();
+  EXPECT_FALSE(world.transport.attached(PeerId{50}));
+
+  // Both suppliers now serve requester 50: the second round is rejected,
+  // and nothing of the first round's admission carries over.
+  attempt.start(PeerId{51}, 1, core::SessionId{2}, world.all_candidates());
+  world.simulator.run();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[1].admitted);
+  EXPECT_EQ(results[1].requester, PeerId{51});
+  EXPECT_EQ(results[1].session, core::SessionId{2});
+  EXPECT_TRUE(results[1].suppliers.empty());
+  EXPECT_EQ(results[1].buffering_delay_dt, 0);
+  EXPECT_EQ(results[1].responses, 2u);
+  EXPECT_EQ(results[1].reminders_left, 2u);
+}
+
+TEST(AsyncAdmission, ResetMidRoundCancelsTheResponseTimeout) {
+  MailboxConfig lossy;
+  lossy.drop_probability = 1.0;
+  AsyncWorld world(lossy);
+  world.add_supplier(1, 1);
+  bool done = false;
+  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+                                [&](const auto&) { done = true; });
+  attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
+  attempt.reset();
+  world.simulator.run();
+  EXPECT_FALSE(done);
+  EXPECT_FALSE(world.transport.attached(PeerId{50}));
 }
 
 TEST(AsyncAdmission, HoldExpiresWhenRequesterVanishes) {

@@ -417,14 +417,6 @@ TEST(TextTable, AlignedOutput) {
   EXPECT_EQ(t.columns(), 2u);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"a", "b"});
-  t.new_row().add_cell("1").add_cell("2");
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, MisuseThrows) {
   TextTable t({"only"});
   EXPECT_THROW(t.add_cell("no row yet"), ContractViolation);
