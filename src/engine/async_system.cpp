@@ -107,10 +107,11 @@ std::int64_t AsyncStreamingSystem::busy_suppliers() const {
 
 void AsyncStreamingSystem::make_supplier(core::PeerId id) {
   Peer& p = peer(id);
-  P2PS_CHECK(p.endpoint == kNoSlot && endpoints_built_ < peers_.size());
+  P2PS_CHECK(!p.supplier && endpoints_built_ < peers_.size());
   ::new (endpoint_slots_[endpoints_built_].bytes) net::SupplierEndpoint(
       id, p.cls, endpoint_config_, timers_, transport_, util::Rng(endpoint_seed_rng_()));
-  p.endpoint = static_cast<std::uint32_t>(endpoints_built_++);
+  ++endpoints_built_;
+  p.supplier = true;
   directory_.register_supplier(id, p.cls);
   supplier_bandwidth_ += core::Bandwidth::class_offer(p.cls);
   ++suppliers_;
@@ -127,7 +128,7 @@ void AsyncStreamingSystem::first_request(core::PeerId id) {
 void AsyncStreamingSystem::start_attempt(core::PeerId id) {
   timers_.poll();
   Peer& p = peer(id);
-  P2PS_CHECK(!p.admitted && p.endpoint == kNoSlot);
+  P2PS_CHECK(!p.admitted && !p.supplier);
   P2PS_CHECK_MSG(p.attempt == kNoSlot, "overlapping attempts for one peer");
   metrics_.on_attempt(p.cls);
 

@@ -103,12 +103,11 @@ class AsyncStreamingSystem {
   struct Peer {
     std::optional<core::RequesterBackoff> backoff;
     util::SimTime first_request_time = util::SimTime::zero();
-    /// endpoint_slots_ index once a supplier (kNoSlot: not yet).
-    std::uint32_t endpoint = kNoSlot;
     /// attempts_ slot from start to retirement (kNoSlot: none).
     std::uint32_t attempt = kNoSlot;
     core::PeerClass cls = core::kHighestClass;
     bool admitted = false;
+    bool supplier = false;  ///< has an endpoint in endpoint_slots_
   };
   static_assert(sizeof(Peer) == 64, "a peer is exactly one cache line");
 

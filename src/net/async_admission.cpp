@@ -181,13 +181,15 @@ void AsyncAdmissionAttempt::start(core::PeerId self, core::PeerClass own_class,
                                   core::SessionId session,
                                   std::span<const lookup::CandidateInfo> candidates) {
   P2PS_REQUIRE_MSG(!started_, "attempt already started");
+  for (const auto& candidate : candidates) {
+    P2PS_REQUIRE_MSG(candidate.id != self, "requester cannot probe itself");
+  }
   started_ = true;
   concluded_ = false;
   self_ = self;
   own_class_ = own_class;
   candidates_.clear();
   for (const auto& candidate : candidates) {
-    P2PS_REQUIRE_MSG(candidate.id != self_, "requester cannot probe itself");
     candidates_.push_back(CandidateState{candidate, std::nullopt});
   }
   answered_ = 0;

@@ -297,6 +297,38 @@ TEST(EnvelopePool, SteadyStateReusesInboxesInsteadOfAllocating) {
   EXPECT_EQ(router.pool().idle(), 1u);
 }
 
+TEST(MailboxRouter, GroupTableIsSharedAcrossPeersAndRecycled) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(10));
+  constexpr std::uint64_t kPeers = 64;
+  std::vector<int> received(kPeers, 0);
+  for (std::uint64_t peer = 0; peer < kPeers; ++peer) {
+    router.attach(PeerId{peer}, [&received, peer](const Envelope<int>&) {
+      ++received[peer];
+    });
+  }
+  // Each round leaves three groups in flight: two ticks pending for one
+  // peer (a two-entry list) and one for the next peer.
+  for (std::uint64_t round = 0; round < 200; ++round) {
+    const PeerId peer{round % kPeers};
+    const PeerId next{(round + 1) % kPeers};
+    const auto at = static_cast<std::int64_t>(100 * round);
+    simulator.schedule_at(SimTime::millis(at), [&router, peer] {
+      for (int i = 0; i < 3; ++i) router.send(PeerId{99}, peer, i);
+    });
+    simulator.schedule_at(SimTime::millis(at + 1), [&router, peer, next] {
+      router.send(PeerId{99}, peer, 3);
+      router.send(PeerId{99}, next, 4);
+    });
+  }
+  simulator.run();
+  EXPECT_EQ(router.drains(), 600u);
+  EXPECT_EQ(router.delivered(), 1000u);
+  EXPECT_EQ(received[0], 4 * 4 + 3 * 1);  // rounds 0, 64, 128, 192 + next-of-63s
+  // Sized by the peak in flight, not by the 64 receivers or 600 groups.
+  EXPECT_EQ(router.group_slots(), 3u);
+}
+
 TEST(MailboxRouter, AttachReplacesTheHandler) {
   sim::Simulator simulator;
   MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(11));
