@@ -1,12 +1,12 @@
 // Catalog — a media *library* served peer-to-peer (extension of the
 // paper's single popular video): 12 files with Zipf-distributed demand,
-// per-file supplier swarms, one DAC_p2p admission machinery per peer.
+// one DAC_p2p swarm per file.
 //
 //   ./examples/catalog [--files N] [--skew S] [--requesters N] [--seed N]
 #include <iostream>
 #include <string>
 
-#include "engine/catalog_system.hpp"
+#include "engine/catalog.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -17,34 +17,34 @@ int main(int argc, char** argv) {
   p2ps::engine::CatalogConfig config;
   config.files = flags.get_int("files", 12);
   config.zipf_skew = flags.get_double("skew", 1.0);
-  config.population.seeds = 3;  // seeds per file
-  config.population.requesters = flags.get_int("requesters", 4000);
-  config.pattern = p2ps::workload::ArrivalPattern::kRampUpDown;
-  config.arrival_window = SimTime::hours(24);
-  config.horizon = SimTime::hours(48);
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
+  config.base.population.seeds = 3;  // seeds per file
+  config.base.population.requesters = flags.get_int("requesters", 4000);
+  config.base.pattern = p2ps::workload::ArrivalPattern::kRampUpDown;
+  config.base.arrival_window = SimTime::hours(24);
+  config.base.horizon = SimTime::hours(48);
+  config.base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
 
   std::cout << "A " << config.files << "-file library, "
-            << config.population.requesters << " requesting peers, demand ~ Zipf("
-            << config.zipf_skew << ").\n"
+            << config.base.population.requesters
+            << " requesting peers, demand ~ Zipf(" << config.zipf_skew << ").\n"
             << "Each served requester becomes a supplier of the file it "
                "watched.\n\n";
 
-  p2ps::engine::CatalogStreamingSystem system(config);
-  const auto result = system.run();
+  const auto result = p2ps::engine::run_catalog(config);
 
   p2ps::util::TextTable table({"file (rank)", "requests", "admitted", "suppliers",
                                "capacity", "demand share"});
-  for (const auto& stats : result.per_file) {
+  for (std::size_t f = 0; f < result.per_file.size(); ++f) {
+    const auto& file = result.per_file[f];
     table.new_row()
-        .add_cell(static_cast<long long>(stats.file))
-        .add_cell(static_cast<long long>(stats.requests))
-        .add_cell(static_cast<long long>(stats.admissions))
-        .add_cell(static_cast<long long>(stats.suppliers))
-        .add_cell(static_cast<long long>(stats.capacity))
+        .add_cell(static_cast<long long>(f))
+        .add_cell(static_cast<long long>(file.overall.first_requests))
+        .add_cell(static_cast<long long>(file.overall.admissions))
+        .add_cell(static_cast<long long>(file.suppliers_at_end))
+        .add_cell(static_cast<long long>(file.final_capacity))
         .add_cell(p2ps::util::format_double(
-                      100.0 * static_cast<double>(stats.requests) /
-                          static_cast<double>(config.population.requesters),
+                      100.0 * static_cast<double>(file.overall.first_requests) /
+                          static_cast<double>(config.base.population.requesters),
                       1) +
                   "%");
   }

@@ -43,15 +43,6 @@ class LookupService {
   virtual void candidates_into(std::vector<CandidateInfo>& out, std::size_t m,
                                util::Rng& rng,
                                core::PeerId exclude = core::PeerId::invalid()) = 0;
-
-  /// Convenience wrapper returning a fresh vector (tests, examples).
-  [[nodiscard]] std::vector<CandidateInfo> candidates(
-      std::size_t m, util::Rng& rng,
-      core::PeerId exclude = core::PeerId::invalid()) {
-    std::vector<CandidateInfo> out;
-    candidates_into(out, m, rng, exclude);
-    return out;
-  }
 };
 
 }  // namespace p2ps::lookup

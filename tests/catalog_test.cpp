@@ -1,10 +1,12 @@
-// Tests for the Zipf popularity model and the multi-file catalog engine.
+// Tests for the Zipf popularity model and the multi-file catalog.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "engine/catalog_system.hpp"
+#include "engine/catalog.hpp"
+#include "engine/streaming_system.hpp"
+#include "obs/telemetry.hpp"
 #include "util/assert.hpp"
 #include "workload/zipf.hpp"
 
@@ -67,32 +69,118 @@ TEST(Zipf, InvalidArgumentsThrow) {
   EXPECT_THROW((void)zipf.pmf(5), util::ContractViolation);
 }
 
-// ---------- catalog engine ----------
+// ---------- catalog ----------
 
 engine::CatalogConfig small_catalog(std::uint64_t seed = 5) {
   engine::CatalogConfig config;
   config.files = 5;
   config.zipf_skew = 1.0;
-  config.population.seeds = 4;  // per file
-  config.population.requesters = 200;
-  config.population.class_fractions = {0.25, 0.25, 0.25, 0.25};
-  config.pattern = workload::ArrivalPattern::kConstant;
-  config.arrival_window = SimTime::hours(6);
-  config.horizon = SimTime::hours(18);
-  config.seed = seed;
+  config.base.population.seeds = 4;  // per file
+  config.base.population.requesters = 200;
+  config.base.population.class_fractions = {0.25, 0.25, 0.25, 0.25};
+  config.base.pattern = workload::ArrivalPattern::kConstant;
+  config.base.arrival_window = SimTime::hours(6);
+  config.base.horizon = SimTime::hours(18);
+  config.base.seed = seed;
   return config;
 }
 
+std::int64_t seed_capacity(const engine::CatalogConfig& config) {
+  workload::PopulationConfig seeds_only = config.base.population;
+  seeds_only.requesters = 0;
+  return workload::max_possible_capacity(seeds_only);
+}
+
+void expect_same_counters(const metrics::ClassCounters& a,
+                          const metrics::ClassCounters& b) {
+  EXPECT_EQ(a.first_requests, b.first_requests);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.admissions, b.admissions);
+  EXPECT_EQ(a.rejections, b.rejections);
+  EXPECT_EQ(a.rejections_before_admission_sum, b.rejections_before_admission_sum);
+  EXPECT_EQ(a.buffering_delay_dt_sum, b.buffering_delay_dt_sum);
+  EXPECT_EQ(a.waiting_ms_sum, b.waiting_ms_sum);
+}
+
+void expect_same_class_counters(const std::vector<metrics::ClassCounters>& a,
+                                const std::vector<metrics::ClassCounters>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    SCOPED_TRACE(testing::Message() << "class " << (c + 1));
+    expect_same_counters(a[c], b[c]);
+  }
+}
+
+/// Field-for-field equality of everything a session-engine run reports
+/// except the Figure-7 samples, which the catalog's total does not merge.
+void expect_same_run(const engine::SimulationResult& a,
+                     const engine::SimulationResult& b) {
+  EXPECT_EQ(a.num_classes, b.num_classes);
+  ASSERT_EQ(a.hourly.size(), b.hourly.size());
+  for (std::size_t h = 0; h < a.hourly.size(); ++h) {
+    SCOPED_TRACE(testing::Message() << "hourly sample " << h);
+    EXPECT_EQ(a.hourly[h].t, b.hourly[h].t);
+    EXPECT_EQ(a.hourly[h].capacity, b.hourly[h].capacity);
+    EXPECT_EQ(a.hourly[h].active_sessions, b.hourly[h].active_sessions);
+    EXPECT_EQ(a.hourly[h].suppliers, b.hourly[h].suppliers);
+    expect_same_class_counters(a.hourly[h].per_class, b.hourly[h].per_class);
+  }
+  expect_same_class_counters(a.totals, b.totals);
+  expect_same_counters(a.overall, b.overall);
+  EXPECT_EQ(a.final_capacity, b.final_capacity);
+  EXPECT_EQ(a.max_capacity, b.max_capacity);
+  EXPECT_EQ(a.suppliers_at_end, b.suppliers_at_end);
+  EXPECT_EQ(a.sessions_completed, b.sessions_completed);
+  EXPECT_EQ(a.sessions_active_at_end, b.sessions_active_at_end);
+  EXPECT_EQ(a.suppliers_departed, b.suppliers_departed);
+  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.peak_event_list, b.peak_event_list);
+  EXPECT_EQ(a.peak_event_list_timers, b.peak_event_list_timers);
+}
+
+void expect_same_favored(const engine::SimulationResult& a,
+                         const engine::SimulationResult& b) {
+  ASSERT_EQ(a.favored.size(), b.favored.size());
+  for (std::size_t s = 0; s < a.favored.size(); ++s) {
+    EXPECT_EQ(a.favored[s].t, b.favored[s].t);
+    ASSERT_EQ(a.favored[s].avg_lowest_favored.size(),
+              b.favored[s].avg_lowest_favored.size());
+    for (std::size_t c = 0; c < a.favored[s].avg_lowest_favored.size(); ++c) {
+      const double x = a.favored[s].avg_lowest_favored[c];
+      const double y = b.favored[s].avg_lowest_favored[c];
+      EXPECT_TRUE((std::isnan(x) && std::isnan(y)) || x == y)
+          << "favored sample " << s << ", class " << (c + 1) << ": " << x
+          << " vs " << y;
+    }
+  }
+}
+
+void expect_capacity_is_per_file_sum(const engine::CatalogResult& result) {
+  std::int64_t final_capacity = 0;
+  std::int64_t max_capacity = 0;
+  for (const auto& file : result.per_file) {
+    final_capacity += file.final_capacity;
+    max_capacity += file.max_capacity;
+  }
+  EXPECT_EQ(result.overall.final_capacity, final_capacity);
+  EXPECT_EQ(result.overall.max_capacity, max_capacity);
+  for (std::size_t h = 0; h < result.overall.hourly.size(); ++h) {
+    std::int64_t capacity = 0;
+    for (const auto& file : result.per_file) capacity += file.hourly[h].capacity;
+    EXPECT_EQ(result.overall.hourly[h].capacity, capacity) << "hourly sample " << h;
+  }
+}
+
 TEST(CatalogEngine, ConservationAcrossFiles) {
-  engine::CatalogStreamingSystem system(small_catalog());
-  const auto result = system.run();
+  const auto result = engine::run_catalog(small_catalog());
+  ASSERT_EQ(result.per_file.size(), 5u);
 
   std::int64_t requests = 0, admissions = 0, suppliers = 0;
-  for (const auto& stats : result.per_file) {
-    requests += stats.requests;
-    admissions += stats.admissions;
-    suppliers += stats.suppliers;
-    EXPECT_LE(stats.admissions, stats.requests);
+  for (const auto& file : result.per_file) {
+    requests += file.overall.first_requests;
+    admissions += file.overall.admissions;
+    suppliers += file.suppliers_at_end;
+    EXPECT_LE(file.overall.admissions, file.overall.first_requests);
   }
   EXPECT_EQ(requests, 200);
   EXPECT_EQ(admissions, result.overall.overall.admissions);
@@ -100,35 +188,92 @@ TEST(CatalogEngine, ConservationAcrossFiles) {
   // Every file keeps its seeds; served requesters add on top.
   EXPECT_EQ(result.overall.suppliers_at_end,
             5 * 4 + result.overall.sessions_completed);
+  EXPECT_TRUE(result.overall.favored.empty());
+}
+
+TEST(CatalogEngine, CapacityIsTheSumOfPerFileCapacities) {
+  // A session draws R0 from one file's suppliers, so bandwidth left over
+  // in two different files is not a unit of capacity: the library's
+  // capacity is the per-file sum, at every sample and at the end.
+  expect_capacity_is_per_file_sum(engine::run_catalog(small_catalog()));
+  auto sparse = small_catalog(3);
+  sparse.files = 40;
+  sparse.base.population.requesters = 30;
+  expect_capacity_is_per_file_sum(engine::run_catalog(sparse));
+}
+
+TEST(CatalogEngine, SingleFileDegeneratesToBaseSystem) {
+  auto config = small_catalog();
+  config.files = 1;
+  const auto result = engine::run_catalog(config);
+  const auto direct =
+      engine::StreamingSystem(engine::catalog_file_config(config, 0, 200)).run();
+  ASSERT_EQ(result.per_file.size(), 1u);
+  EXPECT_EQ(direct.overall.first_requests, 200);
+  {
+    SCOPED_TRACE("per_file[0]");
+    expect_same_run(result.per_file[0], direct);
+    expect_same_favored(result.per_file[0], direct);
+  }
+  {
+    SCOPED_TRACE("overall");
+    expect_same_run(result.overall, direct);
+    EXPECT_TRUE(result.overall.favored.empty());
+  }
+}
+
+TEST(CatalogEngine, FilesWithoutDemandKeepExactlyTheirSeeds) {
+  auto config = small_catalog(3);
+  config.files = 40;
+  config.base.population.requesters = 30;
+  const auto result = engine::run_catalog(config);
+  ASSERT_EQ(result.per_file.size(), 40u);
+
+  std::int64_t idle_files = 0;
+  std::int64_t requests = 0;
+  for (const auto& file : result.per_file) {
+    requests += file.overall.first_requests;
+    if (file.overall.first_requests > 0) continue;
+    ++idle_files;
+    EXPECT_EQ(file.suppliers_at_end, config.base.population.seeds);
+    EXPECT_EQ(file.final_capacity, seed_capacity(config));
+    EXPECT_EQ(file.max_capacity, seed_capacity(config));
+    EXPECT_EQ(file.overall.attempts, 0);
+    EXPECT_EQ(file.sessions_completed, 0);
+  }
+  EXPECT_EQ(requests, 30);
+  EXPECT_GE(idle_files, 10);  // 30 requesters cannot reach more than 30 files
 }
 
 TEST(CatalogEngine, PopularFilesAmplifyFaster) {
   auto config = small_catalog();
-  config.population.requesters = 2000;
-  config.arrival_window = SimTime::hours(12);
-  config.horizon = SimTime::hours(36);
-  const auto result = engine::CatalogStreamingSystem(config).run();
+  config.base.population.requesters = 2000;
+  config.base.arrival_window = SimTime::hours(12);
+  config.base.horizon = SimTime::hours(36);
+  const auto result = engine::run_catalog(config);
 
   // Zipf(1.0) over 5 files: rank 0 draws ~44% of requests, rank 4 ~9%.
-  EXPECT_GT(result.per_file[0].requests, 2 * result.per_file[4].requests);
+  EXPECT_GT(result.per_file[0].overall.first_requests,
+            2 * result.per_file[4].overall.first_requests);
   // Self-amplification follows demand: the most popular file ends with the
   // largest supplier population and capacity.
-  EXPECT_GT(result.per_file[0].suppliers, result.per_file[4].suppliers);
-  EXPECT_GT(result.per_file[0].capacity, result.per_file[4].capacity);
+  EXPECT_GT(result.per_file[0].suppliers_at_end, result.per_file[4].suppliers_at_end);
+  EXPECT_GT(result.per_file[0].final_capacity, result.per_file[4].final_capacity);
 }
 
 TEST(CatalogEngine, DeterministicForSameSeed) {
-  const auto a = engine::CatalogStreamingSystem(small_catalog(9)).run();
-  const auto b = engine::CatalogStreamingSystem(small_catalog(9)).run();
-  EXPECT_EQ(a.overall.events_executed, b.overall.events_executed);
+  const auto a = engine::run_catalog(small_catalog(9));
+  const auto b = engine::run_catalog(small_catalog(9));
+  expect_same_run(a.overall, b.overall);
+  ASSERT_EQ(a.per_file.size(), b.per_file.size());
   for (std::size_t f = 0; f < a.per_file.size(); ++f) {
-    EXPECT_EQ(a.per_file[f].requests, b.per_file[f].requests);
-    EXPECT_EQ(a.per_file[f].capacity, b.per_file[f].capacity);
+    SCOPED_TRACE(testing::Message() << "file " << f);
+    expect_same_run(a.per_file[f], b.per_file[f]);
   }
 }
 
 TEST(CatalogEngine, TimerStrategiesAgreeOnEveryProtocolResult) {
-  // The catalog engine has no registered scenario, so the registry-wide
+  // The catalog has no registered scenario, so the registry-wide
   // timer-parity test does not cover it; pin the contract here: every
   // non-mechanics result is identical under all three strategies.
   std::vector<engine::CatalogResult> runs;
@@ -136,8 +281,8 @@ TEST(CatalogEngine, TimerStrategiesAgreeOnEveryProtocolResult) {
        {sim::TimerStrategy::kEvents, sim::TimerStrategy::kWheel,
         sim::TimerStrategy::kLazy}) {
     auto config = small_catalog(11);
-    config.timers.strategy = strategy;
-    runs.push_back(engine::CatalogStreamingSystem(config).run());
+    config.base.timers.strategy = strategy;
+    runs.push_back(engine::run_catalog(config));
   }
   const auto& reference = runs.front();
   EXPECT_GT(reference.overall.overall.admissions, 0);
@@ -150,10 +295,12 @@ TEST(CatalogEngine, TimerStrategiesAgreeOnEveryProtocolResult) {
     EXPECT_EQ(run.overall.sessions_completed, reference.overall.sessions_completed);
     ASSERT_EQ(run.per_file.size(), reference.per_file.size());
     for (std::size_t f = 0; f < run.per_file.size(); ++f) {
-      EXPECT_EQ(run.per_file[f].requests, reference.per_file[f].requests);
-      EXPECT_EQ(run.per_file[f].admissions, reference.per_file[f].admissions);
-      EXPECT_EQ(run.per_file[f].suppliers, reference.per_file[f].suppliers);
-      EXPECT_EQ(run.per_file[f].capacity, reference.per_file[f].capacity);
+      const auto& file = run.per_file[f];
+      const auto& expected = reference.per_file[f];
+      EXPECT_EQ(file.overall.first_requests, expected.overall.first_requests);
+      EXPECT_EQ(file.overall.admissions, expected.overall.admissions);
+      EXPECT_EQ(file.suppliers_at_end, expected.suppliers_at_end);
+      EXPECT_EQ(file.final_capacity, expected.final_capacity);
     }
     ASSERT_EQ(run.overall.hourly.size(), reference.overall.hourly.size());
     for (std::size_t h = 0; h < run.overall.hourly.size(); ++h) {
@@ -168,35 +315,30 @@ TEST(CatalogEngine, TimerStrategiesAgreeOnEveryProtocolResult) {
   EXPECT_LE(runs[2].overall.peak_event_list_timers, 1);
 }
 
-TEST(CatalogEngine, SingleFileDegeneratesToBaseSystem) {
-  auto config = small_catalog();
-  config.files = 1;
-  const auto result = engine::CatalogStreamingSystem(config).run();
-  ASSERT_EQ(result.per_file.size(), 1u);
-  EXPECT_EQ(result.per_file[0].requests, 200);
-  EXPECT_EQ(result.per_file[0].capacity, result.overall.final_capacity);
-}
-
 TEST(CatalogEngine, NdacModeRuns) {
   auto config = small_catalog();
-  config.protocol.differentiated = false;
-  const auto result = engine::CatalogStreamingSystem(config).run();
+  config.base.protocol.differentiated = false;
+  const auto result = engine::run_catalog(config);
   EXPECT_GT(result.overall.overall.admissions, 0);
-}
-
-TEST(CatalogEngine, RunTwiceThrows) {
-  engine::CatalogStreamingSystem system(small_catalog());
-  (void)system.run();
-  EXPECT_THROW((void)system.run(), util::ContractViolation);
 }
 
 TEST(CatalogEngine, ConfigValidation) {
   auto config = small_catalog();
   config.files = 0;
-  EXPECT_THROW(engine::CatalogStreamingSystem{config}, util::ContractViolation);
+  EXPECT_THROW((void)engine::run_catalog(config), util::ContractViolation);
   config = small_catalog();
   config.zipf_skew = -1.0;
-  EXPECT_THROW(engine::CatalogStreamingSystem{config}, util::ContractViolation);
+  EXPECT_THROW((void)engine::run_catalog(config), util::ContractViolation);
+  config = small_catalog();
+  config.base.trace_capacity = 16;
+  EXPECT_THROW((void)engine::run_catalog(config), util::ContractViolation);
+  obs::Telemetry telemetry{obs::TelemetryOptions{}};
+  config = small_catalog();
+  config.base.telemetry = &telemetry;
+  EXPECT_THROW((void)engine::run_catalog(config), util::ContractViolation);
+  config = small_catalog();
+  EXPECT_THROW((void)engine::catalog_file_config(config, 5, 10),
+               util::ContractViolation);
 }
 
 }  // namespace

@@ -66,8 +66,9 @@ TEST(Directory, CandidatesAreDistinctAndExcludeRequester) {
   DirectoryService d;
   for (std::uint64_t i = 0; i < 30; ++i) d.register_supplier(PeerId{i}, 1);
   util::Rng rng(5);
+  std::vector<CandidateInfo> picks;
   for (int round = 0; round < 200; ++round) {
-    const auto picks = d.candidates(8, rng, PeerId{7});
+    d.candidates_into(picks, 8, rng, PeerId{7});
     EXPECT_EQ(picks.size(), 8u);
     std::set<PeerId> distinct;
     for (const auto& candidate : picks) {
@@ -83,12 +84,14 @@ TEST(Directory, CandidatesClampWhenPopulationIsSmall) {
   d.register_supplier(PeerId{1}, 1);
   d.register_supplier(PeerId{2}, 2);
   util::Rng rng(6);
-  const auto picks = d.candidates(8, rng, PeerId::invalid());
+  std::vector<CandidateInfo> picks;
+  d.candidates_into(picks, 8, rng, PeerId::invalid());
   EXPECT_EQ(picks.size(), 2u);
-  const auto excluding = d.candidates(8, rng, PeerId{1});
-  ASSERT_EQ(excluding.size(), 1u);
-  EXPECT_EQ(excluding[0].id, PeerId{2});
-  EXPECT_TRUE(d.candidates(0, rng, PeerId::invalid()).empty());
+  d.candidates_into(picks, 8, rng, PeerId{1});
+  ASSERT_EQ(picks.size(), 1u);
+  EXPECT_EQ(picks[0].id, PeerId{2});
+  d.candidates_into(picks, 0, rng, PeerId::invalid());
+  EXPECT_TRUE(picks.empty());
 }
 
 TEST(Directory, SamplingIsApproximatelyUniform) {
@@ -98,8 +101,10 @@ TEST(Directory, SamplingIsApproximatelyUniform) {
   util::Rng rng(7);
   std::vector<int> counts(population, 0);
   const int rounds = 20'000;
+  std::vector<CandidateInfo> picks;
   for (int round = 0; round < rounds; ++round) {
-    for (const auto& candidate : d.candidates(5, rng, PeerId::invalid())) {
+    d.candidates_into(picks, 5, rng, PeerId::invalid());
+    for (const auto& candidate : picks) {
       ++counts[static_cast<std::size_t>(candidate.id.value())];
     }
   }
@@ -167,8 +172,9 @@ TEST(Chord, CandidatesDistinctAndExclude) {
   ChordLookup chord;
   for (std::uint64_t i = 0; i < 40; ++i) chord.register_supplier(PeerId{i}, 2);
   util::Rng rng(11);
+  std::vector<CandidateInfo> picks;
   for (int round = 0; round < 50; ++round) {
-    const auto picks = chord.candidates(8, rng, PeerId{5});
+    chord.candidates_into(picks, 8, rng, PeerId{5});
     EXPECT_EQ(picks.size(), 8u);
     std::set<PeerId> distinct;
     for (const auto& candidate : picks) {
@@ -185,7 +191,8 @@ TEST(Chord, CandidatesOnTinyRing) {
   chord.register_supplier(PeerId{2}, 2);
   chord.register_supplier(PeerId{3}, 3);
   util::Rng rng(12);
-  const auto picks = chord.candidates(8, rng, PeerId{2});
+  std::vector<CandidateInfo> picks;
+  chord.candidates_into(picks, 8, rng, PeerId{2});
   EXPECT_EQ(picks.size(), 2u);  // everyone except the excluded peer
   std::set<PeerId> ids;
   for (const auto& candidate : picks) ids.insert(candidate.id);
@@ -210,7 +217,9 @@ TEST(Chord, EmptyRingLookupsThrow) {
   ChordLookup chord;
   EXPECT_THROW((void)chord.owner_of(42), util::ContractViolation);
   util::Rng rng(1);
-  EXPECT_TRUE(chord.candidates(4, rng, PeerId::invalid()).empty());
+  std::vector<CandidateInfo> picks{CandidateInfo{PeerId{9}, 1}};
+  chord.candidates_into(picks, 4, rng, PeerId::invalid());
+  EXPECT_TRUE(picks.empty());  // cleared, not appended to
 }
 
 TEST(Chord, ClassesSurviveTheRing) {
@@ -219,7 +228,9 @@ TEST(Chord, ClassesSurviveTheRing) {
     chord.register_supplier(PeerId{i}, static_cast<core::PeerClass>(1 + i % 4));
   }
   util::Rng rng(13);
-  for (const auto& candidate : chord.candidates(10, rng, PeerId::invalid())) {
+  std::vector<CandidateInfo> picks;
+  chord.candidates_into(picks, 10, rng, PeerId::invalid());
+  for (const auto& candidate : picks) {
     EXPECT_EQ(candidate.cls, static_cast<core::PeerClass>(1 + candidate.id.value() % 4));
   }
 }
