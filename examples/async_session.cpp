@@ -21,7 +21,9 @@ int main() {
   net.latency.min = SimTime::millis(20);
   net.latency.max = SimTime::millis(120);
   net.drop_probability = 0.05;  // 5% message loss
-  p2ps::net::MessageTransport transport(simulator, net, p2ps::util::Rng(1));
+  // Peer ids below 64: the five suppliers and the requester Pr (id 50).
+  p2ps::net::MessageTransport transport(simulator, /*peers=*/64, net,
+                                        p2ps::util::Rng(1));
 
   // Five supplying peers of mixed classes come online.
   const p2ps::core::PeerClass classes[] = {1, 2, 2, 3, 3};

@@ -10,10 +10,12 @@
 #                  instrumented build; use a dedicated build dir (sanitizer
 #                  flags are cached). RSS-budget checks are skipped —
 #                  sanitized RSS is not comparable to production RSS.
-#                  Independently of this, every unsanitized run ends with a
-#                  ThreadSanitizer pass over the shard, sweep and obs
-#                  suites in <build-dir>-tsan, preceded by a build-flavour
-#                  pass that rebuilds p2ps_run in <build-dir>-flavour.
+#                  Independently of this, every unsanitized run ends with
+#                  an AddressSanitizer pass over the message-path suites
+#                  in <build-dir>-asan and a ThreadSanitizer pass over the
+#                  shard, sweep and obs suites in <build-dir>-tsan,
+#                  preceded by a build-flavour pass that rebuilds p2ps_run
+#                  in <build-dir>-flavour.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -588,6 +590,30 @@ else
   echo "==> build flavour: skipped under -fsanitize=${sanitize}"
 fi
 
+# AddressSanitizer pass: the message path's storage (the mailbox router's
+# peer and group tables, the event list's heap, the FIFO rings under the
+# engines' queues) must be free of heap-use-after-free and overflows. A
+# handler that attaches or sends while its own mailbox entry is running
+# is the classic relocation hazard, and ASan reports exactly that. A
+# dedicated build tree, because sanitizer flags are cached; only these
+# suites are built and run. Skipped when this whole run is already
+# sanitized.
+if [ -z "${sanitize}" ]; then
+  asan_dir="${build_dir}-asan"
+  asan_suites="mailbox_test net_test sim_test async_system_test fifo_ring_test"
+  echo "==> asan: ${asan_suites} under -fsanitize=address"
+  cmake -B "${asan_dir}" -S "${repo_root}" -DP2PS_WERROR=ON \
+      -DP2PS_SANITIZE=address -DP2PS_BUILD_EXAMPLES=OFF > /dev/null
+  # shellcheck disable=SC2086  # the suite list splits into targets
+  cmake --build "${asan_dir}" -j "$(nproc)" --target ${asan_suites}
+  for suite in ${asan_suites}; do
+    ASAN_OPTIONS="halt_on_error=1" "${asan_dir}/tests/${suite}" \
+        --gtest_brief=1
+  done
+else
+  echo "==> asan: skipped under -fsanitize=${sanitize}"
+fi
+
 # ThreadSanitizer pass: the threaded shard runner (window pool, parity
 # outbox rows, per-shard telemetry lanes and profiler cells) must be
 # race-free with no suppressions. A dedicated build tree, because
@@ -612,5 +638,5 @@ echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \
      "golden smoke, message smoke, sweep smoke, latency-axis smoke, timer smoke," \
      "loss-axis smoke, policy smoke, shard smoke, fusion smoke," \
      "thread-parity smoke, memory smoke, telemetry smoke, benchmark" \
-     "smoke, benchmark output contract, build flavour and tsan pass" \
+     "smoke, benchmark output contract, build flavour, asan and tsan pass" \
      "all green"

@@ -10,11 +10,23 @@
 
 namespace p2ps::engine {
 
+namespace {
+
+/// Peers the engine registers with the router: the seeds, then every
+/// requester — the router's dense id bound.
+std::size_t population_size(const workload::PopulationConfig& population) {
+  workload::validate(population);
+  return static_cast<std::size_t>(population.seeds + population.requesters);
+}
+
+}  // namespace
+
 AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
     : config_(std::move(config)),
       simulator_(config_.event_list),
       timers_(simulator_, config_.timers),
-      transport_(simulator_, config_.transport,
+      transport_(simulator_, population_size(config_.population),
+                 config_.transport,
                  util::Rng(config_.seed).substream("transport")),
       metrics_(config_.protocol.num_classes),
       retries_(simulator_, std::nullopt,

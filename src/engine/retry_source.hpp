@@ -35,12 +35,22 @@
 // after it at schedule() time: such a retry could never fire (the run stops
 // at the horizon), and skipping it skips only simulator seqs, which leaves
 // the relative order of every surviving event unchanged.
+//
+// Entries live in fixed 4-KiB chunks drawn from one pool shared by every
+// delay lane; a lane is a util::FifoRing of chunk indexes, and a chunk
+// whose last entry fires goes back to the pool. So an advancing queue
+// allocates nothing once the pool holds the peak number of waiting
+// retries, and the pool's size follows the peak of the lanes' *total*
+// length. One capacity-keeping ring of entries per lane would instead hold
+// every lane at its own peak: the lanes peak at different times, and in
+// perf_flash_crowd their peaks sum to 3.5 times the peak number waiting
+// (docs/memory.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -48,6 +58,7 @@
 #include "core/ids.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/fifo_ring.hpp"
 #include "util/sim_time.hpp"
 
 namespace p2ps::engine {
@@ -94,14 +105,14 @@ class RetrySource {
     }
     P2PS_CHECK_MSG(next_seq_ != 0xFFFFFFFFu, "retry seq overflow");
     const std::size_t index = lane_for(delay);
-    std::deque<Entry>& lane = lanes_[index];
+    DelayLane& lane = lanes_[index];
     const Entry entry{static_cast<std::uint32_t>(now_ms), next_seq_++, id};
-    lane.push_back(entry);
+    push(lane, entry);
     ++waiting_;
     // Only a new earliest entry re-arms the lane; otherwise the armed
     // retry still fires first and re-arms from the delay lanes. A
     // non-empty delay lane's front already precedes the new entry.
-    if (lane.size() != 1) return;
+    if (lane.size != 1) return;
     heads_[index].due = due;
     heads_[index].seq = entry.seq;
     if (head_ == kNoLane || heads_[index].before(heads_[head_])) {
@@ -119,6 +130,9 @@ class RetrySource {
 
   /// Retries currently waiting.
   [[nodiscard]] std::size_t waiting() const { return waiting_; }
+  /// Entry chunks ever allocated — bounded by the peak number of retries
+  /// waiting, not by the number of delay lanes or of retries scheduled.
+  [[nodiscard]] std::size_t chunk_slots() const { return chunks_.size(); }
   /// Retries dropped because they were due after the horizon.
   [[nodiscard]] std::uint64_t dropped_beyond_horizon() const {
     return dropped_beyond_horizon_;
@@ -126,6 +140,55 @@ class RetrySource {
 
  private:
   static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+
+  /// Entries per pooled chunk: 4,080 bytes, a page with malloc's header.
+  static constexpr std::uint32_t kChunkEntries = 340;
+
+  /// One FIFO delay lane: the pooled chunks holding its entries, front to
+  /// back. Entries [front, ...) of the first chunk and [..., back) of the
+  /// last are live; every chunk between is full.
+  struct DelayLane {
+    util::FifoRing<std::uint32_t> chunks;
+    std::uint32_t front = 0;
+    std::uint32_t back = kChunkEntries;  // a full back chunk: the next
+                                         // push takes a fresh one
+    std::size_t size = 0;
+  };
+
+  void push(DelayLane& lane, const Entry& entry) {
+    if (lane.back == kChunkEntries) {
+      lane.chunks.push_back(acquire_chunk());
+      lane.back = 0;
+    }
+    chunks_[lane.chunks.back()][lane.back++] = entry;
+    ++lane.size;
+  }
+
+  [[nodiscard]] const Entry& front(const DelayLane& lane) const {
+    return chunks_[lane.chunks.front()][lane.front];
+  }
+
+  void pop(DelayLane& lane) {
+    --lane.size;
+    if (++lane.front < kChunkEntries && lane.size > 0) return;
+    // The front chunk is spent (or the lane is empty): back to the pool.
+    free_chunks_.push_back(lane.chunks.front());
+    lane.chunks.pop_front();
+    lane.front = 0;
+    if (lane.size == 0) lane.back = kChunkEntries;
+  }
+
+  /// A chunk off the free list, or a fresh one: the pool grows to the peak
+  /// number of chunks in use and is recycled from then on.
+  std::uint32_t acquire_chunk() {
+    if (!free_chunks_.empty()) {
+      const std::uint32_t chunk = free_chunks_.back();
+      free_chunks_.pop_back();
+      return chunk;
+    }
+    chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+    return static_cast<std::uint32_t>(chunks_.size() - 1);
+  }
 
   /// Delay lane i's fixed delay and its front's (due, seq) key, kept flat
   /// for the earliest-front scan. An empty delay lane's due is
@@ -154,15 +217,15 @@ class RetrySource {
 
   /// Re-reads delay lane `index`'s front key after its front changed.
   void refresh_head(std::size_t index) {
-    const std::deque<Entry>& lane = lanes_[index];
+    const DelayLane& lane = lanes_[index];
     LaneHead& head = heads_[index];
-    if (lane.empty()) {
+    if (lane.size == 0) {
       head.due = util::SimTime::max();
       head.seq = 0;
       return;
     }
-    head.due = util::SimTime::millis(lane.front().enqueued_ms) + head.delay;
-    head.seq = lane.front().seq;
+    head.due = util::SimTime::millis(front(lane).enqueued_ms) + head.delay;
+    head.seq = front(lane).seq;
   }
 
   /// The delay lane whose front is the earliest waiting retry (kNoLane if
@@ -179,9 +242,9 @@ class RetrySource {
   static void fire(void* context) {
     RetrySource& self = *static_cast<RetrySource*>(context);
     P2PS_CHECK(self.head_ != kNoLane);
-    std::deque<Entry>& lane = self.lanes_[self.head_];
-    const std::uint32_t id = lane.front().id;
-    lane.pop_front();
+    DelayLane& lane = self.lanes_[self.head_];
+    const std::uint32_t id = self.front(lane).id;
+    self.pop(lane);
     --self.waiting_;
     self.refresh_head(self.head_);
     self.head_ = self.earliest_lane();
@@ -198,10 +261,13 @@ class RetrySource {
   util::SimTime horizon_;
   OnDue on_due_;
   sim::Simulator::LaneId lane_;
-  // Delay lane i is heads_[i] and lanes_[i]. lanes_ is a deque so adding a
-  // delay lane never copies the others.
+  // Delay lane i is heads_[i] and lanes_[i]. Adding a delay lane moves the
+  // others' chunk rings, never their entries.
   std::vector<LaneHead> heads_;
-  std::deque<std::deque<Entry>> lanes_;
+  std::vector<DelayLane> lanes_;
+  /// The chunk pool shared by every delay lane, and its free list.
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::vector<std::uint32_t> free_chunks_;
   std::size_t head_ = kNoLane;
   std::size_t waiting_ = 0;
   std::uint32_t next_seq_ = 0;

@@ -3,10 +3,10 @@
 // Every admitted session ends exactly `session_duration` after it starts,
 // and admissions fire in nondecreasing simulated time — so session end
 // ticks are *monotone* and the right data structure is a FIFO, not a heap:
-// a deque of (end tick, payload) with ONE simulator source lane
-// (sim/simulator.hpp) armed at the front tick. However many sessions are
-// active, the event list carries no entry for any of them (the same shape
-// as engine/retry_source.hpp and engine/arrival_source.hpp).
+// a ring (util/fifo_ring.hpp) of (end tick, payload) with ONE simulator
+// source lane (sim/simulator.hpp) armed at the front tick. However many
+// sessions are active, the event list carries no entry for any of them
+// (the same shape as engine/retry_source.hpp and engine/arrival_source.hpp).
 //
 // Ordering semantics (the part that keeps byte-determinism):
 //   * the lane is always armed at the earliest pending end tick, so ends
@@ -20,12 +20,12 @@
 //     events used to fire in.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <utility>
 
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/fifo_ring.hpp"
 #include "util/sim_time.hpp"
 
 namespace p2ps::engine {
@@ -103,7 +103,7 @@ class SessionEndCalendar {
   sim::Simulator& simulator_;
   Handler on_end_;
   sim::Simulator::LaneId lane_;
-  std::deque<Slot> queue_;
+  util::FifoRing<Slot> queue_;
 };
 
 }  // namespace p2ps::engine

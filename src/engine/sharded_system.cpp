@@ -1,7 +1,6 @@
 #include "engine/sharded_system.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "core/admission/requester.hpp"
@@ -9,6 +8,7 @@
 #include "engine/result.hpp"
 #include "engine/telemetry_probe.hpp"
 #include "util/assert.hpp"
+#include "util/fifo_ring.hpp"
 
 namespace p2ps::engine {
 
@@ -222,7 +222,7 @@ struct alignas(64) ShardedSystem::Shard {
   std::uint32_t attempt_free = kNoAttempt;
   /// Chosen-supplier ids (global, u32) for every active session,
   /// concatenated in admission order — the FIFO twin of `ends`.
-  std::deque<std::uint32_t> chosen_fifo;
+  util::FifoRing<std::uint32_t> chosen_fifo;
   std::uint64_t pool_allocations = 0;
   std::uint64_t pool_reuses = 0;
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "metrics/collector.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer_service.hpp"
+#include "util/fifo_ring.hpp"
 #include "util/rng.hpp"
 
 namespace p2ps::engine {
@@ -177,8 +177,8 @@ class StreamingSystem {
   std::vector<Peer> peers_;
   /// The session ledger: active sessions in admission order, and their
   /// supplier ids concatenated in the same order.
-  std::deque<LedgerEntry> ledger_;
-  std::deque<core::PeerId> ledger_suppliers_;
+  util::FifoRing<LedgerEntry> ledger_;
+  util::FifoRing<core::PeerId> ledger_suppliers_;
   std::uint64_t next_session_ = 0;
 
   core::Bandwidth supplier_bandwidth_ = core::Bandwidth::zero();

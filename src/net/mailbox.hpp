@@ -28,8 +28,8 @@
 // batching amortizes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -74,9 +74,12 @@ struct MailboxConfig {
 ///
 /// Delivery guarantees: messages to a node are delivered while it stays
 /// attached; messages to detached nodes vanish (peer down).
-/// Peer ids must be small dense integers (the engines' ids are) — per-peer
-/// state is a direct-mapped table, O(max id) memory for hash-free access,
-/// the same trade the directory index makes.
+/// Peer ids are small dense integers below a bound fixed at construction
+/// (the engines know their population up front): per-peer state is one
+/// direct-mapped table of that many entries, allocated once, for hash-free
+/// access — the same trade the directory index makes. `attach`,
+/// `set_peer_class` and `send` on an id at or beyond the bound are
+/// contract violations; `detach` and `attached` answer for any id.
 ///
 /// Reentrancy: handlers may send (including zero-latency sends to a peer
 /// whose current tick is mid-drain — they land in a fresh group later the
@@ -90,15 +93,16 @@ class MailboxRouter {
  public:
   using Handler = std::function<void(const Envelope<Payload>&)>;
 
-  MailboxRouter(sim::Simulator& simulator, MailboxConfig config, util::Rng rng)
-      : simulator_(simulator), config_(config), rng_(rng) {
+  /// Peer ids must stay below `peers`.
+  MailboxRouter(sim::Simulator& simulator, std::size_t peers,
+                MailboxConfig config, util::Rng rng)
+      : simulator_(simulator), config_(config), rng_(rng), nodes_(peers) {
     config_.latency.validate();
     P2PS_REQUIRE(config.drop_probability >= 0.0 && config.drop_probability <= 1.0);
   }
 
   /// Registers (or replaces) the message handler for `node`.
   void attach(core::PeerId node, Handler handler) {
-    P2PS_REQUIRE(node.valid());
     P2PS_REQUIRE(handler != nullptr);
     mailbox(node).handler = std::move(handler);
   }
@@ -117,23 +121,21 @@ class MailboxRouter {
   /// Records a peer's bandwidth class for the two-class latency model.
   /// Independent of attachment — classes persist across attach/detach.
   void set_peer_class(core::PeerId node, core::PeerClass cls) {
-    P2PS_REQUIRE(node.valid());
     mailbox(node).cls = cls;
   }
 
   /// Sends `payload` from `from` to `to`. Returns false when the message
   /// was dropped at send time (loss injection); queued otherwise.
   bool send(core::PeerId from, core::PeerId to, Payload payload) {
-    P2PS_REQUIRE(from.valid() && to.valid());
+    const core::PeerClass from_class = mailbox(from).cls;
+    Mailbox& box = mailbox(to);
     ++sent_;
     if (rng_.bernoulli(config_.drop_probability)) {
       ++dropped_;
       return false;
     }
     const util::SimTime tick =
-        simulator_.now() +
-        config_.latency.sample(class_of(from), class_of(to), rng_);
-    Mailbox& box = mailbox(to);
+        simulator_.now() + config_.latency.sample(from_class, box.cls, rng_);
     std::uint32_t index = box.pending;
     while (index != kNoGroup && groups_[index].tick != tick) {
       index = groups_[index].next;
@@ -206,15 +208,9 @@ class MailboxRouter {
   };
 
   Mailbox& mailbox(core::PeerId node) {
-    const auto index = static_cast<std::size_t>(node.value());
-    if (index >= nodes_.size()) nodes_.resize(index + 1);
-    return nodes_[index];
-  }
-
-  [[nodiscard]] core::PeerClass class_of(core::PeerId node) const {
-    return node.value() < nodes_.size()
-               ? nodes_[static_cast<std::size_t>(node.value())].cls
-               : core::kHighestClass;
+    P2PS_REQUIRE_MSG(node.value() < nodes_.size(),
+                     "peer id at or beyond the router's bound");
+    return nodes_[static_cast<std::size_t>(node.value())];
   }
 
   /// A group slot off the free list, or a fresh one: the table grows to
@@ -241,7 +237,7 @@ class MailboxRouter {
     // Unlink and free the slot before any handler runs: list order carries
     // no meaning (drain order is fixed by the events' queue positions,
     // groups are matched by id), and a reentrant send may reuse the slot
-    // or relocate the table.
+    // or relocate the group table.
     *link = group.next;
     auto inbox = std::move(group.inbox);
     group.next = free_head_;
@@ -250,9 +246,8 @@ class MailboxRouter {
     if (inbox.size() > max_batch_) max_batch_ = inbox.size();
     for (const auto& envelope : inbox) {
       // Look the mailbox up afresh per message: an earlier handler in this
-      // batch may detach the receiver or grow the node table. (The table
-      // is a deque precisely so that growth from inside the handler being
-      // invoked here cannot relocate it mid-call.)
+      // batch may detach or re-attach the receiver. The node table itself
+      // never moves — it is sized once at construction.
       Mailbox& box = nodes_[static_cast<std::size_t>(to.value())];
       if (box.handler == nullptr) {
         ++undeliverable_;
@@ -267,10 +262,10 @@ class MailboxRouter {
   sim::Simulator& simulator_;
   MailboxConfig config_;
   util::Rng rng_;
-  /// Dense by peer id — no hashing on delivery. A deque, not a vector:
-  /// handlers may attach/send to previously unseen peers, and growing the
-  /// table must not relocate the Mailbox whose handler is executing.
-  std::deque<Mailbox> nodes_;
+  /// Dense by peer id — no hashing on delivery. Sized once at construction
+  /// and never resized, so no handler's attach or send can relocate the
+  /// Mailbox whose handler is executing.
+  std::vector<Mailbox> nodes_;
   EnvelopePool<Envelope<Payload>> pool_;
   /// Router-wide group table shared by every peer's pending list, with a
   /// free list threaded through `Group::next` — the pooled-group design of

@@ -1,28 +1,45 @@
 #include "sim/event_list.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace p2ps::sim {
 
-namespace {
-// Min-heap comparator: std::push_heap/pop_heap build a max-heap, so the
-// "greater" relation puts the least (time, seq) entry at the front.
-bool later(const CalendarEntry& a, const CalendarEntry& b) { return b < a; }
-}  // namespace
-
 void HeapEventList::push(const CalendarEntry& entry) {
   heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  sift_up(heap_.size() - 1, entry);
 }
 
 std::optional<CalendarEntry> HeapEventList::pop() {
   if (heap_.empty()) return std::nullopt;
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  const CalendarEntry entry = heap_.back();
+  const CalendarEntry top = heap_.front();
+  const CalendarEntry last = heap_.back();
   heap_.pop_back();
-  return entry;
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  // Bottom-up pop: walk the hole left at the root down to a leaf along the
+  // smaller children (one comparison per level, none against `last`), then
+  // sift `last` up from that leaf. It almost always settles within a level
+  // or two, since it came from the bottom of the heap.
+  CalendarEntry* heap = heap_.data();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  sift_up(hole, last);
+  return top;
+}
+
+void HeapEventList::sift_up(std::size_t hole, const CalendarEntry& entry) {
+  CalendarEntry* heap = heap_.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(entry < heap[parent])) break;
+    heap[hole] = heap[parent];
+    hole = parent;
+  }
+  heap[hole] = entry;
 }
 
 std::string_view to_string(EventListKind kind) {

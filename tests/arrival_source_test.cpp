@@ -327,6 +327,42 @@ TEST(RetrySource, MatchesHeapOracleOnZeroDelays) {
             750u);
 }
 
+TEST(RetrySource, MatchesHeapOracleWithLanesSpanningManyChunks) {
+  // 2,000 peers on three delays: every lane holds several 340-entry chunks
+  // at once, and chunks pass between lanes as they drain and refill.
+  const SimTime delays[] = {SimTime::millis(1'000), SimTime::millis(1'500),
+                            SimTime::millis(4'000)};
+  EXPECT_EQ(expect_same_firing_log(
+                [&delays](util::Rng& rng) { return delays[rng.uniform_below(3)]; },
+                2'000, 5)
+                .size(),
+            10'000u);
+}
+
+TEST(RetrySource, DrainedChunksServeTheNextLane) {
+  // 2,000 retries fill a 1-s lane, and each one re-enters a 2-s lane as it
+  // fires: the second lane reuses the first lane's drained chunks, so the
+  // pool holds seven — the six that 2,000 entries fill, plus the one the
+  // second lane takes before the first lane hands its first chunk back.
+  sim::Simulator simulator;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> log;
+  RetrySource* self = nullptr;
+  RetrySource retries(simulator, std::nullopt, [&](std::uint32_t id) {
+    log.emplace_back(simulator.now().as_millis(), id);
+    if (simulator.now() == SimTime::seconds(1)) self->schedule(SimTime::seconds(2), id);
+  });
+  self = &retries;
+  for (std::uint32_t id = 0; id < 2'000; ++id) retries.schedule(SimTime::seconds(1), id);
+  simulator.run();
+  ASSERT_EQ(log.size(), 4'000u);
+  for (std::uint32_t id = 0; id < 2'000; ++id) {
+    EXPECT_EQ(log[id], std::make_pair(std::int64_t{1'000}, id));
+    EXPECT_EQ(log[2'000 + id], std::make_pair(std::int64_t{3'000}, id));
+  }
+  EXPECT_EQ(retries.waiting(), 0u);
+  EXPECT_EQ(retries.chunk_slots(), 7u);
+}
+
 // ---------- the engine-level contraction ----------
 
 TEST(LazyArrivals, PeakEventListIsFarBelowPopulation) {

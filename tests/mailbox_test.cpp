@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -24,6 +25,9 @@ namespace {
 using core::PeerId;
 using util::SimTime;
 
+/// The routers' peer-id bound: every id below is a peer the test may use.
+constexpr std::size_t kIdBound = 100;
+
 MailboxConfig fixed_config(std::int64_t millis,
                            TransportMode mode = TransportMode::kBatched) {
   MailboxConfig config;
@@ -38,7 +42,7 @@ TEST(MailboxRouter, DeliversWithinUniformLatencyBounds) {
   MailboxConfig config;
   config.latency.min = SimTime::millis(10);
   config.latency.max = SimTime::millis(50);
-  MailboxRouter<int> router(simulator, config, util::Rng(1));
+  MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(1));
 
   std::vector<std::int64_t> delivery_times;
   router.attach(PeerId{2}, [&](const Envelope<int>& envelope) {
@@ -61,7 +65,7 @@ TEST(MailboxRouter, DeliversWithinUniformLatencyBounds) {
 
 TEST(MailboxRouter, FixedLatencyBatchesAFanoutIntoOneDrain) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(40), util::Rng(2));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(40), util::Rng(2));
 
   std::vector<int> received;
   router.attach(PeerId{9}, [&](const Envelope<int>& envelope) {
@@ -79,7 +83,7 @@ TEST(MailboxRouter, FixedLatencyBatchesAFanoutIntoOneDrain) {
 
 TEST(MailboxRouter, FifoWithinTickFollowsEnqueueOrderAcrossSenders) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(20), util::Rng(3));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(20), util::Rng(3));
   std::vector<std::pair<std::uint64_t, int>> received;
   router.attach(PeerId{5}, [&](const Envelope<int>& envelope) {
     received.emplace_back(envelope.from.value(), envelope.payload);
@@ -99,7 +103,7 @@ TEST(MailboxRouter, TwoClassLatencyIsDeterministicPerEndpointPair) {
   sim::Simulator simulator;
   MailboxConfig config;
   config.latency.kind = LatencyModelKind::kTwoClass;  // defaults: 10/80 halves
-  MailboxRouter<int> router(simulator, config, util::Rng(4));
+  MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(4));
   router.set_peer_class(PeerId{1}, 1);  // ethernet
   router.set_peer_class(PeerId{2}, 2);  // ethernet (class <= 2)
   router.set_peer_class(PeerId{3}, 4);  // modem
@@ -153,7 +157,7 @@ TEST(MailboxRouter, DropProbabilityOneLosesEverything) {
   sim::Simulator simulator;
   MailboxConfig config;
   config.drop_probability = 1.0;
-  MailboxRouter<int> router(simulator, config, util::Rng(5));
+  MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(5));
   int received = 0;
   router.attach(PeerId{2}, [&](const Envelope<int>&) { ++received; });
   for (int i = 0; i < 10; ++i) {
@@ -168,7 +172,7 @@ TEST(MailboxRouter, PartialLossMatchesProbability) {
   sim::Simulator simulator;
   MailboxConfig config;
   config.drop_probability = 0.3;
-  MailboxRouter<int> router(simulator, config, util::Rng(3));
+  MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(3));
   int received = 0;
   router.attach(PeerId{2}, [&](const Envelope<int>&) { ++received; });
   const int n = 10'000;
@@ -180,7 +184,7 @@ TEST(MailboxRouter, PartialLossMatchesProbability) {
 
 TEST(MailboxRouter, ZeroLatencyDeliversAtSameInstant) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(0), util::Rng(5));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(0), util::Rng(5));
   SimTime seen = SimTime::max();
   router.attach(PeerId{2}, [&](const Envelope<int>&) { seen = simulator.now(); });
   simulator.schedule_at(SimTime::seconds(3),
@@ -191,7 +195,7 @@ TEST(MailboxRouter, ZeroLatencyDeliversAtSameInstant) {
 
 TEST(MailboxRouter, DetachedReceiverIsUndeliverable) {
   sim::Simulator simulator;
-  MailboxRouter<std::string> router(simulator, MailboxConfig{}, util::Rng(6));
+  MailboxRouter<std::string> router(simulator, kIdBound, MailboxConfig{}, util::Rng(6));
   int received = 0;
   router.attach(PeerId{9}, [&](const Envelope<std::string>&) { ++received; });
   router.send(PeerId{1}, PeerId{9}, "hello");
@@ -204,7 +208,7 @@ TEST(MailboxRouter, DetachedReceiverIsUndeliverable) {
 
 TEST(MailboxRouter, SameTickDetachFromAnotherHandlerDropsPendingDeliveries) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(7));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(7));
   int got_on_2 = 0;
   // Peer 1's group fires first (created first at the same tick) and
   // detaches peer 2, whose own group has not drained yet: attachment is
@@ -228,7 +232,8 @@ TEST(MailboxRouter, ZeroLatencyRegroupIsNotDrainedByAStaleEvent) {
   // and e3, must observe the regrouped message as still undelivered
   // (groups are matched by id, not by tick).
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(0, TransportMode::kUnbatched),
+  MailboxRouter<int> router(simulator, kIdBound,
+                            fixed_config(0, TransportMode::kUnbatched),
                             util::Rng(8));
   int delivered_to_p = 0;
   bool regroup_seen_by_probe = false;
@@ -254,7 +259,7 @@ TEST(MailboxRouter, UnbatchedModeSchedulesPerMessageButDeliversIdentically) {
   const auto run = [](TransportMode mode) {
     sim::Simulator simulator;
     MailboxConfig config = fixed_config(25, mode);
-    MailboxRouter<int> router(simulator, config, util::Rng(9));
+    MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(9));
     std::vector<Record> log;
     const auto record = [&](const Envelope<int>& envelope) {
       log.emplace_back(simulator.now().as_millis(), envelope.from.value(),
@@ -281,7 +286,7 @@ TEST(MailboxRouter, UnbatchedModeSchedulesPerMessageButDeliversIdentically) {
 
 TEST(EnvelopePool, SteadyStateReusesInboxesInsteadOfAllocating) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(10));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(10));
   router.attach(PeerId{1}, [](const Envelope<int>&) {});
   // 200 sequential one-group ticks: after the first group warms the pool,
   // every acquire must be served from the free list.
@@ -299,7 +304,7 @@ TEST(EnvelopePool, SteadyStateReusesInboxesInsteadOfAllocating) {
 
 TEST(MailboxRouter, GroupTableIsSharedAcrossPeersAndRecycled) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(10));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(10));
   constexpr std::uint64_t kPeers = 64;
   std::vector<int> received(kPeers, 0);
   for (std::uint64_t peer = 0; peer < kPeers; ++peer) {
@@ -331,7 +336,7 @@ TEST(MailboxRouter, GroupTableIsSharedAcrossPeersAndRecycled) {
 
 TEST(MailboxRouter, AttachReplacesTheHandler) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(11));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(11));
   int first = 0;
   int second = 0;
   router.attach(PeerId{1}, [&](const Envelope<int>&) { ++first; });
@@ -344,7 +349,7 @@ TEST(MailboxRouter, AttachReplacesTheHandler) {
 
 TEST(MailboxRouter, EnvelopeCarriesBothEndpoints) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(12));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(12));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (handler, to)
   for (std::uint64_t id : {3u, 4u, 5u}) {
     router.attach(PeerId{id}, [&, id](const Envelope<int>& envelope) {
@@ -364,7 +369,7 @@ TEST(MailboxRouter, EnvelopeCarriesBothEndpoints) {
 
 TEST(MailboxRouter, AttachmentIsCheckedAtDeliveryNotAtSend) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(13));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(13));
   int received = 0;
   const auto handler = [&](const Envelope<int>&) { ++received; };
   router.attach(PeerId{2}, handler);
@@ -382,7 +387,7 @@ TEST(MailboxRouter, PeerClassPersistsAcrossDetachAndReattach) {
   sim::Simulator simulator;
   MailboxConfig config;
   config.latency.kind = LatencyModelKind::kTwoClass;  // 10 ms eth, 80 ms modem
-  MailboxRouter<int> router(simulator, config, util::Rng(14));
+  MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(14));
   std::int64_t arrived_ms = -1;
   const auto record = [&](const Envelope<int>&) {
     arrived_ms = simulator.now().as_millis();
@@ -398,7 +403,7 @@ TEST(MailboxRouter, PeerClassPersistsAcrossDetachAndReattach) {
 
 TEST(MailboxRouter, RejectsInvalidEndpointsAndHandlers) {
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, fixed_config(10), util::Rng(15));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(15));
   EXPECT_THROW(router.attach(PeerId{}, [](const Envelope<int>&) {}),
                util::ContractViolation);
   EXPECT_THROW(router.attach(PeerId{1}, nullptr), util::ContractViolation);
@@ -408,19 +413,93 @@ TEST(MailboxRouter, RejectsInvalidEndpointsAndHandlers) {
   EXPECT_FALSE(router.attached(PeerId{1}));
 }
 
+TEST(MailboxRouter, IdsAtOrBeyondTheBoundAreContractViolations) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(17));
+  const PeerId last{kIdBound - 1};
+  for (const PeerId beyond : {PeerId{kIdBound}, PeerId{kIdBound + 1000}}) {
+    EXPECT_THROW(router.attach(beyond, [](const Envelope<int>&) {}),
+                 util::ContractViolation);
+    EXPECT_THROW(router.set_peer_class(beyond, 2), util::ContractViolation);
+    EXPECT_THROW(router.send(last, beyond, 0), util::ContractViolation);
+    EXPECT_THROW(router.send(beyond, last, 0), util::ContractViolation);
+  }
+  EXPECT_EQ(router.sent(), 0u);
+  EXPECT_EQ(router.events_scheduled(), 0u);
+  // The last id below the bound is an ordinary peer.
+  int received = 0;
+  router.attach(last, [&](const Envelope<int>&) { ++received; });
+  router.set_peer_class(last, 2);
+  EXPECT_TRUE(router.send(PeerId{0}, last, 0));
+  simulator.run();
+  EXPECT_EQ(received, 1);
+}
+
+TEST(MailboxRouter, DetachAndAttachedTolerateAnyId) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(18));
+  for (const PeerId id : {PeerId{kIdBound}, PeerId{kIdBound + 1000}, PeerId{}}) {
+    EXPECT_NO_THROW(router.detach(id));
+    EXPECT_FALSE(router.attached(id));
+  }
+  EXPECT_FALSE(router.attached(PeerId{1}));
+}
+
+TEST(MailboxRouter, ReattachingAnotherPeerMidDrainKeepsTheBatchInOrder) {
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(10), util::Rng(19));
+  struct Log {
+    MailboxRouter<int>* router;
+    std::vector<int> on_1, on_2_old, on_2_new, on_last;
+  };
+  Log log{&router, {}, {}, {}, {}};
+  Log* const state = &log;
+  // Peer 1's batch drains first (its group was created first at the tick).
+  // Midway, its handler swaps peer 2's handler and attaches the highest id,
+  // which nothing has touched yet, then sends to it: none of this may
+  // disturb the batch in progress. The handlers capture one pointer, so
+  // each closure lives inside its std::function, inside the router's peer
+  // table; a table that moved under the running handler would leave it
+  // reading `state` from freed memory (the sanitizer build reports that).
+  router.attach(PeerId{1}, [state](const Envelope<int>& envelope) {
+    state->on_1.push_back(envelope.payload);
+    if (envelope.payload != 2) return;
+    state->router->detach(PeerId{2});
+    state->router->attach(PeerId{2}, [state](const Envelope<int>& e) {
+      state->on_2_new.push_back(e.payload);
+    });
+    state->router->attach(PeerId{kIdBound - 1}, [state](const Envelope<int>& e) {
+      state->on_last.push_back(e.payload);
+    });
+    state->router->send(PeerId{1}, PeerId{kIdBound - 1}, 99);
+  });
+  router.attach(PeerId{2}, [state](const Envelope<int>& envelope) {
+    state->on_2_old.push_back(envelope.payload);
+  });
+  for (int i = 0; i < 6; ++i) router.send(PeerId{9}, PeerId{1}, i);
+  for (int i = 10; i < 13; ++i) router.send(PeerId{9}, PeerId{2}, i);
+  simulator.run();
+  EXPECT_EQ(log.on_1, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(log.on_2_old.empty());
+  EXPECT_EQ(log.on_2_new, (std::vector<int>{10, 11, 12}));
+  EXPECT_EQ(log.on_last, (std::vector<int>{99}));
+  EXPECT_EQ(router.delivered(), 10u);
+  EXPECT_EQ(router.undeliverable(), 0u);
+}
+
 TEST(MailboxRouter, RejectsDropProbabilityOutsideTheUnitInterval) {
   sim::Simulator simulator;
   for (const double p : {-0.1, 1.5}) {
     MailboxConfig config;
     config.drop_probability = p;
-    EXPECT_THROW(MailboxRouter<int>(simulator, config, util::Rng(16)),
+    EXPECT_THROW(MailboxRouter<int>(simulator, kIdBound, config, util::Rng(16)),
                  util::ContractViolation)
         << p;
   }
   for (const double p : {0.0, 1.0}) {
     MailboxConfig config;
     config.drop_probability = p;
-    EXPECT_NO_THROW(MailboxRouter<int>(simulator, config, util::Rng(16))) << p;
+    EXPECT_NO_THROW(MailboxRouter<int>(simulator, kIdBound, config, util::Rng(16))) << p;
   }
 }
 

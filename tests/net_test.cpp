@@ -28,7 +28,7 @@ struct AsyncWorld {
   std::vector<std::unique_ptr<SupplierEndpoint>> suppliers;
 
   explicit AsyncWorld(MailboxConfig config = {})
-      : transport(simulator, config, util::Rng(11)) {
+      : transport(simulator, /*peers=*/100, config, util::Rng(11)) {
     supplier_config.num_classes = 4;
   }
 

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "sim/event_list.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -375,6 +377,90 @@ TEST_P(BackendParity, IdenticalFiringOrderUnderRandomWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendParity, ::testing::Range(1, 7));
+
+// ---------- the heap against an ordered reference ----------
+
+// HeapEventList must pop exactly what a std::multiset keyed by (time, seq)
+// pops, under any interleaving of pushes and pops. Each seed walks the list
+// through phases that grow it to a random size between 0 and 5,000 and
+// drain it part or all of the way, pushing and popping in between. Half
+// the phases draw times from a four-tick span, so most entries tie on time
+// and the seq tie-break decides the order.
+class HeapOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeapOracle, EveryPopMatchesAMultisetReference) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104'729 + 3);
+  HeapEventList heap;
+  std::multiset<CalendarEntry> reference;
+  std::uint64_t next_seq = 0;
+  std::int64_t span = 1;
+  std::size_t pops = 0;
+  const auto push = [&] {
+    const CalendarEntry entry{
+        SimTime::millis(rng.uniform_int(0, span - 1)), next_seq++,
+        rng()};
+    heap.push(entry);
+    reference.insert(entry);
+  };
+  const auto pop = [&] {
+    const auto got = heap.pop();
+    if (reference.empty()) {
+      EXPECT_FALSE(got.has_value());
+      return;
+    }
+    ASSERT_TRUE(got.has_value());
+    const CalendarEntry want = *reference.begin();
+    reference.erase(reference.begin());
+    ASSERT_EQ(got->time, want.time) << "pop " << pops;
+    ASSERT_EQ(got->seq, want.seq) << "pop " << pops;
+    ASSERT_EQ(got->payload, want.payload) << "pop " << pops;
+    ++pops;
+  };
+
+  for (int phase = 0; phase < 16; ++phase) {
+    span = rng.bernoulli(0.5) ? 4 : 1'000'000;
+    const auto target = static_cast<std::size_t>(rng.uniform_below(5'001));
+    while (heap.size() < target) {
+      if (rng.bernoulli(0.7)) {
+        push();
+      } else {
+        pop();
+      }
+      ASSERT_EQ(heap.size(), reference.size());
+    }
+    const auto floor = static_cast<std::size_t>(
+        rng.bernoulli(0.25) ? 0 : rng.uniform_below(target + 1));
+    while (heap.size() > floor) {
+      if (rng.bernoulli(0.2)) {
+        push();
+      } else {
+        pop();
+      }
+      ASSERT_EQ(heap.size(), reference.size());
+    }
+  }
+  while (!reference.empty()) pop();
+  pop();  // empty: both sides agree there is nothing left
+  EXPECT_TRUE(heap.empty());
+  EXPECT_GT(pops, 1'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HeapOracle, ::testing::Range(1, 9));
+
+TEST(HeapEventList, AllTiedEntriesPopInSeqOrder) {
+  HeapEventList heap;
+  // Pushed in a scrambled seq order, all at one time.
+  for (std::uint64_t i = 0; i < 5'000; ++i) {
+    const std::uint64_t seq = (i * 2'459) % 5'000;
+    heap.push(CalendarEntry{SimTime::millis(7), seq, seq});
+  }
+  for (std::uint64_t seq = 0; seq < 5'000; ++seq) {
+    const auto got = heap.pop();
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->seq, seq);
+  }
+  EXPECT_FALSE(heap.pop().has_value());
+}
 
 // ---------- Periodic ----------
 
