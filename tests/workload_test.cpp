@@ -265,6 +265,48 @@ TEST(ArrivalSchedule, ZeroArrivalsIsValid) {
   EXPECT_TRUE(schedule.times().empty());
 }
 
+// ---------- pinned arrival times ----------
+
+// FNV-1a (64-bit) over every arrival_at(i) of a schedule, each time's
+// millisecond count fed least-significant byte first.
+std::uint64_t arrival_hash(const ArrivalSchedule& schedule) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::int64_t i = 0; i < schedule.total(); ++i) {
+    const auto ms = static_cast<std::uint64_t>(schedule.arrival_at(i).as_millis());
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (ms >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// Every arrival time the engines see, pinned: the paper's four patterns at
+// 50,000 arrivals over 72 h, plus the perf_steady (150,000 constant) and
+// perf_flash_crowd (100,000 burst) populations. The hashes were recorded
+// from the materialised schedule that predates on-demand placement, so any
+// drift in quantile_time shows here before it moves a payload.
+TEST(ArrivalSchedule, PinnedArrivalTimeHashes) {
+  struct Pin {
+    ArrivalPattern pattern;
+    std::int64_t total;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {ArrivalPattern::kConstant, 50'000, 0xf6ff974cd9f73c6aull},
+      {ArrivalPattern::kRampUpDown, 50'000, 0x3f33e3743d2e1d20ull},
+      {ArrivalPattern::kBurstThenConstant, 50'000, 0xdb37a4edab813d58ull},
+      {ArrivalPattern::kPeriodicBursts, 50'000, 0x0db399b47c2cb477ull},
+      {ArrivalPattern::kConstant, 150'000, 0x52a4d31d0b696643ull},
+      {ArrivalPattern::kBurstThenConstant, 100'000, 0xb120eaa1bf39d67aull},
+  };
+  for (const Pin& pin : pins) {
+    const auto schedule = ArrivalSchedule::make_lazy(pin.pattern, pin.total, kWindow);
+    EXPECT_EQ(arrival_hash(schedule), pin.hash)
+        << to_string(pin.pattern) << " at " << pin.total;
+  }
+}
+
 // ---------- population ----------
 
 TEST(Population, DefaultsMatchPaper) {
