@@ -1,7 +1,5 @@
 #include "core/admission/probability_vector.hpp"
 
-#include <ostream>
-
 #include "util/assert.hpp"
 
 namespace p2ps::core {
@@ -25,15 +23,6 @@ void AdmissionProbabilityVector::elevate() {
 void AdmissionProbabilityVector::tighten_to(PeerClass k_hat) {
   require_valid_class(k_hat, num_classes());
   level_ = static_cast<std::uint8_t>(k_hat);
-}
-
-std::ostream& operator<<(std::ostream& os, const AdmissionProbabilityVector& v) {
-  os << '[';
-  for (PeerClass c = 1; c <= v.num_classes(); ++c) {
-    if (c > 1) os << ", ";
-    os << v.probability(c);
-  }
-  return os << ']';
 }
 
 }  // namespace p2ps::core

@@ -17,9 +17,7 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <iosfwd>
 
 #include "core/peer_class.hpp"
 
@@ -38,11 +36,6 @@ class AdmissionProbabilityVector {
   // The accessors are defined inline: a supplier consults exponent() and
   // favors() once per received probe (millions of times per paper-scale
   // run) and decides the grant with Rng::bernoulli_pow2, never via a double.
-
-  /// P[c] as a double (exactly representable: a power of two).
-  [[nodiscard]] double probability(PeerClass c) const {
-    return std::ldexp(1.0, -exponent(c));
-  }
 
   /// The stored exponent e with P[c] = 2^-e.
   [[nodiscard]] std::int32_t exponent(PeerClass c) const {
@@ -77,7 +70,5 @@ class AdmissionProbabilityVector {
   std::uint8_t num_classes_;  // K, at most kMaxSupportedClasses
   std::uint8_t level_;        // L: P[c] = 2^-max(0, c - L), 1 <= L <= K
 };
-
-std::ostream& operator<<(std::ostream& os, const AdmissionProbabilityVector& v);
 
 }  // namespace p2ps::core

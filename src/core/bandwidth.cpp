@@ -1,12 +1,6 @@
 #include "core/bandwidth.hpp"
 
-#include <ostream>
-
 namespace p2ps::core {
-
-std::ostream& operator<<(std::ostream& os, Bandwidth b) {
-  return os << b.as_fraction_of_r0() << "*R0";
-}
 
 Bandwidth total_offer(std::span<const PeerClass> classes) {
   Bandwidth total = Bandwidth::zero();

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 
 #include "core/peer_class.hpp"
@@ -41,9 +40,6 @@ class Bandwidth {
   }
 
   [[nodiscard]] constexpr std::int64_t units() const { return units_; }
-  [[nodiscard]] constexpr double as_fraction_of_r0() const {
-    return static_cast<double>(units_) / static_cast<double>(kUnitsPerR0);
-  }
 
   constexpr auto operator<=>(const Bandwidth&) const = default;
 
@@ -57,8 +53,6 @@ class Bandwidth {
   explicit constexpr Bandwidth(std::int64_t units) : units_(units) {}
   std::int64_t units_ = 0;
 };
-
-std::ostream& operator<<(std::ostream& os, Bandwidth b);
 
 /// Aggregated out-bound offer of a set of peer classes.
 [[nodiscard]] Bandwidth total_offer(std::span<const PeerClass> classes);

@@ -39,12 +39,12 @@ void require_valid_session(std::span<const PeerClass> classes) {
 SegmentAssignment::SegmentAssignment(std::vector<PeerClass> supplier_classes,
                                      std::vector<std::int32_t> segment_owner)
     : supplier_classes_(std::move(supplier_classes)),
-      segment_owner_(std::move(segment_owner)) {
+      window_(static_cast<std::int64_t>(segment_owner.size())) {
   P2PS_REQUIRE(!supplier_classes_.empty());
-  P2PS_REQUIRE(!segment_owner_.empty());
+  P2PS_REQUIRE(!segment_owner.empty());
   per_supplier_.resize(supplier_classes_.size());
-  for (std::size_t s = 0; s < segment_owner_.size(); ++s) {
-    const std::int32_t owner_index = segment_owner_[s];
+  for (std::size_t s = 0; s < segment_owner.size(); ++s) {
+    const std::int32_t owner_index = segment_owner[s];
     P2PS_REQUIRE(owner_index >= 0 &&
                  static_cast<std::size_t>(owner_index) < supplier_classes_.size());
     per_supplier_[static_cast<std::size_t>(owner_index)].push_back(
@@ -62,11 +62,6 @@ SegmentAssignment::SegmentAssignment(std::vector<PeerClass> supplier_classes,
 PeerClass SegmentAssignment::supplier_class(std::size_t i) const {
   P2PS_REQUIRE(i < supplier_classes_.size());
   return supplier_classes_[i];
-}
-
-std::int32_t SegmentAssignment::owner(std::int64_t s) const {
-  P2PS_REQUIRE(s >= 0 && s < window_size());
-  return segment_owner_[static_cast<std::size_t>(s)];
 }
 
 std::span<const std::int64_t> SegmentAssignment::segments_of(std::size_t i) const {

@@ -44,17 +44,12 @@ class SegmentAssignment {
   SegmentAssignment(std::vector<PeerClass> supplier_classes,
                     std::vector<std::int32_t> segment_owner);
 
-  [[nodiscard]] std::int64_t window_size() const {
-    return static_cast<std::int64_t>(segment_owner_.size());
-  }
+  [[nodiscard]] std::int64_t window_size() const { return window_; }
   [[nodiscard]] std::size_t supplier_count() const { return supplier_classes_.size(); }
   [[nodiscard]] PeerClass supplier_class(std::size_t i) const;
   [[nodiscard]] std::span<const PeerClass> supplier_classes() const {
     return supplier_classes_;
   }
-
-  /// Supplier index owning window segment `s`.
-  [[nodiscard]] std::int32_t owner(std::int64_t s) const;
 
   /// Window segments assigned to supplier `i`, ascending.
   [[nodiscard]] std::span<const std::int64_t> segments_of(std::size_t i) const;
@@ -78,7 +73,7 @@ class SegmentAssignment {
 
  private:
   std::vector<PeerClass> supplier_classes_;
-  std::vector<std::int32_t> segment_owner_;          // size == window
+  std::int64_t window_;                                  // segments per window
   std::vector<std::vector<std::int64_t>> per_supplier_;  // ascending segment ids
 };
 

@@ -9,7 +9,6 @@
 // session's buffering delay.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,42 +28,23 @@ struct SelectionResult {
 
 /// Greedy exact cover: walk candidates from largest offer to smallest
 /// (stable on ties), take a candidate whenever its offer fits in the
-/// remaining need, stop at zero. `target` defaults to R0.
+/// remaining need, stop at zero. `target` defaults to R0. Overwrites
+/// `result`, reusing the capacity of `result.chosen`.
 ///
 /// Post: result.success() iff some subset of `classes` sums to `target`
 /// exactly (see property test vs. brute force); on success `chosen` has
 /// minimum possible cardinality.
-[[nodiscard]] SelectionResult select_exact_cover(
-    std::span<const PeerClass> classes,
-    Bandwidth target = Bandwidth::playback_rate());
-
-/// In-place variant of select_exact_cover for hot paths: overwrites
-/// `result`, reusing the capacity of `result.chosen`. Identical output.
 void select_exact_cover_into(SelectionResult& result,
                              std::span<const PeerClass> classes,
                              Bandwidth target = Bandwidth::playback_rate());
 
 /// Ablation policy: prefer *small* offers first (maximizing the supplier
 /// count), falling back to the exact greedy when the ascending walk cannot
-/// reach the target. Admits whenever select_exact_cover would, but picks
-/// more suppliers — isolating how much of DAC_p2p's buffering-delay benefit
-/// comes from the largest-offer-first choice.
-[[nodiscard]] SelectionResult select_max_cardinality_cover(
-    std::span<const PeerClass> classes,
-    Bandwidth target = Bandwidth::playback_rate());
-
-/// In-place variant of select_max_cardinality_cover. Identical output.
+/// reach the target. Admits whenever select_exact_cover_into would, but
+/// picks more suppliers — isolating how much of DAC_p2p's buffering-delay
+/// benefit comes from the largest-offer-first choice.
 void select_max_cardinality_cover_into(SelectionResult& result,
                                        std::span<const PeerClass> classes,
                                        Bandwidth target = Bandwidth::playback_rate());
-
-/// Exhaustive reference for testing: does any subset of `classes` sum to
-/// exactly `target`? Exponential — intended for candidate lists <= ~20.
-[[nodiscard]] bool subset_sum_exists(std::span<const PeerClass> classes, Bandwidth target);
-
-/// Exhaustive reference for testing: the minimum subset size achieving the
-/// target exactly, or nullopt if impossible. Exponential, small inputs only.
-[[nodiscard]] std::optional<std::size_t> min_exact_cover_size(
-    std::span<const PeerClass> classes, Bandwidth target);
 
 }  // namespace p2ps::core

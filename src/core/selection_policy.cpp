@@ -50,10 +50,6 @@ void fall_back_if_stranded(SelectionResult& result, std::span<const PeerClass> c
 class PaperDacPolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "paper-dac"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "paper baseline: largest-offer-first exact cover (Section 4.2, "
-           "minimum supplier count)";
-  }
   void select_into(SelectionResult& result, std::span<const PeerClass> classes,
                    Bandwidth target, const SelectionContext&) const override {
     select_exact_cover_into(result, classes, target);
@@ -65,10 +61,6 @@ class PaperDacPolicy final : public SelectionPolicy {
 class MaxCardinalityPolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "max-cardinality"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "ablation: smallest-offer-first exact cover (maximum supplier "
-           "count, worst Theorem-1 delay)";
-  }
   void select_into(SelectionResult& result, std::span<const PeerClass> classes,
                    Bandwidth target, const SelectionContext&) const override {
     select_max_cardinality_cover_into(result, classes, target);
@@ -80,10 +72,6 @@ class MaxCardinalityPolicy final : public SelectionPolicy {
 class FirstFitPolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "first-fit"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "first-fit arrival order: take granting candidates in lookup "
-           "order, offer size ignored";
-  }
   void select_into(SelectionResult& result, std::span<const PeerClass> classes,
                    Bandwidth target, const SelectionContext&) const override {
     result.chosen.clear();
@@ -108,10 +96,6 @@ class BandwidthProportionalPolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "bandwidth-proportional";
-  }
-  [[nodiscard]] std::string_view description() const override {
-    return "randomized: repeatedly pick a fitting candidate with probability "
-           "proportional to its pledged bandwidth";
   }
   [[nodiscard]] bool randomized() const override { return true; }
   void select_into(SelectionResult& result, std::span<const PeerClass> classes,
@@ -155,10 +139,6 @@ class BandwidthProportionalPolicy final : public SelectionPolicy {
 class ReciprocityPolicy final : public SelectionPolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "reciprocity"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "tit-for-tat flavored: prefer candidates in classes closest to "
-           "the requester's own class";
-  }
   void select_into(SelectionResult& result, std::span<const PeerClass> classes,
                    Bandwidth target, const SelectionContext& context) const override {
     const auto distance = [&](std::size_t i) {

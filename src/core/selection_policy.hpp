@@ -56,13 +56,11 @@ class SelectionPolicy {
 
   /// Stable CLI-facing identifier (e.g. "paper-dac").
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// One-line human description for --list-style output and docs.
-  [[nodiscard]] virtual std::string_view description() const = 0;
   /// True when the policy consumes draws from `context.rng`.
   [[nodiscard]] virtual bool randomized() const { return false; }
 
   /// Overwrites `result` with this policy's pick over `classes`.
-  /// Post: result.success() iff subset_sum_exists(classes, target).
+  /// Post: result.success() iff some subset of `classes` sums to `target`.
   virtual void select_into(SelectionResult& result, std::span<const PeerClass> classes,
                            Bandwidth target, const SelectionContext& context) const = 0;
 };

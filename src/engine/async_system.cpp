@@ -254,7 +254,7 @@ SimulationResult AsyncStreamingSystem::run() {
 
   // Lazy arrivals: one source lane walks the schedule (see
   // engine/arrival_source.hpp for the ordering argument).
-  auto schedule = workload::ArrivalSchedule::make(
+  auto schedule = workload::ArrivalSchedule::make_lazy(
       config_.pattern, config_.population.requesters, config_.arrival_window);
   const std::int64_t first_requester = config_.population.seeds;
   ArrivalSource arrivals(simulator_, std::move(schedule),

@@ -45,9 +45,6 @@ struct SimulationConfig {
   workload::ArrivalPattern pattern = workload::ArrivalPattern::kRampUpDown;
   /// First-time requests arrive within [0, arrival_window).
   util::SimTime arrival_window = util::SimTime::hours(72);
-  /// Sample arrival times stochastically from the pattern's density instead
-  /// of the deterministic quantile placement (seeded; still reproducible).
-  bool randomize_arrivals = false;
   /// Total simulated period.
   util::SimTime horizon = util::SimTime::hours(144);
 

@@ -13,7 +13,6 @@
 #include "lookup/chord.hpp"
 #include "lookup/directory.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace p2ps::engine {
 
@@ -105,8 +104,6 @@ const StreamingSystem::Peer& StreamingSystem::peer(core::PeerId id) const {
 std::int64_t StreamingSystem::capacity() const {
   return core::capacity(supplier_bandwidth_);
 }
-
-std::int64_t StreamingSystem::supplier_count() const { return suppliers_; }
 
 const core::SupplierAdmission* StreamingSystem::supplier_state(core::PeerId id) const {
   const Peer& p = peer(id);
@@ -489,15 +486,8 @@ SimulationResult StreamingSystem::run() {
   // First-time requests arrive through a lazy, self-rescheduling source:
   // one source lane instead of an O(population) t=0 event-list build
   // (see engine/arrival_source.hpp for the ordering argument).
-  util::Rng arrival_rng = util::Rng(config_.seed).substream("arrivals");
-  auto schedule =
-      config_.randomize_arrivals
-          ? workload::ArrivalSchedule::make_sampled(config_.pattern,
-                                                    config_.population.requesters,
-                                                    config_.arrival_window, arrival_rng)
-          : workload::ArrivalSchedule::make(config_.pattern,
-                                            config_.population.requesters,
-                                            config_.arrival_window);
+  auto schedule = workload::ArrivalSchedule::make_lazy(
+      config_.pattern, config_.population.requesters, config_.arrival_window);
   const std::int64_t first_requester = config_.population.seeds;
   ArrivalSource arrivals(simulator_, std::move(schedule),
                          [this, first_requester](std::int64_t index) {

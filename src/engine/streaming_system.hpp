@@ -43,7 +43,6 @@ class StreamingSystem {
   // ---- inspection (tests, examples) ----
   [[nodiscard]] const SimulationConfig& config() const { return config_; }
   [[nodiscard]] std::int64_t capacity() const;
-  [[nodiscard]] std::int64_t supplier_count() const;
   [[nodiscard]] std::int64_t active_sessions() const {
     return static_cast<std::int64_t>(ledger_.size());
   }

@@ -65,11 +65,6 @@ bool ChordLookup::contains(core::PeerId id) const { return find_index(id) != kNp
 
 std::size_t ChordLookup::supplier_count() const { return nodes_.size(); }
 
-CandidateInfo ChordLookup::owner_of(std::uint64_t key) const {
-  P2PS_REQUIRE_MSG(!nodes_.empty(), "lookup on an empty ring");
-  return nodes_[owner_index(key)].info;
-}
-
 CandidateInfo ChordLookup::route(std::uint64_t from_key, std::uint64_t key) {
   P2PS_REQUIRE_MSG(!nodes_.empty(), "lookup on an empty ring");
   const std::uint64_t target_pos = nodes_[owner_index(key)].pos;

@@ -56,10 +56,6 @@ class ChordLookup final : public LookupService {
   /// Ring position of a peer id (exposed for tests).
   [[nodiscard]] static std::uint64_t ring_position(core::PeerId id);
 
-  /// The node owning `key` (its successor on the ring). Requires a
-  /// non-empty ring.
-  [[nodiscard]] CandidateInfo owner_of(std::uint64_t key) const;
-
   /// Routes a lookup for `key` starting from the node owning `from_key`,
   /// using greedy closest-preceding-finger routing; returns the owner and
   /// records the hop count. Requires a non-empty ring.

@@ -155,10 +155,6 @@ void SupplierEndpoint::end_session_at(util::SimTime at) {
   arm_idle_timer_at(at + config_.t_out);
 }
 
-void SupplierEndpoint::idle_elevate() {
-  if (!admission_.busy()) admission_.on_idle_timeout();
-}
-
 AsyncAdmissionAttempt::AsyncAdmissionAttempt(const Config& config,
                                              sim::Simulator& simulator,
                                              MessageTransport& transport, Callback done)

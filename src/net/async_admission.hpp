@@ -45,8 +45,8 @@ class SupplierEndpoint {
     bool differentiated = true;
     /// How long a grant hold survives without StartSession/Release.
     util::SimTime hold_timeout = util::SimTime::seconds(10);
-    /// Idle elevation period (paper's T_out). Zero disables the endpoint's
-    /// self-managed idle timer (the host drives idle_elevate() manually).
+    /// Idle elevation period (paper's T_out). Zero disables idle
+    /// elevation.
     util::SimTime t_out = util::SimTime::zero();
     /// Self-recovery bound: if no EndSession arrives within this time of a
     /// session start (e.g. the teardown message was lost), the endpoint
@@ -77,10 +77,6 @@ class SupplierEndpoint {
   /// applies the paper's session-end vector update. The message-driven
   /// equivalent is an EndSession message carrying the session id.
   void end_session();
-
-  /// Applies the idle-timeout elevation (driven by the host's timer when
-  /// Config::t_out is zero; self-scheduled otherwise).
-  void idle_elevate();
 
   /// Session this endpoint is currently serving (invalid when idle).
   [[nodiscard]] core::SessionId active_session() const { return active_session_; }

@@ -10,7 +10,6 @@
 #endif
 
 #include "scenario/json.hpp"
-#include "util/logging.hpp"
 
 namespace p2ps::obs {
 
@@ -147,7 +146,7 @@ void Telemetry::write_record(bool is_summary, std::int64_t sim_ms) {
     }
     out_ << record.dump() << '\n' << std::flush;
     for (const std::string& trip : trips) {
-      P2PS_WARN("watchdog: " << trip);
+      std::cerr << "watchdog: " << trip << '\n';
     }
     if (!trips.empty() &&
         watchdog_.config().action == WatchdogAction::kAbort) {

@@ -102,14 +102,6 @@ std::optional<CalendarEntry> CalendarQueue::pop() {
   return entry;
 }
 
-void CalendarQueue::clear() {
-  for (Bucket& bucket : buckets_) bucket.clear();
-  size_ = 0;
-  current_bucket_ = 0;
-  current_period_start_ = util::SimTime::zero();
-  last_popped_ = util::SimTime::zero();
-}
-
 util::SimTime CalendarQueue::estimate_width() const {
   // Classic heuristic: size buckets to roughly three times the average gap
   // between imminent events, from a small fixed-size (stack) sample — no

@@ -46,10 +46,6 @@ class CalendarQueue {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Drops every entry and rewinds the dequeue cursor to time zero, as if
-  /// freshly constructed (bucket count and width are kept — they re-adapt).
-  void clear();
-
   /// Observability for tests/benchmarks.
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] std::uint64_t resizes() const { return resizes_; }

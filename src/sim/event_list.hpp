@@ -52,12 +52,6 @@ class EventList {
 
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  /// Drops every entry and resets any dequeue-cursor state, so the list is
-  /// indistinguishable from freshly constructed.
-  virtual void clear() = 0;
-
-  [[nodiscard]] virtual EventListKind kind() const = 0;
-
   [[nodiscard]] bool empty() const { return size() == 0; }
 };
 
@@ -69,10 +63,6 @@ class HeapEventList final : public EventList {
   void push(const CalendarEntry& entry) override;
   std::optional<CalendarEntry> pop() override;
   [[nodiscard]] std::size_t size() const override { return heap_.size(); }
-  void clear() override { heap_.clear(); }
-  [[nodiscard]] EventListKind kind() const override {
-    return EventListKind::kBinaryHeap;
-  }
 
  private:
   /// Moves parents down from `hole` until `entry` fits, and stores it.
@@ -87,10 +77,6 @@ class CalendarEventList final : public EventList {
   void push(const CalendarEntry& entry) override { queue_.push(entry); }
   std::optional<CalendarEntry> pop() override { return queue_.pop(); }
   [[nodiscard]] std::size_t size() const override { return queue_.size(); }
-  void clear() override { queue_.clear(); }
-  [[nodiscard]] EventListKind kind() const override {
-    return EventListKind::kCalendarQueue;
-  }
 
  private:
   CalendarQueue queue_;

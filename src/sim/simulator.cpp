@@ -95,7 +95,7 @@ const CalendarEntry* Simulator::peek_live() {
       staged_ = *entry;
       return &*staged_;
     }
-    // Cancelled (or cleared) residue: drop and keep skimming.
+    // Cancelled residue: drop and keep skimming.
   }
 }
 
@@ -277,22 +277,6 @@ std::optional<util::SimTime> Simulator::next_event_time() {
   const Pick pick = pick_next();
   if (pick.next == Next::kNone) return std::nullopt;
   return pick.time;
-}
-
-void Simulator::clear() {
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].cb) {
-      slots_[i].cb.reset();
-      release_slot(i);
-    }
-  }
-  live_ = 0;
-  live_timers_ = 0;
-  for (const SourceLane& lane : lanes_) {
-    if (lane.due != util::SimTime::max()) count_pending(lane.timer);
-  }
-  staged_.reset();
-  queue_->clear();
 }
 
 Periodic::Periodic(Simulator& simulator, util::SimTime start, util::SimTime period,

@@ -56,7 +56,7 @@ struct EventIdTag {};
 
 /// Generation-tagged event handle: the low 32 bits address a slab slot, the
 /// high 32 bits carry that slot's generation at scheduling time. The
-/// generation bumps every time a slot is released (fire, cancel, clear), so
+/// generation bumps every time a slot is released (fire or cancel), so
 /// a stale id can never alias a newer event occupying the same slot.
 using EventId = util::StrongId<EventIdTag>;
 
@@ -68,9 +68,6 @@ class Simulator {
   explicit Simulator(EventListKind event_list = EventListKind::kBinaryHeap);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Which event-list backend this simulator runs on.
-  [[nodiscard]] EventListKind event_list_kind() const { return queue_->kind(); }
 
   /// Current simulated time. Starts at zero.
   [[nodiscard]] util::SimTime now() const { return now_; }
@@ -88,7 +85,7 @@ class Simulator {
   EventId schedule_timer_at(util::SimTime t, Callback cb);
 
   /// Cancels a pending event. Returns true if the event was still pending.
-  /// Safe to call with already-fired, already-cancelled or pre-clear() ids.
+  /// Safe to call with already-fired or already-cancelled ids.
   bool cancel(EventId id);
 
   /// Returns true if the event is still pending.
@@ -98,9 +95,9 @@ class Simulator {
   /// included.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
-  /// Largest pending_count() ever reached over the simulator's lifetime
-  /// (not reset by clear()). The headline lazy-arrival metric: the eager
-  /// arrival build made this ~population-sized at t=0.
+  /// Largest pending_count() ever reached over the simulator's lifetime.
+  /// The headline lazy-arrival metric: the eager arrival build made this
+  /// ~population-sized at t=0.
   [[nodiscard]] std::size_t peak_pending_count() const { return peak_live_; }
 
   /// How many of the events pending at the peak_pending_count() instant
@@ -183,14 +180,6 @@ class Simulator {
   /// Total events executed over the simulator's lifetime, one per lane
   /// fire included.
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
-
-  /// Drops all pending events without executing them and resets the event
-  /// list (including any backend dequeue-cursor state). Every EventId
-  /// issued before clear() is invalidated: cancel() and pending() on such
-  /// ids safely return false. The clock and executed_count() are kept.
-  /// Lanes belong to their owners and are left alone: an armed source lane
-  /// stays armed (and pending), and the delivery lane keeps its due tick.
-  void clear();
 
  private:
   /// One slab slot: the callback of a pending event, or a free-list link.

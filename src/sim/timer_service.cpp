@@ -117,11 +117,6 @@ bool TimerService::rearm_at(TimerId id, util::SimTime deadline) {
   return true;
 }
 
-bool TimerService::rearm_after(TimerId id, util::SimTime delay) {
-  P2PS_REQUIRE_MSG(delay >= util::SimTime::zero(), "delay must be non-negative");
-  return rearm_at(id, simulator_.now() + delay);
-}
-
 bool TimerService::cancel(TimerId id) {
   Slot* slot = live_slot(id);
   if (slot == nullptr) return false;

@@ -110,7 +110,6 @@ class TimerService {
   /// (the cheap path for the idle-elevation rearm-on-every-request
   /// pattern). Returns false when the id is stale (fired/cancelled).
   bool rearm_at(TimerId id, util::SimTime deadline);
-  bool rearm_after(TimerId id, util::SimTime delay);
 
   /// Cancels a pending timer. Returns true if it was still pending. Safe on
   /// stale ids.

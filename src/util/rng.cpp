@@ -1,7 +1,6 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace p2ps::util {
 
@@ -29,30 +28,10 @@ double Rng::uniform01() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform_real(double lo, double hi) {
-  P2PS_REQUIRE(lo <= hi);
-  return lo + (hi - lo) * uniform01();
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
-}
-
-double Rng::exponential(double rate) {
-  P2PS_REQUIRE(rate > 0.0);
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k, bool clamp) {
-  std::vector<std::size_t> out;
-  sample_indices_into(out, n, k, clamp);
-  return out;
 }
 
 void Rng::sample_indices_into(std::vector<std::size_t>& out, std::size_t n,

@@ -97,9 +97,6 @@ class Rng {
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01();
 
-  /// Uniform double in [lo, hi).
-  [[nodiscard]] double uniform_real(double lo, double hi);
-
   /// Bernoulli trial; p is clamped to [0, 1].
   [[nodiscard]] bool bernoulli(double p);
 
@@ -112,9 +109,6 @@ class Rng {
     return e == 0 || (next() >> 11) < (std::uint64_t{1} << (53 - e));
   }
 
-  /// Exponentially distributed value with the given rate (mean 1/rate).
-  [[nodiscard]] double exponential(double rate);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {
@@ -125,18 +119,12 @@ class Rng {
     }
   }
 
-  /// Samples `k` distinct indices from [0, n) uniformly (Floyd's algorithm
-  /// for small k, partial shuffle otherwise). Returns fewer than k only when
-  /// k > n is requested with `clamp == true`; otherwise requires k <= n.
-  [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k,
-                                                        bool clamp = false);
-
-  /// Allocation-free variant of sample_indices for hot paths: clears `out`
-  /// and fills it, reusing its capacity. Consumes exactly the same draws as
-  /// sample_indices, so the two are interchangeable without perturbing any
-  /// seeded result (membership is checked by scanning `out` — for the small
-  /// k of a probe fan-out that beats building a hash set, and it is the
-  /// reason this variant needs no scratch memory of its own).
+  /// Samples `k` distinct indices from [0, n) uniformly into `out` (Floyd's
+  /// algorithm for small k, partial shuffle otherwise), clearing it first
+  /// and reusing its capacity. Yields fewer than k only when k > n is
+  /// requested with `clamp == true`; otherwise requires k <= n. Membership
+  /// is checked by scanning `out` — for the small k of a probe fan-out that
+  /// beats building a hash set, and it is why no scratch memory is needed.
   void sample_indices_into(std::vector<std::size_t>& out, std::size_t n,
                            std::size_t k, bool clamp = false);
 

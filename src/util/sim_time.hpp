@@ -8,8 +8,8 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
+#include <ostream>
 
 namespace p2ps::util {
 
@@ -55,6 +55,8 @@ class SimTime {
   std::int64_t ms_ = 0;
 };
 
-std::ostream& operator<<(std::ostream& os, SimTime t);
+inline std::ostream& operator<<(std::ostream& os, SimTime t) {
+  return os << t.as_millis() << "ms";
+}
 
 }  // namespace p2ps::util

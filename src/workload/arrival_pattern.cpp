@@ -1,6 +1,5 @@
 #include "workload/arrival_pattern.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -73,82 +72,33 @@ std::vector<RatePiece> pieces_for(ArrivalPattern pattern, util::SimTime window) 
 
 }  // namespace
 
-ArrivalSchedule ArrivalSchedule::make(ArrivalPattern pattern, std::int64_t total,
-                                      util::SimTime window) {
-  P2PS_REQUIRE(total >= 0);
-  P2PS_REQUIRE(window > util::SimTime::zero());
-  return ArrivalSchedule(pieces_for(pattern, window), total);
-}
-
-ArrivalSchedule ArrivalSchedule::from_pieces(std::vector<RatePiece> pieces,
-                                             std::int64_t total) {
-  P2PS_REQUIRE(total >= 0);
-  P2PS_REQUIRE(!pieces.empty());
-  return ArrivalSchedule(std::move(pieces), total);
-}
-
-ArrivalSchedule ArrivalSchedule::make_sampled(ArrivalPattern pattern,
-                                              std::int64_t total,
-                                              util::SimTime window, util::Rng& rng) {
-  P2PS_REQUIRE(total >= 0);
-  P2PS_REQUIRE(window > util::SimTime::zero());
-  return ArrivalSchedule(pieces_for(pattern, window), total, &rng);
-}
-
 ArrivalSchedule ArrivalSchedule::make_lazy(ArrivalPattern pattern,
                                            std::int64_t total,
                                            util::SimTime window) {
   P2PS_REQUIRE(total >= 0);
   P2PS_REQUIRE(window > util::SimTime::zero());
-  return ArrivalSchedule(pieces_for(pattern, window), total, nullptr,
-                         /*lazy=*/true);
+  return ArrivalSchedule(pieces_for(pattern, window), total);
 }
 
-const std::vector<util::SimTime>& ArrivalSchedule::times() const {
-  P2PS_REQUIRE_MSG(!lazy_, "times() is unavailable on a lazy schedule");
-  return times_;
-}
-
-ArrivalSchedule::ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total,
-                                 util::Rng* rng, bool lazy)
-    : pieces_(std::move(pieces)), total_(total), lazy_(lazy) {
-  P2PS_REQUIRE_MSG(!(lazy && rng != nullptr),
-                   "sampled schedules cannot be lazy (times must be sorted)");
+ArrivalSchedule::ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total)
+    : pieces_(std::move(pieces)), total_(total) {
   double weight_sum = 0.0;
   for (const auto& piece : pieces_) {
     P2PS_REQUIRE(piece.duration > util::SimTime::zero());
-    P2PS_REQUIRE(piece.weight >= 0.0);
     weight_sum += piece.weight;
     window_ += piece.duration;
   }
-  P2PS_REQUIRE_MSG(weight_sum > 0.0, "arrival pattern carries no weight");
   for (auto& piece : pieces_) piece.weight /= weight_sum;
-
-  // Arrival placement: each arrival corresponds to a quantile q of the
-  // piecewise-linear CDF, inverted exactly within its piece
-  // (quantile_time). Deterministic mode uses the evenly spaced
-  // q = (i+0.5)/total (exact cumulative curve); sampled mode draws
-  // q ~ U[0,1) i.i.d. — a Poisson process conditioned on the exact total.
-  // Lazy mode materialises nothing: deterministic placement is a pure
-  // function of the index, so arrival_at computes it on demand.
-  if (lazy_) return;
-  times_.reserve(static_cast<std::size_t>(total));
-  if (rng == nullptr) {
-    for (std::int64_t i = 0; i < total; ++i) {
-      times_.push_back(
-          quantile_time((static_cast<double>(i) + 0.5) / static_cast<double>(total)));
-    }
-  } else {
-    for (std::int64_t i = 0; i < total; ++i) {
-      times_.push_back(quantile_time(rng->uniform01()));
-    }
-    std::sort(times_.begin(), times_.end());
-  }
-  P2PS_ENSURE(std::is_sorted(times_.begin(), times_.end()));
-  P2PS_ENSURE(times_.empty() || times_.back() < window_);
 }
 
-util::SimTime ArrivalSchedule::quantile_time(double q) const {
+// Arrival i sits at the evenly spaced quantile q = (i+0.5)/total of the
+// piecewise-linear CDF, inverted exactly within its piece: a pure function
+// of the index, so nothing is materialised and the cumulative-arrival
+// curve is exact.
+util::SimTime ArrivalSchedule::arrival_at(std::int64_t index) const {
+  P2PS_REQUIRE(index >= 0 && index < total());
+  const double q =
+      (static_cast<double>(index) + 0.5) / static_cast<double>(total_);
   double cdf_before = 0.0;
   util::SimTime piece_start = util::SimTime::zero();
   std::size_t piece_index = 0;
@@ -165,65 +115,9 @@ util::SimTime ArrivalSchedule::quantile_time(double q) const {
   return piece_start + util::SimTime::millis(offset_ms);
 }
 
-double ArrivalSchedule::rate_per_hour_at(util::SimTime t) const {
-  if (t < util::SimTime::zero() || t >= window_) return 0.0;
-  util::SimTime start = util::SimTime::zero();
-  for (const auto& piece : pieces_) {
-    if (t < start + piece.duration) {
-      const double arrivals = piece.weight * static_cast<double>(total_);
-      return arrivals / piece.duration.as_hours();
-    }
-    start += piece.duration;
-  }
-  return 0.0;
-}
-
-util::SimTime ArrivalSchedule::arrival_at(std::int64_t index) const {
-  P2PS_REQUIRE(index >= 0 && index < total());
-  if (lazy_) {
-    return quantile_time((static_cast<double>(index) + 0.5) /
-                         static_cast<double>(total_));
-  }
-  return times_[static_cast<std::size_t>(index)];
-}
-
 std::optional<util::SimTime> ArrivalCursor::next_arrival() {
   if (consumed_ >= schedule_->total()) return std::nullopt;
   return schedule_->arrival_at(consumed_++);
-}
-
-std::optional<util::SimTime> ArrivalCursor::peek() const {
-  if (consumed_ >= schedule_->total()) return std::nullopt;
-  return schedule_->arrival_at(consumed_);
-}
-
-std::int64_t ArrivalCursor::remaining() const {
-  return schedule_->total() - consumed_;
-}
-
-std::int64_t ArrivalSchedule::arrivals_between(util::SimTime from, util::SimTime to) const {
-  if (lazy_) {
-    // Bisect on the index instead of the (unmaterialised) times; arrival
-    // times are nondecreasing in the index, so this matches the eager
-    // lower_bound exactly.
-    const auto first_at_or_after = [this](util::SimTime t) {
-      std::int64_t lo = 0;
-      std::int64_t hi = total_;
-      while (lo < hi) {
-        const std::int64_t mid = lo + (hi - lo) / 2;
-        if (arrival_at(mid) < t) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
-    };
-    return first_at_or_after(to) - first_at_or_after(from);
-  }
-  const auto lo = std::lower_bound(times_.begin(), times_.end(), from);
-  const auto hi = std::lower_bound(times_.begin(), times_.end(), to);
-  return hi - lo;
 }
 
 }  // namespace p2ps::workload

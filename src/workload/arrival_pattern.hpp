@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace p2ps::workload {
@@ -29,11 +28,10 @@ class ArrivalSchedule;
 
 /// Forward-only cursor over an ArrivalSchedule's arrival times.
 ///
-/// This is the lazy consumption API: instead of materialising one simulator
-/// event per arrival up front (an O(population) event-list build), a caller
-/// walks the schedule one arrival at a time and keeps a single event in
-/// flight (see engine::ArrivalSource). The referenced schedule must outlive
-/// the cursor.
+/// Instead of materialising one simulator event per arrival up front (an
+/// O(population) event-list build), a caller walks the schedule one
+/// arrival at a time and keeps a single event in flight (see
+/// engine::ArrivalSource). The referenced schedule must outlive the cursor.
 class ArrivalCursor {
  public:
   explicit ArrivalCursor(const ArrivalSchedule& schedule) : schedule_(&schedule) {}
@@ -42,14 +40,8 @@ class ArrivalCursor {
   /// arrival has been consumed (then keeps returning nullopt).
   [[nodiscard]] std::optional<util::SimTime> next_arrival();
 
-  /// The next arrival time without advancing; nullopt when exhausted.
-  [[nodiscard]] std::optional<util::SimTime> peek() const;
-
   /// Arrivals already handed out; doubles as the index of the next one.
   [[nodiscard]] std::int64_t consumed() const { return consumed_; }
-
-  [[nodiscard]] std::int64_t remaining() const;
-  [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
  private:
   const ArrivalSchedule* schedule_;
@@ -66,7 +58,7 @@ enum class ArrivalPattern : int {
 [[nodiscard]] std::string_view to_string(ArrivalPattern pattern);
 
 /// One piece of a piecewise-constant rate function: `weight` is the
-/// fraction of all arrivals carried by this piece (pieces are normalized).
+/// fraction of all arrivals carried by this piece.
 struct RatePiece {
   util::SimTime duration;
   double weight;
@@ -74,70 +66,32 @@ struct RatePiece {
 
 class ArrivalSchedule {
  public:
-  /// Builds one of the paper's four patterns: `total` arrivals spread over
-  /// `window` (the paper: 50,000 over 72 h).
-  [[nodiscard]] static ArrivalSchedule make(ArrivalPattern pattern, std::int64_t total,
-                                            util::SimTime window);
-
-  /// Builds a custom pattern from explicit pieces (weights need not be
-  /// normalized; durations must be positive and sum to the window).
-  [[nodiscard]] static ArrivalSchedule from_pieces(std::vector<RatePiece> pieces,
-                                                   std::int64_t total);
-
-  /// Like make(), but arrival times are sampled i.i.d. from the pattern's
-  /// density instead of quantile-placed — the stochastic-arrival variant
-  /// (conditioned on the exact total, this is a Poisson process given N).
-  [[nodiscard]] static ArrivalSchedule make_sampled(ArrivalPattern pattern,
-                                                    std::int64_t total,
-                                                    util::SimTime window,
-                                                    util::Rng& rng);
-
-  /// Like make(), but arrival_at(i) is computed on demand from the
-  /// (tiny) piece table instead of materialising all `total` times — O(1)
-  /// memory for arbitrarily large populations. Deterministic placement is
-  /// a pure function of the index, so lazy and eager schedules agree
-  /// bit-for-bit on every arrival_at; times() is unavailable. The sharded
-  /// engine's 10M-peer runs depend on this (docs/memory.md).
+  /// One of the paper's four patterns: `total` arrivals spread over
+  /// `window` (the paper: 50,000 over 72 h). arrival_at(i) is computed on
+  /// demand from the pattern's (tiny) piece table, so the schedule holds
+  /// O(1) memory for any population; the sharded engine's 10M-peer runs
+  /// depend on this (docs/memory.md).
   [[nodiscard]] static ArrivalSchedule make_lazy(ArrivalPattern pattern,
                                                  std::int64_t total,
                                                  util::SimTime window);
-
-  /// Arrival times, sorted ascending, exactly `total` of them, all within
-  /// [0, window). Unavailable on a make_lazy schedule.
-  [[nodiscard]] const std::vector<util::SimTime>& times() const;
 
   /// A fresh forward-only cursor over the arrival times, for lazy
   /// one-event-in-flight consumption. The schedule must outlive it.
   [[nodiscard]] ArrivalCursor cursor() const { return ArrivalCursor(*this); }
 
-  /// The `index`-th arrival time (0-based, ascending).
+  /// The `index`-th arrival time (0-based, nondecreasing in the index, all
+  /// within [0, window)).
   [[nodiscard]] util::SimTime arrival_at(std::int64_t index) const;
 
   [[nodiscard]] std::int64_t total() const { return total_; }
   [[nodiscard]] util::SimTime window() const { return window_; }
-  [[nodiscard]] bool lazy() const { return lazy_; }
-
-  /// Instantaneous arrival rate at `t`, in arrivals per hour (zero outside
-  /// the window). For inspection and tests.
-  [[nodiscard]] double rate_per_hour_at(util::SimTime t) const;
-
-  /// Number of arrivals in [from, to).
-  [[nodiscard]] std::int64_t arrivals_between(util::SimTime from, util::SimTime to) const;
 
  private:
-  ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total,
-                  util::Rng* rng = nullptr, bool lazy = false);
-
-  /// Exact inversion of the piecewise-linear CDF at quantile q — the one
-  /// placement function both the eager fill and lazy arrival_at use, so
-  /// the two modes cannot drift apart.
-  [[nodiscard]] util::SimTime quantile_time(double q) const;
+  ArrivalSchedule(std::vector<RatePiece> pieces, std::int64_t total);
 
   std::vector<RatePiece> pieces_;  // weights normalized to sum 1
   util::SimTime window_ = util::SimTime::zero();
   std::int64_t total_ = 0;
-  bool lazy_ = false;
-  std::vector<util::SimTime> times_;  // empty when lazy_
 };
 
 }  // namespace p2ps::workload

@@ -18,11 +18,6 @@ ZipfDistribution::ZipfDistribution(std::size_t items, double s) : s_(s) {
   cdf_.back() = 1.0;  // guard against rounding
 }
 
-double ZipfDistribution::pmf(std::size_t k) const {
-  P2PS_REQUIRE(k < cdf_.size());
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
-}
-
 std::size_t ZipfDistribution::sample(util::Rng& rng) const {
   const double u = rng.uniform01();
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);

@@ -21,10 +21,7 @@ class ZipfDistribution {
   [[nodiscard]] std::size_t items() const { return cdf_.size(); }
   [[nodiscard]] double skew() const { return s_; }
 
-  /// P(rank k), 0-based (k = 0 is the most popular item).
-  [[nodiscard]] double pmf(std::size_t k) const;
-
-  /// Samples a 0-based rank.
+  /// Samples a 0-based rank (0 is the most popular item).
   [[nodiscard]] std::size_t sample(util::Rng& rng) const;
 
  private:

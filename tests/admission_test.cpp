@@ -2,6 +2,8 @@
 // vectors, supplier state machine, reminders, requester backoff.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <vector>
 
 #include "core/admission/probability_vector.hpp"
@@ -15,15 +17,20 @@ namespace {
 
 using util::SimTime;
 
+/// P[c] of a vector as a double: 2^-exponent(c).
+double probability(const AdmissionProbabilityVector& v, PeerClass c) {
+  return std::ldexp(1.0, -v.exponent(c));
+}
+
 // ---------- AdmissionProbabilityVector ----------
 
 TEST(ProbabilityVector, PaperInitializationExample) {
   // Paper 4.1(a): class-2 supplier with K=4 starts at [1.0, 1.0, 0.5, 0.25].
   const AdmissionProbabilityVector v(4, 2);
-  EXPECT_DOUBLE_EQ(v.probability(1), 1.0);
-  EXPECT_DOUBLE_EQ(v.probability(2), 1.0);
-  EXPECT_DOUBLE_EQ(v.probability(3), 0.5);
-  EXPECT_DOUBLE_EQ(v.probability(4), 0.25);
+  EXPECT_DOUBLE_EQ(probability(v, 1), 1.0);
+  EXPECT_DOUBLE_EQ(probability(v, 2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(v, 3), 0.5);
+  EXPECT_DOUBLE_EQ(probability(v, 4), 0.25);
   EXPECT_TRUE(v.favors(1));
   EXPECT_TRUE(v.favors(2));
   EXPECT_FALSE(v.favors(3));
@@ -32,9 +39,9 @@ TEST(ProbabilityVector, PaperInitializationExample) {
 
 TEST(ProbabilityVector, HighestClassSupplierFavorsOnlyItself) {
   const AdmissionProbabilityVector v(4, 1);
-  EXPECT_DOUBLE_EQ(v.probability(1), 1.0);
-  EXPECT_DOUBLE_EQ(v.probability(2), 0.5);
-  EXPECT_DOUBLE_EQ(v.probability(4), 0.125);
+  EXPECT_DOUBLE_EQ(probability(v, 1), 1.0);
+  EXPECT_DOUBLE_EQ(probability(v, 2), 0.5);
+  EXPECT_DOUBLE_EQ(probability(v, 4), 0.125);
   EXPECT_EQ(v.lowest_favored_class(), 1);
 }
 
@@ -47,9 +54,9 @@ TEST(ProbabilityVector, LowestClassSupplierStartsFullyRelaxed) {
 TEST(ProbabilityVector, ElevateDoublesAndCaps) {
   AdmissionProbabilityVector v(4, 1);  // [1, .5, .25, .125]
   v.elevate();
-  EXPECT_DOUBLE_EQ(v.probability(2), 1.0);
-  EXPECT_DOUBLE_EQ(v.probability(3), 0.5);
-  EXPECT_DOUBLE_EQ(v.probability(4), 0.25);
+  EXPECT_DOUBLE_EQ(probability(v, 2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(v, 3), 0.5);
+  EXPECT_DOUBLE_EQ(probability(v, 4), 0.25);
   v.elevate();
   v.elevate();
   EXPECT_TRUE(v.fully_relaxed());
@@ -85,8 +92,8 @@ TEST(ProbabilityVector, ElevationRecoversAfterTighten) {
   // All entries below 1.0 must double — including ones at or below the
   // supplier's own class (documented ambiguity resolution #2).
   v.elevate();
-  EXPECT_DOUBLE_EQ(v.probability(2), 1.0);
-  EXPECT_DOUBLE_EQ(v.probability(3), 0.5);
+  EXPECT_DOUBLE_EQ(probability(v, 2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(v, 3), 0.5);
   v.elevate();
   v.elevate();
   EXPECT_TRUE(v.fully_relaxed());
@@ -94,7 +101,7 @@ TEST(ProbabilityVector, ElevationRecoversAfterTighten) {
 
 TEST(ProbabilityVector, AllOnesIsNdacVector) {
   const auto v = AdmissionProbabilityVector::all_ones(4);
-  for (PeerClass c = 1; c <= 4; ++c) EXPECT_DOUBLE_EQ(v.probability(c), 1.0);
+  for (PeerClass c = 1; c <= 4; ++c) EXPECT_DOUBLE_EQ(probability(v, c), 1.0);
   EXPECT_TRUE(v.fully_relaxed());
   EXPECT_EQ(v.lowest_favored_class(), 4);
 }
@@ -103,8 +110,8 @@ TEST(ProbabilityVector, InvalidConstructionThrows) {
   EXPECT_THROW(AdmissionProbabilityVector(4, 0), util::ContractViolation);
   EXPECT_THROW(AdmissionProbabilityVector(4, 5), util::ContractViolation);
   const AdmissionProbabilityVector v(4, 2);
-  EXPECT_THROW((void)v.probability(0), util::ContractViolation);
-  EXPECT_THROW((void)v.probability(5), util::ContractViolation);
+  EXPECT_THROW((void)probability(v, 0), util::ContractViolation);
+  EXPECT_THROW((void)probability(v, 5), util::ContractViolation);
 }
 
 // ---------- SupplierAdmission ----------
@@ -149,8 +156,8 @@ TEST(SupplierAdmission, QuietSessionEndElevates) {
   SupplierAdmission s(4, 1, true);
   s.on_session_start();
   s.on_session_end();  // nobody asked: relax
-  EXPECT_DOUBLE_EQ(s.vector().probability(2), 1.0);
-  EXPECT_DOUBLE_EQ(s.vector().probability(3), 0.5);
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 3), 0.5);
 }
 
 TEST(SupplierAdmission, UnfavoredRequestsStillElevate) {
@@ -159,7 +166,7 @@ TEST(SupplierAdmission, UnfavoredRequestsStillElevate) {
   s.on_session_start();
   (void)s.handle_probe(4, rng);  // class 4 is not favored by a class-1 peer
   s.on_session_end();
-  EXPECT_DOUBLE_EQ(s.vector().probability(2), 1.0);  // still relaxed
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 2), 1.0);  // still relaxed
 }
 
 TEST(SupplierAdmission, ReminderTightensToHighestReminderClass) {
@@ -196,14 +203,14 @@ TEST(SupplierAdmission, RemindersClearedBetweenSessions) {
   // Next quiet session relaxes from the tightened profile.
   s.on_session_start();
   s.on_session_end();
-  EXPECT_DOUBLE_EQ(s.vector().probability(2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 2), 1.0);
 }
 
 TEST(SupplierAdmission, IdleTimeoutElevates) {
   SupplierAdmission s(4, 1, true);
   s.on_idle_timeout();
-  EXPECT_DOUBLE_EQ(s.vector().probability(2), 1.0);
-  EXPECT_DOUBLE_EQ(s.vector().probability(4), 0.25);
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 2), 1.0);
+  EXPECT_DOUBLE_EQ(probability(s.vector(), 4), 0.25);
 }
 
 TEST(SupplierAdmission, NdacModeNeverAdaptsAndAlwaysGrantsWhenIdle) {

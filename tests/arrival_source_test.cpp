@@ -26,14 +26,17 @@ namespace {
 using util::SimTime;
 
 workload::ArrivalSchedule constant_schedule(std::int64_t total) {
-  return workload::ArrivalSchedule::make(workload::ArrivalPattern::kConstant,
-                                         total, SimTime::hours(72));
+  return workload::ArrivalSchedule::make_lazy(workload::ArrivalPattern::kConstant,
+                                              total, SimTime::hours(72));
 }
 
 TEST(ArrivalSource, FiresEveryArrivalAtItsScheduledTimeInOrder) {
   sim::Simulator simulator;
   auto schedule = constant_schedule(500);
-  const std::vector<SimTime> expected = schedule.times();
+  std::vector<SimTime> expected;
+  for (std::int64_t i = 0; i < schedule.total(); ++i) {
+    expected.push_back(schedule.arrival_at(i));
+  }
 
   std::vector<std::int64_t> indices;
   std::vector<SimTime> fire_times;
@@ -105,8 +108,9 @@ TEST(ArrivalSource, SameTimestampArrivalsFireBackToBack) {
   // fires only after the whole arrival run (the eager-ordering property
   // the lazy refactor preserves — see docs/lazy_arrivals.md).
   sim::Simulator simulator;
-  auto schedule = workload::ArrivalSchedule::from_pieces(
-      {{SimTime::millis(1), 1.0}}, 2);  // both arrivals land at t=0
+  auto schedule = workload::ArrivalSchedule::make_lazy(
+      workload::ArrivalPattern::kConstant, 2,
+      SimTime::millis(1));  // both arrivals land at t=0
   std::vector<std::string> order;
   ArrivalSource source(simulator, std::move(schedule), [&](std::int64_t index) {
     order.push_back("arrival" + std::to_string(index));

@@ -16,8 +16,6 @@ TEST(Bandwidth, ClassOffersAreDyadic) {
   EXPECT_EQ(Bandwidth::class_offer(2).units(), Bandwidth::kUnitsPerR0 / 4);
   EXPECT_EQ(Bandwidth::class_offer(3).units(), Bandwidth::kUnitsPerR0 / 8);
   EXPECT_EQ(Bandwidth::class_offer(4).units(), Bandwidth::kUnitsPerR0 / 16);
-  EXPECT_DOUBLE_EQ(Bandwidth::class_offer(1).as_fraction_of_r0(), 0.5);
-  EXPECT_DOUBLE_EQ(Bandwidth::class_offer(4).as_fraction_of_r0(), 0.0625);
 }
 
 TEST(Bandwidth, HigherClassMeansLargerOffer) {

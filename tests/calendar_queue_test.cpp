@@ -85,29 +85,6 @@ TEST(CalendarQueue, GrowsAndShrinks) {
   EXPECT_EQ(popped, 1000u);
 }
 
-TEST(CalendarQueue, ClearEmptiesAndRewindsTheCursor) {
-  CalendarQueue queue(SimTime::millis(100), 4);
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    queue.push({SimTime::seconds(static_cast<std::int64_t>(100 + i)), i, i});
-  }
-  // Advance the dequeue cursor deep into the timeline before clearing.
-  for (int i = 0; i < 250; ++i) ASSERT_TRUE(queue.pop().has_value());
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
-  EXPECT_EQ(queue.pop(), std::nullopt);
-
-  // The cursor is back at time zero: entries far earlier than anything the
-  // queue saw before clear() must pop first and in order.
-  queue.push({SimTime::millis(30), 0, 2});
-  queue.push({SimTime::millis(10), 1, 1});
-  queue.push({SimTime::seconds(500), 2, 3});
-  EXPECT_EQ(queue.pop()->payload, 1u);
-  EXPECT_EQ(queue.pop()->payload, 2u);
-  EXPECT_EQ(queue.pop()->payload, 3u);
-  EXPECT_TRUE(queue.empty());
-}
-
 // Regression: a pop-and-reinsert (how the simulator peeks past its
 // run_until horizon) advances last_popped_ to the reinserted entry's time.
 // Entries pushed *earlier* than that must clamp the resize re-anchor, or a

@@ -2,7 +2,9 @@
 // Chord-style ring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <set>
 #include <vector>
 
@@ -116,38 +118,44 @@ TEST(Directory, SamplingIsApproximatelyUniform) {
 
 // ---------- ChordLookup ----------
 
+/// Brute-force Chord ownership: the first of `ids` at or clockwise after
+/// `key` on the ring, wrapping to the lowest position.
+PeerId successor_of(const std::vector<PeerId>& ids, std::uint64_t key) {
+  std::vector<std::pair<std::uint64_t, PeerId>> ring;
+  for (const PeerId id : ids) ring.emplace_back(ChordLookup::ring_position(id), id);
+  std::sort(ring.begin(), ring.end());
+  for (const auto& [pos, id] : ring) {
+    if (pos >= key) return id;
+  }
+  return ring.front().second;
+}
+
 TEST(Chord, OwnershipIsSuccessorOnRing) {
   ChordLookup chord;
+  std::vector<PeerId> ids;
   for (std::uint64_t i = 0; i < 16; ++i) {
     chord.register_supplier(PeerId{i}, static_cast<core::PeerClass>(1 + i % 4));
+    ids.push_back(PeerId{i});
   }
-  // Brute-force the successor for random keys.
-  std::vector<std::pair<std::uint64_t, PeerId>> ring;
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    ring.emplace_back(ChordLookup::ring_position(PeerId{i}), PeerId{i});
-  }
-  std::sort(ring.begin(), ring.end());
   util::Rng rng(8);
   for (int round = 0; round < 500; ++round) {
     const std::uint64_t key = rng();
-    PeerId expected = ring.front().second;
-    for (const auto& [pos, id] : ring) {
-      if (pos >= key) {
-        expected = id;
-        break;
-      }
-    }
-    EXPECT_EQ(chord.owner_of(key).id, expected);
+    // A lookup that starts at the key itself resolves its owner in place.
+    EXPECT_EQ(chord.route(key, key).id, successor_of(ids, key));
   }
 }
 
 TEST(Chord, RoutedLookupFindsOwner) {
   ChordLookup chord;
-  for (std::uint64_t i = 0; i < 64; ++i) chord.register_supplier(PeerId{i}, 1);
+  std::vector<PeerId> ids;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    chord.register_supplier(PeerId{i}, 1);
+    ids.push_back(PeerId{i});
+  }
   util::Rng rng(9);
   for (int round = 0; round < 500; ++round) {
     const std::uint64_t key = rng();
-    EXPECT_EQ(chord.route(rng(), key).id, chord.owner_of(key).id);
+    EXPECT_EQ(chord.route(rng(), key).id, successor_of(ids, key));
   }
 }
 
@@ -205,17 +213,17 @@ TEST(Chord, JoinLeaveUpdatesOwnership) {
   chord.register_supplier(PeerId{1}, 1);
   chord.register_supplier(PeerId{2}, 1);
   const std::uint64_t pos2 = ChordLookup::ring_position(PeerId{2});
-  EXPECT_EQ(chord.owner_of(pos2).id, PeerId{2});
+  EXPECT_EQ(chord.route(pos2, pos2).id, PeerId{2});
   chord.deregister_supplier(PeerId{2});
   EXPECT_EQ(chord.supplier_count(), 1u);
-  EXPECT_EQ(chord.owner_of(pos2).id, PeerId{1});  // successor takes over
+  EXPECT_EQ(chord.route(pos2, pos2).id, PeerId{1});  // successor takes over
   EXPECT_FALSE(chord.contains(PeerId{2}));
   EXPECT_THROW(chord.deregister_supplier(PeerId{2}), util::ContractViolation);
 }
 
 TEST(Chord, EmptyRingLookupsThrow) {
   ChordLookup chord;
-  EXPECT_THROW((void)chord.owner_of(42), util::ContractViolation);
+  EXPECT_THROW((void)chord.route(42, 42), util::ContractViolation);
   util::Rng rng(1);
   std::vector<CandidateInfo> picks{CandidateInfo{PeerId{9}, 1}};
   chord.candidates_into(picks, 4, rng, PeerId::invalid());

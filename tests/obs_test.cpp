@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -397,6 +398,9 @@ TEST(Telemetry, SnapshotCarriesPhaseTimingsWhenAProfilerIsAttached) {
 
 TEST(Telemetry, WarnActionRecordsTripsInTheSnapshotRecord) {
   const std::string path = temp_path("obs_warn.jsonl");
+  // The warn action also names each trip on stderr, one line per trip.
+  std::ostringstream warned;
+  std::streambuf* const stderr_buf = std::cerr.rdbuf(warned.rdbuf());
   {
     obs::TelemetryOptions options;
     options.path = path;
@@ -410,12 +414,20 @@ TEST(Telemetry, WarnActionRecordsTripsInTheSnapshotRecord) {
     telemetry.snapshot(2000);  // 100 attempts, 0 admissions: collapse (warn)
     telemetry.finish();
   }
+  std::cerr.rdbuf(stderr_buf);
   const auto lines = read_lines(path);
   ASSERT_GE(lines.size(), 3u);
   EXPECT_EQ(lines[0].find("\"watchdog\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"watchdog\""), std::string::npos);
   EXPECT_NE(lines[1].find("admission-rate collapse"), std::string::npos);
   EXPECT_NE(lines[2].find("\"watchdog_trips\":1"), std::string::npos);
+
+  std::vector<std::string> stderr_lines;
+  std::istringstream stderr_text(warned.str());
+  for (std::string line; std::getline(stderr_text, line);) stderr_lines.push_back(line);
+  ASSERT_EQ(stderr_lines.size(), 1u) << warned.str();
+  EXPECT_EQ(stderr_lines[0].rfind("watchdog: admission-rate collapse", 0), 0u)
+      << stderr_lines[0];
 }
 
 TEST(Telemetry, AbortActionThrowsAfterWritingTheEvidence) {

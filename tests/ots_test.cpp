@@ -38,11 +38,6 @@ TEST(OtsAssignment, PaperFigure2Walkthrough) {
             (std::vector<std::int64_t>{5}));
   EXPECT_EQ(std::vector<std::int64_t>(a.segments_of(3).begin(), a.segments_of(3).end()),
             (std::vector<std::int64_t>{4}));
-
-  EXPECT_EQ(a.owner(7), 0);
-  EXPECT_EQ(a.owner(6), 1);
-  EXPECT_EQ(a.owner(5), 2);
-  EXPECT_EQ(a.owner(4), 3);
 }
 
 TEST(OtsAssignment, PaperFigure1DelayComparison) {
@@ -324,8 +319,9 @@ TEST(NaiveRoundRobin, MatchesOtsOnThePaperExample) {
   const SegmentAssignment naive = naive_round_robin_assignment(classes);
   const SegmentAssignment ots = ots_assignment(classes);
   EXPECT_EQ(naive.min_buffering_delay_dt(), 4);
-  for (std::int64_t s = 0; s < 8; ++s) {
-    EXPECT_EQ(naive.owner(s), ots.owner(s)) << "segment " << s;
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(naive.segments_of(i), ots.segments_of(i)))
+        << "supplier " << i;
   }
 }
 

@@ -4,7 +4,7 @@
 #include <set>
 #include <vector>
 
-#include "core/plan.hpp"
+#include "support/plan.hpp"
 #include "util/assert.hpp"
 
 namespace p2ps::core {

@@ -11,6 +11,7 @@
 
 #include "core/selection.hpp"
 #include "core/selection_policy.hpp"
+#include "support/cover_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -18,6 +19,19 @@ namespace p2ps::core {
 namespace {
 
 Bandwidth r0() { return Bandwidth::playback_rate(); }
+
+SelectionResult exact_cover(std::span<const PeerClass> classes, Bandwidth target = r0()) {
+  SelectionResult result;
+  select_exact_cover_into(result, classes, target);
+  return result;
+}
+
+SelectionResult max_cardinality_cover(std::span<const PeerClass> classes,
+                                      Bandwidth target = r0()) {
+  SelectionResult result;
+  select_max_cardinality_cover_into(result, classes, target);
+  return result;
+}
 
 Bandwidth chosen_sum(const SelectionResult& result,
                      const std::vector<PeerClass>& classes) {
@@ -50,7 +64,6 @@ TEST(PolicyRegistry, HasAtLeastFivePoliciesWithUniqueNames) {
   for (const SelectionPolicy* policy : policies) {
     ASSERT_NE(policy, nullptr);
     EXPECT_FALSE(policy->name().empty());
-    EXPECT_FALSE(policy->description().empty());
     names.insert(std::string(policy->name()));
   }
   EXPECT_EQ(names.size(), policies.size()) << "duplicate policy names";
@@ -94,7 +107,7 @@ TEST(PaperDacPolicy, MatchesSelectExactCoverByteForByte) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(5)));
     }
-    const auto direct = select_exact_cover(classes);
+    const auto direct = exact_cover(classes);
     const auto via_policy = run_policy(paper_dac_policy(), classes);
     EXPECT_EQ(via_policy.chosen, direct.chosen) << "round " << round;
     EXPECT_EQ(via_policy.shortfall, direct.shortfall);
@@ -110,7 +123,7 @@ TEST(MaxCardinalityPolicy, MatchesSelectMaxCardinalityCover) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(4)));
     }
-    const auto direct = select_max_cardinality_cover(classes);
+    const auto direct = max_cardinality_cover(classes);
     const auto via_policy = run_policy(policy, classes);
     EXPECT_EQ(via_policy.chosen, direct.chosen) << "round " << round;
     EXPECT_EQ(via_policy.shortfall, direct.shortfall);

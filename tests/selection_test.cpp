@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/selection.hpp"
+#include "support/cover_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -14,9 +15,22 @@ namespace {
 
 Bandwidth r0() { return Bandwidth::playback_rate(); }
 
+SelectionResult exact_cover(std::span<const PeerClass> classes, Bandwidth target = r0()) {
+  SelectionResult result;
+  select_exact_cover_into(result, classes, target);
+  return result;
+}
+
+SelectionResult max_cardinality_cover(std::span<const PeerClass> classes,
+                                      Bandwidth target = r0()) {
+  SelectionResult result;
+  select_max_cardinality_cover_into(result, classes, target);
+  return result;
+}
+
 TEST(SelectExactCover, SimpleSuccess) {
   const std::vector<PeerClass> classes{1, 1};
-  const auto result = select_exact_cover(classes);
+  const auto result = exact_cover(classes);
   EXPECT_TRUE(result.success());
   EXPECT_EQ(result.chosen.size(), 2u);
 }
@@ -24,7 +38,7 @@ TEST(SelectExactCover, SimpleSuccess) {
 TEST(SelectExactCover, PrefersLargestOffers) {
   // {1/2, 1/2, 1/4, 1/4}: greedy takes the two halves, not four pieces.
   const std::vector<PeerClass> classes{2, 1, 2, 1};
-  const auto result = select_exact_cover(classes);
+  const auto result = exact_cover(classes);
   EXPECT_TRUE(result.success());
   EXPECT_EQ(result.chosen.size(), 2u);
   EXPECT_EQ(classes[result.chosen[0]], 1);
@@ -34,20 +48,20 @@ TEST(SelectExactCover, PrefersLargestOffers) {
 TEST(SelectExactCover, SkipsOvershootingOffers) {
   // Need 1; offers {1/2, 1/2, 1/2}: uses exactly two, skips the third.
   const std::vector<PeerClass> classes{1, 1, 1};
-  const auto result = select_exact_cover(classes);
+  const auto result = exact_cover(classes);
   EXPECT_TRUE(result.success());
   EXPECT_EQ(result.chosen.size(), 2u);
 }
 
 TEST(SelectExactCover, ReportsShortfall) {
   const std::vector<PeerClass> classes{2, 3};  // 1/4 + 1/8 = 3/8
-  const auto result = select_exact_cover(classes);
+  const auto result = exact_cover(classes);
   EXPECT_FALSE(result.success());
   EXPECT_EQ(result.shortfall, r0() - Bandwidth::class_offer(2) - Bandwidth::class_offer(3));
 }
 
 TEST(SelectExactCover, EmptyCandidates) {
-  const auto result = select_exact_cover(std::vector<PeerClass>{});
+  const auto result = exact_cover(std::vector<PeerClass>{});
   EXPECT_FALSE(result.success());
   EXPECT_EQ(result.shortfall, r0());
   EXPECT_TRUE(result.chosen.empty());
@@ -56,7 +70,7 @@ TEST(SelectExactCover, EmptyCandidates) {
 TEST(SelectExactCover, CustomTarget) {
   const std::vector<PeerClass> classes{2, 3, 3};
   const auto result =
-      select_exact_cover(classes, Bandwidth::class_offer(1));  // target 1/2
+      exact_cover(classes, Bandwidth::class_offer(1));  // target 1/2
   EXPECT_TRUE(result.success());
   EXPECT_EQ(result.chosen.size(), 3u);  // 1/4 + 1/8 + 1/8
 }
@@ -64,7 +78,7 @@ TEST(SelectExactCover, CustomTarget) {
 TEST(SelectExactCover, StableOnTies) {
   // Equal offers are taken in list order.
   const std::vector<PeerClass> classes{1, 1, 1};
-  const auto result = select_exact_cover(classes);
+  const auto result = exact_cover(classes);
   EXPECT_EQ(result.chosen, (std::vector<std::size_t>{0, 1}));
 }
 
@@ -81,7 +95,7 @@ TEST_P(SelectionProperty, GreedyMatchesExhaustiveSearch) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(5)));
     }
-    const auto greedy = select_exact_cover(classes);
+    const auto greedy = exact_cover(classes);
     const bool exhaustive = subset_sum_exists(classes, r0());
     EXPECT_EQ(greedy.success(), exhaustive)
         << "round " << round << " size " << n;
@@ -109,8 +123,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SelectionProperty,
 
 TEST(SelectMaxCardinality, PicksMoreSuppliersWhenPossible) {
   const std::vector<PeerClass> classes{1, 1, 2, 2};
-  const auto greedy = select_exact_cover(classes);
-  const auto wide = select_max_cardinality_cover(classes);
+  const auto greedy = exact_cover(classes);
+  const auto wide = max_cardinality_cover(classes);
   EXPECT_TRUE(greedy.success());
   EXPECT_TRUE(wide.success());
   EXPECT_EQ(greedy.chosen.size(), 2u);  // 1/2 + 1/2
@@ -121,7 +135,7 @@ TEST(SelectMaxCardinality, FallsBackWhenAscendingWalkFails) {
   // Ascending greedy on {1/4, 1/2, 1/2} strands at 3/4; the fallback still
   // admits via the two halves.
   const std::vector<PeerClass> classes{2, 1, 1};
-  const auto wide = select_max_cardinality_cover(classes);
+  const auto wide = max_cardinality_cover(classes);
   EXPECT_TRUE(wide.success());
   Bandwidth sum = Bandwidth::zero();
   for (std::size_t i : wide.chosen) sum += Bandwidth::class_offer(classes[i]);
@@ -136,8 +150,8 @@ TEST(SelectMaxCardinality, AdmitsIffGreedyAdmits) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(4)));
     }
-    const auto greedy = select_exact_cover(classes);
-    const auto wide = select_max_cardinality_cover(classes);
+    const auto greedy = exact_cover(classes);
+    const auto wide = max_cardinality_cover(classes);
     EXPECT_EQ(greedy.success(), wide.success());
     if (wide.success()) {
       EXPECT_GE(wide.chosen.size(), greedy.chosen.size());

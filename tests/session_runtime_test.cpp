@@ -5,7 +5,7 @@
 #include <functional>
 #include <vector>
 
-#include "core/session_runtime.hpp"
+#include "support/session_runtime.hpp"
 #include "util/assert.hpp"
 
 namespace p2ps::core {

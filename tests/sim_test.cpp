@@ -151,55 +151,6 @@ TEST(Simulator, MaxEventsLimit) {
   EXPECT_EQ(s.pending_count(), 6u);
 }
 
-TEST(Simulator, ClearDropsEverything) {
-  Simulator s;
-  int fired = 0;
-  s.schedule_at(SimTime::seconds(1), [&] { ++fired; });
-  s.clear();
-  s.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(s.pending_count(), 0u);
-}
-
-// Regression for the documented clear() contract: pre-clear ids are
-// invalidated (cancel/pending return false, never aliasing a post-clear
-// event), the event-list skim state is reset, and the simulator schedules
-// and fires normally afterwards — on both backends.
-TEST(Simulator, ClearInvalidatesOldIdsAndResetsState) {
-  for (const auto kind :
-       {EventListKind::kBinaryHeap, EventListKind::kCalendarQueue}) {
-    Simulator s(kind);
-    int old_fired = 0;
-    std::vector<EventId> old_ids;
-    for (int i = 1; i <= 8; ++i) {
-      old_ids.push_back(
-          s.schedule_at(SimTime::minutes(i), [&] { ++old_fired; }));
-    }
-    s.run_until(SimTime::minutes(2));  // leaves popped-cursor/skim state behind
-    EXPECT_EQ(old_fired, 2);
-    s.clear();
-    EXPECT_EQ(s.pending_count(), 0u);
-
-    // Every pre-clear id is dead: not pending, not cancellable.
-    for (const EventId id : old_ids) {
-      EXPECT_FALSE(s.pending(id));
-      EXPECT_FALSE(s.cancel(id));
-    }
-
-    // New events reuse the slab slots, yet stale ids still cannot touch
-    // them, and execution resumes with full ordering semantics.
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i) {
-      s.schedule_at(SimTime::minutes(10 + i), [&order, i] { order.push_back(i); });
-    }
-    for (const EventId id : old_ids) EXPECT_FALSE(s.cancel(id));
-    EXPECT_EQ(s.run(), 8u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-    EXPECT_EQ(old_fired, 2);
-    EXPECT_EQ(s.now(), SimTime::minutes(17));
-  }
-}
-
 TEST(Simulator, PeakPendingTracksTheHighWaterMark) {
   Simulator s;
   EXPECT_EQ(s.peak_pending_count(), 0u);
@@ -217,12 +168,6 @@ TEST(Simulator, PeakPendingTracksTheHighWaterMark) {
   EXPECT_EQ(s.peak_pending_count(), 3u);
   for (int i = 0; i < 4; ++i) s.schedule_after(SimTime::seconds(2 + i), [] {});
   EXPECT_EQ(s.peak_pending_count(), 5u);
-}
-
-TEST(Simulator, ReportsItsEventListKind) {
-  EXPECT_EQ(Simulator().event_list_kind(), EventListKind::kBinaryHeap);
-  EXPECT_EQ(Simulator(EventListKind::kCalendarQueue).event_list_kind(),
-            EventListKind::kCalendarQueue);
 }
 
 TEST(Simulator, ExecutedCountAccumulates) {
@@ -584,17 +529,6 @@ TEST(DeliveryLane, PendingCountsSeeListEventsOnly) {
   EXPECT_EQ(s.executed_count(), 6u);
 }
 
-TEST(DeliveryLane, ClearLeavesTheLaneAlone) {
-  Simulator s;
-  TickLane lane(s);
-  lane.add(4);
-  s.schedule_at(SimTime::millis(2), [&] { lane.log.push_back(2); });
-  s.clear();
-  EXPECT_EQ(s.next_event_time(), SimTime::millis(4));
-  EXPECT_EQ(s.run(), 1u);
-  EXPECT_EQ(lane.log, (std::vector<std::int64_t>{-4}));
-}
-
 TEST(DeliveryLane, ASecondLaneIsAContractViolation) {
   Simulator s;
   TickLane lane(s);
@@ -744,21 +678,6 @@ TEST(SourceLane, TheDeliveryLaneStillLosesTiesAndStaysUncounted) {
   EXPECT_EQ(log, (std::vector<int>{7}));
   EXPECT_EQ(delivery.log, (std::vector<std::int64_t>{-10}));
   EXPECT_EQ(s.peak_pending_count(), 1u);
-}
-
-TEST(SourceLane, ClearLeavesLanesArmed) {
-  Simulator s;
-  std::vector<int> log;
-  MarkLane lane(s, 0, log);
-  MarkLane timer(s, 1, log, /*timer=*/true);
-  lane.arm(4);
-  timer.arm(6);
-  s.schedule_at(SimTime::millis(2), [&] { log.push_back(2); });
-  s.clear();
-  EXPECT_EQ(s.pending_count(), 2u);
-  EXPECT_EQ(s.next_event_time(), SimTime::millis(4));
-  EXPECT_EQ(s.run(), 2u);
-  EXPECT_EQ(log, (std::vector<int>{0, 1}));
 }
 
 TEST(SourceLane, RemovedHandlesAreReusedAndNeverFire) {

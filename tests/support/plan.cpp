@@ -1,4 +1,4 @@
-#include "core/plan.hpp"
+#include "support/plan.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "core/session_runtime.hpp"
+#include "support/session_runtime.hpp"
 
 #include <utility>
 

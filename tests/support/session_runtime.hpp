@@ -14,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/plan.hpp"
+#include "support/plan.hpp"
 #include "media/playback_buffer.hpp"
 #include "sim/simulator.hpp"
 #include "util/sim_time.hpp"

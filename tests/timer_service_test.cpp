@@ -86,10 +86,10 @@ TEST(TimerService, RearmMovesTheDeadlineAndKeepsTheCallback) {
     std::vector<std::int64_t> fired_at;
     const TimerId id = timers.arm_after(
         SimTime::millis(10), [&](SimTime at) { fired_at.push_back(at.as_millis()); });
-    EXPECT_TRUE(timers.rearm_after(id, SimTime::millis(40)));
+    EXPECT_TRUE(timers.rearm_at(id, SimTime::millis(40)));
     simulator.run();
     EXPECT_EQ(fired_at, (std::vector<std::int64_t>{40})) << to_string(strategy);
-    EXPECT_FALSE(timers.rearm_after(id, SimTime::millis(5)));  // stale
+    EXPECT_FALSE(timers.rearm_at(id, SimTime::millis(45)));  // stale
   }
 }
 

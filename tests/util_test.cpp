@@ -1,21 +1,17 @@
-// Unit tests for the util module: time, ids, rng, stats, tables, contracts.
+// Unit tests for the util module: time, ids, rng, tables, contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
-#include "util/stats.hpp"
 #include "util/strong_id.hpp"
 #include "util/table.hpp"
 
@@ -288,18 +284,11 @@ TEST(Rng, BernoulliPow2MatchesBernoulliOfLdexp) {
   EXPECT_THROW((void)rng.bernoulli_pow2(54), ContractViolation);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(8);
-  double sum = 0.0;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(Rng, SampleIndicesDistinctAndInRange) {
   Rng rng(6);
+  std::vector<std::size_t> picks;
   for (int round = 0; round < 100; ++round) {
-    const auto picks = rng.sample_indices(100, 8);
+    rng.sample_indices_into(picks, 100, 8);
     EXPECT_EQ(picks.size(), 8u);
     std::set<std::size_t> distinct(picks.begin(), picks.end());
     EXPECT_EQ(distinct.size(), 8u);
@@ -309,23 +298,28 @@ TEST(Rng, SampleIndicesDistinctAndInRange) {
 
 TEST(Rng, SampleIndicesFullPopulation) {
   Rng rng(6);
-  const auto picks = rng.sample_indices(10, 10);
+  std::vector<std::size_t> picks;
+  rng.sample_indices_into(picks, 10, 10);
   std::set<std::size_t> distinct(picks.begin(), picks.end());
   EXPECT_EQ(distinct.size(), 10u);
 }
 
 TEST(Rng, SampleIndicesClampsWhenAsked) {
   Rng rng(6);
-  EXPECT_EQ(rng.sample_indices(3, 10, /*clamp=*/true).size(), 3u);
-  EXPECT_THROW((void)rng.sample_indices(3, 10), ContractViolation);
+  std::vector<std::size_t> picks;
+  rng.sample_indices_into(picks, 3, 10, /*clamp=*/true);
+  EXPECT_EQ(picks.size(), 3u);
+  EXPECT_THROW(rng.sample_indices_into(picks, 3, 10), ContractViolation);
 }
 
 TEST(Rng, SampleIndicesUnbiased) {
   Rng rng(123);
   std::vector<int> counts(20, 0);
+  std::vector<std::size_t> picks;
   const int rounds = 20'000;
   for (int round = 0; round < rounds; ++round) {
-    for (auto p : rng.sample_indices(20, 4)) ++counts[p];
+    rng.sample_indices_into(picks, 20, 4);
+    for (auto p : picks) ++counts[p];
   }
   // Each index expected rounds * 4/20 = 4000 times.
   for (int count : counts) EXPECT_NEAR(count, 4000, 400);
@@ -339,66 +333,6 @@ TEST(Rng, ShuffleIsAPermutation) {
   rng.shuffle(std::span<int>(shuffled));
   EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), shuffled.begin()));
   EXPECT_NE(v, shuffled);  // astronomically unlikely to be identity
-}
-
-// ---------- stats ----------
-
-TEST(RunningStat, KnownValues) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, MergeMatchesCombined) {
-  RunningStat a, b, combined;
-  Rng rng(10);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform_real(-5, 5);
-    combined.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
-}
-
-TEST(RunningStat, PreconditionsThrow) {
-  RunningStat s;
-  EXPECT_THROW((void)s.mean(), ContractViolation);
-  s.add(1.0);
-  EXPECT_THROW((void)s.variance(), ContractViolation);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Percentile, NearestRank) {
-  std::vector<double> v{15, 20, 35, 40, 50};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 15);
-  EXPECT_DOUBLE_EQ(percentile(v, 30), 20);
-  EXPECT_DOUBLE_EQ(percentile(v, 40), 20);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 35);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 50);
-  EXPECT_THROW((void)percentile({}, 50), ContractViolation);
 }
 
 // ---------- table ----------
@@ -427,67 +361,6 @@ TEST(TextTable, MisuseThrows) {
 TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(10.0, 0), "10");
-}
-
-// ---------- logging ----------
-
-TEST(Logger, RespectsLevelAndSink) {
-  auto& logger = Logger::global();
-  const LogLevel old_level = logger.level();
-  std::vector<std::string> captured;
-  logger.set_sink([&](LogLevel, std::string_view message) {
-    captured.emplace_back(message);
-  });
-  logger.set_level(LogLevel::kWarn);
-  P2PS_DEBUG("hidden " << 1);
-  P2PS_WARN("visible " << 2);
-  EXPECT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "visible 2");
-  logger.set_level(old_level);
-  logger.set_sink([](LogLevel, std::string_view) {});
-}
-
-// Shard and sweep workers log through the one global instance while tests
-// swap sinks: concurrent logging against mid-run sink swaps and level
-// changes must never tear a sink call or race a destroyed std::function
-// (run under TSan in CI to mean anything beyond "did not crash").
-TEST(Logger, ConcurrentLoggingSurvivesSinkAndLevelChanges) {
-  auto& logger = Logger::global();
-  const LogLevel old_level = logger.level();
-  std::atomic<std::int64_t> delivered{0};
-  logger.set_sink([&](LogLevel, std::string_view message) {
-    EXPECT_FALSE(message.empty());
-    delivered.fetch_add(1, std::memory_order_relaxed);
-  });
-  logger.set_level(LogLevel::kInfo);
-  std::vector<std::thread> workers;
-  workers.reserve(4);
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([w] {
-      for (int i = 0; i < 500; ++i) {
-        P2PS_INFO("worker " << w << " message " << i);
-      }
-    });
-  }
-  // Meanwhile the coordinator churns the level and swaps the sink — the
-  // exact pattern a test harness inflicts on live shard workers.
-  for (int i = 0; i < 50; ++i) {
-    logger.set_level(i % 2 == 0 ? LogLevel::kInfo : LogLevel::kWarn);
-    logger.set_sink([&](LogLevel, std::string_view) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  logger.set_level(LogLevel::kInfo);
-  for (auto& worker : workers) worker.join();
-  EXPECT_GT(delivered.load(), 0);
-  logger.set_level(old_level);
-  logger.set_sink([](LogLevel, std::string_view) {});
-}
-
-TEST(LogLevelNames, AllDistinct) {
-  EXPECT_EQ(to_string(LogLevel::kTrace), "TRACE");
-  EXPECT_EQ(to_string(LogLevel::kError), "ERROR");
-  EXPECT_EQ(to_string(LogLevel::kOff), "OFF");
 }
 
 // ---------- contracts ----------

@@ -19,23 +19,33 @@ using util::SimTime;
 constexpr std::int64_t kTotal = 50'000;
 const SimTime kWindow = SimTime::hours(72);
 
+std::vector<SimTime> all_arrivals(const ArrivalSchedule& schedule) {
+  std::vector<SimTime> times;
+  for (std::int64_t i = 0; i < schedule.total(); ++i) {
+    times.push_back(schedule.arrival_at(i));
+  }
+  return times;
+}
+
+/// Arrivals in [from, to), counted over every arrival_at.
+std::int64_t arrivals_between(const ArrivalSchedule& schedule, SimTime from,
+                              SimTime to) {
+  const auto times = all_arrivals(schedule);
+  return std::count_if(times.begin(), times.end(),
+                       [&](SimTime t) { return t >= from && t < to; });
+}
+
 class EveryPattern : public ::testing::TestWithParam<ArrivalPattern> {};
 
 TEST_P(EveryPattern, ExactTotalSortedAndInWindow) {
-  const auto schedule = ArrivalSchedule::make(GetParam(), kTotal, kWindow);
+  const auto schedule = ArrivalSchedule::make_lazy(GetParam(), kTotal, kWindow);
   EXPECT_EQ(schedule.total(), kTotal);
   EXPECT_EQ(schedule.window(), kWindow);
-  const auto& times = schedule.times();
+  const auto times = all_arrivals(schedule);
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
   EXPECT_GE(times.front(), SimTime::zero());
   EXPECT_LT(times.back(), kWindow);
-  EXPECT_EQ(schedule.arrivals_between(SimTime::zero(), kWindow), kTotal);
-}
-
-TEST_P(EveryPattern, Deterministic) {
-  const auto a = ArrivalSchedule::make(GetParam(), 1000, kWindow);
-  const auto b = ArrivalSchedule::make(GetParam(), 1000, kWindow);
-  EXPECT_EQ(a.times(), b.times());
+  EXPECT_EQ(arrivals_between(schedule, SimTime::zero(), kWindow), kTotal);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -49,132 +59,90 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- ArrivalCursor (the lazy consumption API) ----------
 
-TEST_P(EveryPattern, CursorWalkMatchesTimesVector) {
+TEST_P(EveryPattern, CursorWalkMatchesArrivalAt) {
   // The equivalence contract behind the lazy arrival source: walking the
-  // cursor yields exactly the times() vector, in order, for every paper
+  // cursor yields exactly arrival_at(0..total-1), in order, for every paper
   // pattern.
-  const auto schedule = ArrivalSchedule::make(GetParam(), 2'000, kWindow);
+  const auto schedule = ArrivalSchedule::make_lazy(GetParam(), 2'000, kWindow);
   auto cursor = schedule.cursor();
   std::vector<SimTime> walked;
   while (auto t = cursor.next_arrival()) walked.push_back(*t);
-  EXPECT_EQ(walked, schedule.times());
-  EXPECT_TRUE(cursor.exhausted());
+  EXPECT_EQ(walked, all_arrivals(schedule));
+  EXPECT_EQ(cursor.consumed(), 2'000);
 }
 
 TEST(ArrivalCursor, ExhaustionIsSticky) {
-  const auto schedule = ArrivalSchedule::make(ArrivalPattern::kConstant, 3, kWindow);
+  const auto schedule =
+      ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 3, kWindow);
   auto cursor = schedule.cursor();
-  EXPECT_EQ(cursor.remaining(), 3);
-  EXPECT_FALSE(cursor.exhausted());
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(cursor.next_arrival().has_value());
-  EXPECT_TRUE(cursor.exhausted());
-  EXPECT_EQ(cursor.remaining(), 0);
   EXPECT_EQ(cursor.consumed(), 3);
   // Past the end it keeps returning nullopt — no wraparound, no throw.
   EXPECT_FALSE(cursor.next_arrival().has_value());
   EXPECT_FALSE(cursor.next_arrival().has_value());
-  EXPECT_FALSE(cursor.peek().has_value());
   EXPECT_EQ(cursor.consumed(), 3);
 }
 
-TEST(ArrivalCursor, PeekDoesNotAdvance) {
-  const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kRampUpDown, 100, kWindow);
-  auto cursor = schedule.cursor();
-  const auto peeked = cursor.peek();
-  ASSERT_TRUE(peeked.has_value());
-  EXPECT_EQ(cursor.consumed(), 0);
-  EXPECT_EQ(cursor.next_arrival(), peeked);
-  EXPECT_EQ(cursor.consumed(), 1);
-  EXPECT_EQ(cursor.peek(), schedule.times()[1]);
-}
-
-TEST(ArrivalCursor, SampledVariantWalksIdentically) {
-  util::Rng rng(7);
-  const auto schedule = ArrivalSchedule::make_sampled(
-      ArrivalPattern::kPeriodicBursts, 5'000, kWindow, rng);
-  auto cursor = schedule.cursor();
-  std::vector<SimTime> walked;
-  while (auto t = cursor.next_arrival()) walked.push_back(*t);
-  EXPECT_EQ(walked, schedule.times());
-}
-
 TEST(ArrivalCursor, EmptyScheduleIsBornExhausted) {
-  const auto schedule = ArrivalSchedule::make(ArrivalPattern::kConstant, 0, kWindow);
+  const auto schedule =
+      ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 0, kWindow);
+  EXPECT_EQ(schedule.total(), 0);
   auto cursor = schedule.cursor();
-  EXPECT_TRUE(cursor.exhausted());
-  EXPECT_FALSE(cursor.peek().has_value());
   EXPECT_FALSE(cursor.next_arrival().has_value());
+  EXPECT_EQ(cursor.consumed(), 0);
 }
 
 TEST(ArrivalCursor, IndependentCursorsDoNotInterfere) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kBurstThenConstant, 10, kWindow);
+      ArrivalSchedule::make_lazy(ArrivalPattern::kBurstThenConstant, 10, kWindow);
   auto a = schedule.cursor();
   auto b = schedule.cursor();
   (void)a.next_arrival();
   (void)a.next_arrival();
   EXPECT_EQ(b.consumed(), 0);
-  EXPECT_EQ(b.next_arrival(), schedule.times()[0]);
-  EXPECT_EQ(a.next_arrival(), schedule.times()[2]);
+  EXPECT_EQ(b.next_arrival(), schedule.arrival_at(0));
+  EXPECT_EQ(a.next_arrival(), schedule.arrival_at(2));
 }
 
-TEST(ArrivalSchedule, ArrivalAtIndexesTheSortedTimes) {
+TEST(ArrivalSchedule, ArrivalAtRejectsIndicesOutsideTheSchedule) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kConstant, 50, kWindow);
-  for (std::int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(schedule.arrival_at(i), schedule.times()[static_cast<std::size_t>(i)]);
-  }
+      ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 50, kWindow);
   EXPECT_THROW((void)schedule.arrival_at(-1), util::ContractViolation);
   EXPECT_THROW((void)schedule.arrival_at(50), util::ContractViolation);
 }
 
-// The lazy-schedule contract the sharded engine's 10M-peer runs rest on:
-// computing an arrival on demand from the piece table and reading it from
-// a materialised vector are the same pure function of the index, so every
-// arrival_at (and the derived arrivals_between) agrees bit-for-bit.
-TEST(ArrivalSchedule, LazyAgreesWithEagerOnEveryArrival) {
-  for (const auto pattern :
-       {ArrivalPattern::kConstant, ArrivalPattern::kRampUpDown,
-        ArrivalPattern::kBurstThenConstant, ArrivalPattern::kPeriodicBursts}) {
-    const auto eager = ArrivalSchedule::make(pattern, 977, kWindow);
-    const auto lazy = ArrivalSchedule::make_lazy(pattern, 977, kWindow);
-    EXPECT_TRUE(lazy.lazy());
-    EXPECT_FALSE(eager.lazy());
-    ASSERT_EQ(lazy.total(), eager.total());
-    EXPECT_EQ(lazy.window(), eager.window());
-    for (std::int64_t i = 0; i < eager.total(); ++i) {
-      ASSERT_EQ(lazy.arrival_at(i), eager.arrival_at(i))
-          << to_string(pattern) << " index " << i;
-    }
-    for (int h = 0; h <= 72; h += 7) {
-      EXPECT_EQ(lazy.arrivals_between(SimTime::hours(h), SimTime::hours(h + 5)),
-                eager.arrivals_between(SimTime::hours(h), SimTime::hours(h + 5)));
-    }
-    EXPECT_THROW((void)lazy.times(), util::ContractViolation);
-  }
+TEST(ArrivalSchedule, MakeLazyValidatesItsArguments) {
+  EXPECT_THROW((void)ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, -1, kWindow),
+               util::ContractViolation);
+  EXPECT_THROW(
+      (void)ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 10, SimTime::zero()),
+      util::ContractViolation);
+  // Twelve ramp steps cannot tile a 1 ms window.
+  EXPECT_THROW((void)ArrivalSchedule::make_lazy(ArrivalPattern::kRampUpDown, 10,
+                                                SimTime::millis(1)),
+               util::ContractViolation);
 }
 
 TEST(Pattern1, ConstantHourlyCounts) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kConstant, kTotal, kWindow);
+      ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, kTotal, kWindow);
   const std::int64_t per_hour = kTotal / 72;
   for (int h = 0; h < 72; ++h) {
     const auto count =
-        schedule.arrivals_between(SimTime::hours(h), SimTime::hours(h + 1));
+        arrivals_between(schedule, SimTime::hours(h), SimTime::hours(h + 1));
     EXPECT_NEAR(static_cast<double>(count), static_cast<double>(per_hour), 2.0);
   }
 }
 
 TEST(Pattern2, RampRisesThenFalls) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kRampUpDown, kTotal, kWindow);
+      ArrivalSchedule::make_lazy(ArrivalPattern::kRampUpDown, kTotal, kWindow);
   // 6-hour buckets trace the triangle: increasing to mid-window, then
   // decreasing.
   std::vector<std::int64_t> buckets;
   for (int b = 0; b < 12; ++b) {
     buckets.push_back(
-        schedule.arrivals_between(SimTime::hours(6 * b), SimTime::hours(6 * (b + 1))));
+        arrivals_between(schedule, SimTime::hours(6 * b), SimTime::hours(6 * (b + 1))));
   }
   for (int b = 0; b + 1 < 6; ++b) EXPECT_LT(buckets[b], buckets[b + 1]);
   for (int b = 6; b + 1 < 12; ++b) EXPECT_GT(buckets[b], buckets[b + 1]);
@@ -184,85 +152,33 @@ TEST(Pattern2, RampRisesThenFalls) {
 
 TEST(Pattern3, FrontLoadedBurst) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kBurstThenConstant, kTotal, kWindow);
+      ArrivalSchedule::make_lazy(ArrivalPattern::kBurstThenConstant, kTotal, kWindow);
   // 40% of arrivals within the first 6 hours (1/12 of the window).
-  const auto burst = schedule.arrivals_between(SimTime::zero(), SimTime::hours(6));
+  const auto burst = arrivals_between(schedule, SimTime::zero(), SimTime::hours(6));
   EXPECT_NEAR(static_cast<double>(burst), 0.4 * kTotal, 0.01 * kTotal);
   // Burst rate dwarfs the tail rate.
-  EXPECT_GT(schedule.rate_per_hour_at(SimTime::hours(1)),
-            5.0 * schedule.rate_per_hour_at(SimTime::hours(40)));
+  EXPECT_GT(arrivals_between(schedule, SimTime::hours(1), SimTime::hours(2)),
+            5 * arrivals_between(schedule, SimTime::hours(40), SimTime::hours(41)));
 }
 
 TEST(Pattern4, PeriodicBursts) {
   const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kPeriodicBursts, kTotal, kWindow);
+      ArrivalSchedule::make_lazy(ArrivalPattern::kPeriodicBursts, kTotal, kWindow);
   for (int cycle = 0; cycle < 6; ++cycle) {
     const SimTime start = SimTime::hours(12 * cycle);
-    const auto burst = schedule.arrivals_between(start, start + SimTime::hours(2));
-    const auto floor_count =
-        schedule.arrivals_between(start + SimTime::hours(2), start + SimTime::hours(12));
+    const auto burst = arrivals_between(schedule, start, start + SimTime::hours(2));
+    const auto floor_count = arrivals_between(schedule, start + SimTime::hours(2),
+                                              start + SimTime::hours(12));
     EXPECT_NEAR(static_cast<double>(burst), 0.1 * kTotal, 0.01 * kTotal)
         << "cycle " << cycle;
     EXPECT_NEAR(static_cast<double>(floor_count), 0.4 / 6.0 * kTotal, 0.01 * kTotal)
         << "cycle " << cycle;
     // Burst rate is much higher than the floor rate.
-    EXPECT_GT(schedule.rate_per_hour_at(start + SimTime::hours(1)),
-              5.0 * schedule.rate_per_hour_at(start + SimTime::hours(6)));
+    EXPECT_GT(arrivals_between(schedule, start + SimTime::hours(1),
+                               start + SimTime::hours(2)),
+              5 * arrivals_between(schedule, start + SimTime::hours(6),
+                                   start + SimTime::hours(7)));
   }
-}
-
-TEST(SampledArrivals, ExactTotalSortedDeterministicBySeed) {
-  util::Rng a(5), b(5), c(6);
-  const auto sa =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, a);
-  const auto sb =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, b);
-  const auto sc =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kRampUpDown, 5000, kWindow, c);
-  EXPECT_EQ(sa.total(), 5000);
-  EXPECT_TRUE(std::is_sorted(sa.times().begin(), sa.times().end()));
-  EXPECT_EQ(sa.times(), sb.times());
-  EXPECT_NE(sa.times(), sc.times());
-  EXPECT_LT(sa.times().back(), kWindow);
-}
-
-TEST(SampledArrivals, ShapeMatchesTheDensity) {
-  util::Rng rng(9);
-  const auto schedule =
-      ArrivalSchedule::make_sampled(ArrivalPattern::kBurstThenConstant, 50'000,
-                                    kWindow, rng);
-  // ~40% of mass in the first twelfth of the window, within sampling noise.
-  const auto burst = schedule.arrivals_between(SimTime::zero(), SimTime::hours(6));
-  EXPECT_NEAR(static_cast<double>(burst), 0.4 * 50'000, 0.02 * 50'000);
-}
-
-TEST(ArrivalSchedule, RateIsZeroOutsideWindow) {
-  const auto schedule =
-      ArrivalSchedule::make(ArrivalPattern::kConstant, 1000, kWindow);
-  EXPECT_EQ(schedule.rate_per_hour_at(SimTime::hours(100)), 0.0);
-  EXPECT_EQ(schedule.rate_per_hour_at(SimTime::zero() - SimTime::millis(1)), 0.0);
-  EXPECT_GT(schedule.rate_per_hour_at(SimTime::hours(10)), 0.0);
-}
-
-TEST(ArrivalSchedule, CustomPiecesAndValidation) {
-  const auto schedule = ArrivalSchedule::from_pieces(
-      {{SimTime::hours(1), 3.0}, {SimTime::hours(1), 1.0}}, 400);
-  EXPECT_EQ(schedule.arrivals_between(SimTime::zero(), SimTime::hours(1)), 300);
-  EXPECT_EQ(schedule.arrivals_between(SimTime::hours(1), SimTime::hours(2)), 100);
-
-  EXPECT_THROW((void)ArrivalSchedule::from_pieces({}, 10), util::ContractViolation);
-  EXPECT_THROW(
-      (void)ArrivalSchedule::from_pieces({{SimTime::zero(), 1.0}}, 10),
-      util::ContractViolation);
-  EXPECT_THROW(
-      (void)ArrivalSchedule::from_pieces({{SimTime::hours(1), 0.0}}, 10),
-      util::ContractViolation);
-}
-
-TEST(ArrivalSchedule, ZeroArrivalsIsValid) {
-  const auto schedule = ArrivalSchedule::make(ArrivalPattern::kConstant, 0, kWindow);
-  EXPECT_EQ(schedule.total(), 0);
-  EXPECT_TRUE(schedule.times().empty());
 }
 
 // ---------- pinned arrival times ----------
