@@ -5,6 +5,10 @@
 # Usage: scripts/ci.sh [build-dir]
 #   P2PS_CI_SEED   seed for the scenario smoke pass (default 2002)
 #   P2PS_CI_SCALE  population divisor for the smoke pass (default 10)
+#   P2PS_CI_REACH  set to 1 to end with the production-reach gate
+#                  (scripts/reach.sh in <build-dir>-reach, about three
+#                  minutes): every src/ function the scenarios and examples
+#                  never run must be on scripts/reach_allowlist.txt.
 #   P2PS_SANITIZE  opt-in sanitizer pass: 'address', 'undefined' or
 #                  'thread'. The whole tier-1 + smoke run repeats under the
 #                  instrumented build; use a dedicated build dir (sanitizer
@@ -632,6 +636,13 @@ if [ -z "${sanitize}" ]; then
   done
 else
   echo "==> tsan: skipped under -fsanitize=${sanitize}"
+fi
+
+# Production-reach gate, opt-in like the full-size 10M bench: a coverage
+# build of p2ps_run and the examples, run the way users run them, must
+# leave no src/ function unexecuted unless the allowlist names it.
+if [ "${P2PS_CI_REACH:-0}" = 1 ]; then
+  "${repo_root}/scripts/reach.sh" "${build_dir}-reach"
 fi
 
 echo "==> OK: build, tests, ${count}-scenario smoke pass, perf smoke," \

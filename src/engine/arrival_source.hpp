@@ -67,10 +67,6 @@ class ArrivalSource {
     return emitted_ == schedule_.total() && !simulator_.lane_armed(lane_);
   }
 
-  [[nodiscard]] const workload::ArrivalSchedule& schedule() const {
-    return schedule_;
-  }
-
  private:
   void arm_next() {
     const auto t = cursor_.next_arrival();
