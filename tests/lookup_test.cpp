@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "lookup/chord.hpp"

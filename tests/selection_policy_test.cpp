@@ -20,19 +20,6 @@ namespace {
 
 Bandwidth r0() { return Bandwidth::playback_rate(); }
 
-SelectionResult exact_cover(std::span<const PeerClass> classes, Bandwidth target = r0()) {
-  SelectionResult result;
-  select_exact_cover_into(result, classes, target);
-  return result;
-}
-
-SelectionResult max_cardinality_cover(std::span<const PeerClass> classes,
-                                      Bandwidth target = r0()) {
-  SelectionResult result;
-  select_max_cardinality_cover_into(result, classes, target);
-  return result;
-}
-
 Bandwidth chosen_sum(const SelectionResult& result,
                      const std::vector<PeerClass>& classes) {
   Bandwidth sum = Bandwidth::zero();
@@ -107,7 +94,8 @@ TEST(PaperDacPolicy, MatchesSelectExactCoverByteForByte) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(5)));
     }
-    const auto direct = exact_cover(classes);
+    SelectionResult direct;
+    select_exact_cover_into(direct, classes);
     const auto via_policy = run_policy(paper_dac_policy(), classes);
     EXPECT_EQ(via_policy.chosen, direct.chosen) << "round " << round;
     EXPECT_EQ(via_policy.shortfall, direct.shortfall);
@@ -123,7 +111,8 @@ TEST(MaxCardinalityPolicy, MatchesSelectMaxCardinalityCover) {
     for (std::size_t i = 0; i < n; ++i) {
       classes.push_back(static_cast<PeerClass>(1 + rng.uniform_below(4)));
     }
-    const auto direct = max_cardinality_cover(classes);
+    SelectionResult direct;
+    select_max_cardinality_cover_into(direct, classes);
     const auto via_policy = run_policy(policy, classes);
     EXPECT_EQ(via_policy.chosen, direct.chosen) << "round " << round;
     EXPECT_EQ(via_policy.shortfall, direct.shortfall);
