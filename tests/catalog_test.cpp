@@ -54,6 +54,22 @@ TEST(Zipf, SamplingMatchesPmf) {
   }
 }
 
+TEST(Zipf, SampledFrequenciesDecreaseWithRank) {
+  const workload::ZipfDistribution zipf(10, 1.0);
+  const auto freq = sampled_frequencies(zipf, 5, 400'000);
+  for (std::size_t k = 1; k < freq.size(); ++k) {
+    EXPECT_LT(freq[k], freq[k - 1]) << "rank " << k;
+  }
+}
+
+TEST(Zipf, SampledRatiosFollowTheLaw) {
+  // For s = 1, P(rank 1) / P(rank r) = r.
+  const workload::ZipfDistribution zipf(100, 1.0);
+  const auto freq = sampled_frequencies(zipf, 6, 400'000);
+  EXPECT_NEAR(freq[0] / freq[1], 2.0, 0.05);
+  EXPECT_NEAR(freq[0] / freq[3], 4.0, 0.15);
+}
+
 TEST(Zipf, SingleItemCatalog) {
   const workload::ZipfDistribution zipf(1, 2.0);
   util::Rng rng(1);

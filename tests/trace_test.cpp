@@ -3,10 +3,13 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "engine/streaming_system.hpp"
 #include "engine/trace.hpp"
 #include "util/assert.hpp"
+#include "workload/arrival_pattern.hpp"
 
 namespace p2ps::engine {
 namespace {
@@ -228,6 +231,42 @@ TEST(EngineTrace, RecordsMatchThePre64BytePeerEngine) {
   EXPECT_GT(fp.reclassed, 0u);
   EXPECT_EQ(fp.hash, 0x3C70790C1536E4AAULL);
 }
+
+
+// Every first-request record, in order, sits exactly at the schedule's
+// arrival_at(i): the engine's one arrival path is the on-demand schedule.
+class TracedPattern : public ::testing::TestWithParam<workload::ArrivalPattern> {};
+
+TEST_P(TracedPattern, FirstRequestsLandOnTheSchedule) {
+  SimulationConfig config = traced_config();
+  config.pattern = GetParam();
+  StreamingSystem system(config);
+  (void)system.run();
+  const TraceLog* trace = system.trace();
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->dropped(), 0u);
+  std::vector<SimTime> requested;
+  for (const TraceEvent& event : trace->events()) {
+    if (event.kind == TraceKind::kFirstRequest) requested.push_back(event.t);
+  }
+  const auto schedule = workload::ArrivalSchedule::make_lazy(
+      config.pattern, config.population.requesters, config.arrival_window);
+  ASSERT_EQ(static_cast<std::int64_t>(requested.size()), schedule.total());
+  for (std::int64_t i = 0; i < schedule.total(); ++i) {
+    EXPECT_EQ(requested[static_cast<std::size_t>(i)], schedule.arrival_at(i))
+        << "arrival " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArrivalPatterns, TracedPattern,
+    ::testing::Values(workload::ArrivalPattern::kConstant,
+                      workload::ArrivalPattern::kRampUpDown,
+                      workload::ArrivalPattern::kBurstThenConstant,
+                      workload::ArrivalPattern::kPeriodicBursts),
+    [](const ::testing::TestParamInfo<workload::ArrivalPattern>& info) {
+      return "pattern" + std::to_string(static_cast<int>(info.param));
+    });
 
 }  // namespace
 }  // namespace p2ps::engine

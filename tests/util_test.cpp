@@ -40,6 +40,13 @@ TEST(SimTime, ArithmeticBehavesLikeDurations) {
   EXPECT_EQ(SimTime::zero().as_millis(), 0);
 }
 
+TEST(SimTime, StreamsAsMilliseconds) {
+  std::ostringstream os;
+  os << SimTime::seconds(90) << " " << SimTime::zero() << " "
+     << (SimTime::zero() - SimTime::millis(3));
+  EXPECT_EQ(os.str(), "90000ms 0ms -3ms");
+}
+
 TEST(SimTime, CompoundAssignment) {
   SimTime t = SimTime::zero();
   t += SimTime::seconds(5);

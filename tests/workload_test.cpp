@@ -48,6 +48,26 @@ TEST_P(EveryPattern, ExactTotalSortedAndInWindow) {
   EXPECT_EQ(arrivals_between(schedule, SimTime::zero(), kWindow), kTotal);
 }
 
+TEST_P(EveryPattern, Deterministic) {
+  const auto a = ArrivalSchedule::make_lazy(GetParam(), 1000, kWindow);
+  const auto b = ArrivalSchedule::make_lazy(GetParam(), 1000, kWindow);
+  EXPECT_EQ(all_arrivals(a), all_arrivals(b));
+}
+
+// Each pattern is defined relative to its window (the paper's 72 h), so
+// doubling the window doubles every arrival time, up to the millisecond
+// floor of each placement.
+TEST_P(EveryPattern, ShapeScalesWithTheWindow) {
+  const auto base = ArrivalSchedule::make_lazy(GetParam(), 5'000, kWindow);
+  const auto doubled = ArrivalSchedule::make_lazy(GetParam(), 5'000, 2 * kWindow);
+  EXPECT_EQ(doubled.window(), 2 * kWindow);
+  for (std::int64_t i = 0; i < base.total(); ++i) {
+    ASSERT_NEAR(static_cast<double>(doubled.arrival_at(i).as_millis()),
+                2.0 * static_cast<double>(base.arrival_at(i).as_millis()), 2.0)
+        << "index " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Patterns, EveryPattern,
     ::testing::Values(ArrivalPattern::kConstant, ArrivalPattern::kRampUpDown,
@@ -109,6 +129,48 @@ TEST(ArrivalSchedule, ArrivalAtRejectsIndicesOutsideTheSchedule) {
       ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 50, kWindow);
   EXPECT_THROW((void)schedule.arrival_at(-1), util::ContractViolation);
   EXPECT_THROW((void)schedule.arrival_at(50), util::ContractViolation);
+}
+
+// Pattern 1 in closed form: arrival i sits at the (i + 0.5) / total
+// quantile of a uniform window.
+TEST(ArrivalSchedule, ArrivalAtIndexesTheSortedTimes) {
+  const auto schedule =
+      ArrivalSchedule::make_lazy(ArrivalPattern::kConstant, 50, kWindow);
+  const auto window_ms = static_cast<double>(kWindow.as_millis());
+  for (std::int64_t i = 0; i < 50; ++i) {
+    EXPECT_NEAR(static_cast<double>(schedule.arrival_at(i).as_millis()),
+                (static_cast<double>(i) + 0.5) / 50.0 * window_ms, 1.0)
+        << "index " << i;
+  }
+}
+
+TEST(ArrivalSchedule, ZeroArrivalsIsValid) {
+  for (const auto pattern :
+       {ArrivalPattern::kConstant, ArrivalPattern::kRampUpDown,
+        ArrivalPattern::kBurstThenConstant, ArrivalPattern::kPeriodicBursts}) {
+    const auto schedule = ArrivalSchedule::make_lazy(pattern, 0, kWindow);
+    EXPECT_EQ(schedule.total(), 0) << to_string(pattern);
+    EXPECT_EQ(schedule.window(), kWindow) << to_string(pattern);
+    EXPECT_THROW((void)schedule.arrival_at(0), util::ContractViolation);
+  }
+}
+
+// Windows other than the paper's 72 h, including ones whose piece spans
+// round: every arrival still lands in [0, window).
+TEST(ArrivalSchedule, ArrivalsStayInsideEveryWindow) {
+  for (const auto pattern :
+       {ArrivalPattern::kConstant, ArrivalPattern::kRampUpDown,
+        ArrivalPattern::kBurstThenConstant, ArrivalPattern::kPeriodicBursts}) {
+    for (const SimTime window :
+         {SimTime::hours(1), SimTime::minutes(12 * 60 + 7), SimTime::millis(100'003)}) {
+      const auto schedule = ArrivalSchedule::make_lazy(pattern, 3'001, window);
+      EXPECT_EQ(schedule.window(), window) << to_string(pattern);
+      const auto times = all_arrivals(schedule);
+      EXPECT_TRUE(std::is_sorted(times.begin(), times.end())) << to_string(pattern);
+      EXPECT_GE(times.front(), SimTime::zero()) << to_string(pattern);
+      EXPECT_LT(times.back(), window) << to_string(pattern) << " " << window;
+    }
+  }
 }
 
 TEST(ArrivalSchedule, MakeLazyValidatesItsArguments) {
