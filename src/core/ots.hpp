@@ -47,9 +47,6 @@ class SegmentAssignment {
   [[nodiscard]] std::int64_t window_size() const { return window_; }
   [[nodiscard]] std::size_t supplier_count() const { return supplier_classes_.size(); }
   [[nodiscard]] PeerClass supplier_class(std::size_t i) const;
-  [[nodiscard]] std::span<const PeerClass> supplier_classes() const {
-    return supplier_classes_;
-  }
 
   /// Window segments assigned to supplier `i`, ascending.
   [[nodiscard]] std::span<const std::int64_t> segments_of(std::size_t i) const;

@@ -112,7 +112,7 @@ std::int64_t AsyncStreamingSystem::capacity() const {
 std::int64_t AsyncStreamingSystem::busy_suppliers() const {
   std::int64_t busy = 0;
   for (std::size_t i = 0; i < endpoints_built_; ++i) {
-    if (endpoint(i).in_session()) ++busy;
+    if (endpoint(i).admission().busy()) ++busy;
   }
   return busy;
 }

@@ -90,10 +90,8 @@ class AsyncStreamingSystem {
 
   [[nodiscard]] const AsyncSimulationConfig& config() const { return config_; }
   [[nodiscard]] std::int64_t capacity() const;
-  [[nodiscard]] std::int64_t supplier_count() const { return suppliers_; }
   [[nodiscard]] const net::MessageTransport& transport() const { return transport_; }
   [[nodiscard]] const sim::TimerService& timer_service() const { return timers_; }
-  [[nodiscard]] const metrics::MetricsCollector& metrics() const { return metrics_; }
   /// Suppliers currently serving a session (from endpoint state).
   [[nodiscard]] std::int64_t busy_suppliers() const;
 

@@ -46,8 +46,6 @@ class StreamingSystem {
   [[nodiscard]] std::int64_t active_sessions() const {
     return static_cast<std::int64_t>(ledger_.size());
   }
-  [[nodiscard]] const lookup::LookupService& lookup_service() const { return *lookup_; }
-  [[nodiscard]] const metrics::MetricsCollector& metrics() const { return metrics_; }
 
   /// Supplier-side protocol state of a peer (nullptr when not a supplier).
   [[nodiscard]] const core::SupplierAdmission* supplier_state(core::PeerId id) const;

@@ -33,12 +33,6 @@ bool DirectoryService::contains(core::PeerId id) const {
 
 std::size_t DirectoryService::supplier_count() const { return entries_.size(); }
 
-core::PeerClass DirectoryService::class_of(core::PeerId id) const {
-  const std::uint32_t slot = slot_of(id);
-  P2PS_REQUIRE_MSG(slot != kNoSlot, "supplier not registered");
-  return entries_[slot].cls;
-}
-
 void DirectoryService::candidates_into(std::vector<CandidateInfo>& out, std::size_t m,
                                        util::Rng& rng, core::PeerId exclude) {
   out.clear();

@@ -25,9 +25,6 @@ class DirectoryService final : public LookupService {
   void candidates_into(std::vector<CandidateInfo>& out, std::size_t m,
                        util::Rng& rng, core::PeerId exclude) override;
 
-  /// The class recorded for a supplier (test/metrics helper).
-  [[nodiscard]] core::PeerClass class_of(core::PeerId id) const;
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
 

@@ -1,7 +1,5 @@
 #include "media/playback_buffer.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace p2ps::media {
@@ -19,17 +17,6 @@ void PlaybackBuffer::record_arrival(std::int64_t s, util::SimTime t) {
   P2PS_REQUIRE_MSG(!slot.has_value(), "segment arrival recorded twice");
   P2PS_REQUIRE(t >= util::SimTime::zero());
   slot = t;
-  ++recorded_;
-}
-
-bool PlaybackBuffer::arrived(std::int64_t s) const {
-  P2PS_REQUIRE(s >= 0 && s < tracked_segments());
-  return arrivals_[static_cast<std::size_t>(s)].has_value();
-}
-
-util::SimTime PlaybackBuffer::arrival_time(std::int64_t s) const {
-  P2PS_REQUIRE(arrived(s));
-  return *arrivals_[static_cast<std::size_t>(s)];
 }
 
 ContinuityReport PlaybackBuffer::check(util::SimTime start_delay) const {
@@ -46,16 +33,6 @@ ContinuityReport PlaybackBuffer::check(util::SimTime start_delay) const {
   }
   report.feasible = true;
   return report;
-}
-
-util::SimTime PlaybackBuffer::min_buffering_delay() const {
-  P2PS_REQUIRE_MSG(complete(), "all tracked segments must have arrivals");
-  util::SimTime best = util::SimTime::zero();
-  for (std::int64_t s = 0; s < tracked_segments(); ++s) {
-    const util::SimTime slack = *arrivals_[static_cast<std::size_t>(s)] - segment_duration_ * s;
-    best = std::max(best, slack);
-  }
-  return best;
 }
 
 }  // namespace p2ps::media

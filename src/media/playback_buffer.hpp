@@ -1,10 +1,9 @@
 // Receiver-side playback buffer / continuity checker.
 //
 // Used to *verify* assignment schedules end to end: record when each segment
-// finishes arriving, then ask (a) whether playback starting after a given
-// buffering delay would underflow, and (b) the minimum buffering delay that
-// avoids underflow. This is the executable form of the paper's Figure 1 and
-// the check behind our Theorem 1 property tests.
+// finishes arriving, then ask whether playback starting after a given
+// buffering delay would underflow, and by how much. This is the executable
+// form of the paper's Figure 1 and the check behind the Theorem 1 tests.
 #pragma once
 
 #include <cstdint>
@@ -35,27 +34,17 @@ class PlaybackBuffer {
   /// of transmission). Each segment may be recorded exactly once.
   void record_arrival(std::int64_t s, util::SimTime t);
 
-  [[nodiscard]] bool arrived(std::int64_t s) const;
-  [[nodiscard]] util::SimTime arrival_time(std::int64_t s) const;
   [[nodiscard]] std::int64_t tracked_segments() const {
     return static_cast<std::int64_t>(arrivals_.size());
   }
-  /// True when every tracked segment has an arrival time.
-  [[nodiscard]] bool complete() const { return recorded_ == arrivals_.size(); }
 
   /// Would playback starting at `start_delay` after transmission start play
   /// all tracked segments without stalling?
   [[nodiscard]] ContinuityReport check(util::SimTime start_delay) const;
 
-  /// Minimum buffering delay for stall-free playback of the tracked prefix:
-  /// max over segments of (arrival(s) − s·Δt), floored at zero. Requires
-  /// complete().
-  [[nodiscard]] util::SimTime min_buffering_delay() const;
-
  private:
   util::SimTime segment_duration_;
   std::vector<std::optional<util::SimTime>> arrivals_;
-  std::size_t recorded_ = 0;
 };
 
 }  // namespace p2ps::media

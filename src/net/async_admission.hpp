@@ -71,15 +71,11 @@ class SupplierEndpoint {
   [[nodiscard]] core::PeerId id() const { return self_; }
   [[nodiscard]] const core::SupplierAdmission& admission() const { return admission_; }
   [[nodiscard]] bool holding() const { return timers_.pending(hold_timer_); }
-  [[nodiscard]] bool in_session() const { return admission_.busy(); }
 
   /// Ends the supplier's current session (driven by the session owner) and
   /// applies the paper's session-end vector update. The message-driven
   /// equivalent is an EndSession message carrying the session id.
   void end_session();
-
-  /// Session this endpoint is currently serving (invalid when idle).
-  [[nodiscard]] core::SessionId active_session() const { return active_session_; }
 
   /// Times the session watchdog freed the slot because the EndSession
   /// teardown never arrived (lost message self-recovery).

@@ -49,10 +49,6 @@ class Json {
   /// Sets (or overwrites) a key on an object value; dies on non-objects.
   Json& set(std::string key, Json value);
 
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
-
   /// Compact serialisation (no whitespace); deterministic byte-for-byte.
   [[nodiscard]] std::string dump() const;
   /// Pretty serialisation (2-space indent); also deterministic.

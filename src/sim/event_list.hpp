@@ -49,10 +49,6 @@ class EventList {
 
   /// Removes and returns the least entry (FIFO on ties), or nullopt.
   virtual std::optional<CalendarEntry> pop() = 0;
-
-  [[nodiscard]] virtual std::size_t size() const = 0;
-
-  [[nodiscard]] bool empty() const { return size() == 0; }
 };
 
 /// Binary min-heap over a contiguous vector, with a hand-written sift-up
@@ -62,7 +58,6 @@ class HeapEventList final : public EventList {
  public:
   void push(const CalendarEntry& entry) override;
   std::optional<CalendarEntry> pop() override;
-  [[nodiscard]] std::size_t size() const override { return heap_.size(); }
 
  private:
   /// Moves parents down from `hole` until `entry` fits, and stores it.
@@ -76,7 +71,6 @@ class CalendarEventList final : public EventList {
  public:
   void push(const CalendarEntry& entry) override { queue_.push(entry); }
   std::optional<CalendarEntry> pop() override { return queue_.pop(); }
-  [[nodiscard]] std::size_t size() const override { return queue_.size(); }
 
  private:
   CalendarQueue queue_;

@@ -89,8 +89,6 @@ class TimerService {
   TimerService(const TimerService&) = delete;
   TimerService& operator=(const TimerService&) = delete;
 
-  [[nodiscard]] TimerStrategy strategy() const { return config_.strategy; }
-
   /// The simulator clock, for callers that anchor deadlines without
   /// holding the simulator themselves.
   [[nodiscard]] util::SimTime now() const { return simulator_.now(); }

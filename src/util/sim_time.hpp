@@ -33,7 +33,6 @@ class SimTime {
   }
 
   [[nodiscard]] constexpr std::int64_t as_millis() const { return ms_; }
-  [[nodiscard]] constexpr double as_seconds() const { return static_cast<double>(ms_) / 1e3; }
   [[nodiscard]] constexpr double as_minutes() const { return static_cast<double>(ms_) / 60e3; }
   [[nodiscard]] constexpr double as_hours() const { return static_cast<double>(ms_) / 3600e3; }
 

@@ -5,7 +5,7 @@
 
 namespace p2ps::workload {
 
-ZipfDistribution::ZipfDistribution(std::size_t items, double s) : s_(s) {
+ZipfDistribution::ZipfDistribution(std::size_t items, double s) {
   P2PS_REQUIRE(items >= 1);
   P2PS_REQUIRE(s >= 0.0);
   cdf_.reserve(items);

@@ -19,13 +19,11 @@ class ZipfDistribution {
   ZipfDistribution(std::size_t items, double s);
 
   [[nodiscard]] std::size_t items() const { return cdf_.size(); }
-  [[nodiscard]] double skew() const { return s_; }
 
   /// Samples a 0-based rank (0 is the most popular item).
   [[nodiscard]] std::size_t sample(util::Rng& rng) const;
 
  private:
-  double s_;
   std::vector<double> cdf_;  // inclusive cumulative probabilities
 };
 

@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <string>
 #include <vector>
 
 #include "engine/streaming_system.hpp"
-#include "metrics/collector.hpp"
+#include "support/arrival_patterns.hpp"
 #include "util/assert.hpp"
 #include "workload/arrival_pattern.hpp"
 
@@ -328,28 +327,6 @@ TEST(Engine, SessionsOccupySuppliersForShowTime) {
 
 // ---------- every arrival pattern ----------
 
-/// Arrivals of `schedule` at or before `t` (`inclusive`) or strictly before.
-std::int64_t arrivals_until(const workload::ArrivalSchedule& schedule, SimTime t,
-                            bool inclusive) {
-  std::int64_t count = 0;
-  for (std::int64_t i = 0; i < schedule.total(); ++i) {
-    const SimTime at = schedule.arrival_at(i);
-    if (at < t || (inclusive && at == t)) ++count;
-  }
-  return count;
-}
-
-std::int64_t first_requests_in(const metrics::HourlySample& sample) {
-  std::int64_t total = 0;
-  for (const auto& counters : sample.per_class) total += counters.first_requests;
-  return total;
-}
-
-std::string pattern_name(
-    const ::testing::TestParamInfo<workload::ArrivalPattern>& info) {
-  return "pattern" + std::to_string(static_cast<int>(info.param));
-}
-
 class EnginePattern : public ::testing::TestWithParam<workload::ArrivalPattern> {};
 
 TEST_P(EnginePattern, ConservesPeers) {
@@ -364,30 +341,8 @@ TEST_P(EnginePattern, ConservesPeers) {
   EXPECT_EQ(result.events_executed, StreamingSystem(config).run().events_executed);
 }
 
-// Every hourly sample has counted exactly the schedule's arrivals so far:
-// the engine places first requests at ArrivalSchedule::arrival_at.
-TEST_P(EnginePattern, HourlyFirstRequestsFollowTheSchedule) {
-  auto config = small_config(29);
-  config.pattern = GetParam();
-  const auto schedule = workload::ArrivalSchedule::make_lazy(
-      config.pattern, config.population.requesters, config.arrival_window);
-  const auto result = StreamingSystem(config).run();
-  ASSERT_GE(result.hourly.size(), 5u);
-  for (const auto& sample : result.hourly) {
-    const std::int64_t counted = first_requests_in(sample);
-    EXPECT_GE(counted, arrivals_until(schedule, sample.t, false)) << sample.t;
-    EXPECT_LE(counted, arrivals_until(schedule, sample.t, true)) << sample.t;
-  }
-  EXPECT_EQ(first_requests_in(result.hourly.back()), 60);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ArrivalPatterns, EnginePattern,
-    ::testing::Values(workload::ArrivalPattern::kConstant,
-                      workload::ArrivalPattern::kRampUpDown,
-                      workload::ArrivalPattern::kBurstThenConstant,
-                      workload::ArrivalPattern::kPeriodicBursts),
-    pattern_name);
+INSTANTIATE_TEST_SUITE_P(ArrivalPatterns, EnginePattern, workload::kEveryArrivalPattern,
+                         workload::arrival_pattern_name);
 
 }  // namespace
 }  // namespace p2ps::engine

@@ -20,6 +20,17 @@ using core::PeerId;
 
 // ---------- DirectoryService ----------
 
+/// The class a full sample of `d` reports for `id` (0 when not sampled).
+core::PeerClass sampled_class(DirectoryService& d, PeerId id) {
+  std::vector<CandidateInfo> all;
+  util::Rng rng(1);
+  d.candidates_into(all, d.supplier_count(), rng, PeerId::invalid());
+  for (const CandidateInfo& candidate : all) {
+    if (candidate.id == id) return candidate.cls;
+  }
+  return 0;
+}
+
 TEST(Directory, RegisterAndQuery) {
   DirectoryService d;
   EXPECT_EQ(d.supplier_count(), 0u);
@@ -28,8 +39,8 @@ TEST(Directory, RegisterAndQuery) {
   EXPECT_EQ(d.supplier_count(), 2u);
   EXPECT_TRUE(d.contains(PeerId{1}));
   EXPECT_FALSE(d.contains(PeerId{3}));
-  EXPECT_EQ(d.class_of(PeerId{1}), 2);
-  EXPECT_EQ(d.class_of(PeerId{2}), 3);
+  EXPECT_EQ(sampled_class(d, PeerId{1}), 2);
+  EXPECT_EQ(sampled_class(d, PeerId{2}), 3);
 }
 
 TEST(Directory, DuplicateRegistrationThrows) {
@@ -59,7 +70,7 @@ TEST(Directory, DeregisterSwapRemoveKeepsOthersIntact) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     if (i == 3) continue;
     EXPECT_TRUE(d.contains(PeerId{i}));
-    EXPECT_EQ(d.class_of(PeerId{i}), static_cast<core::PeerClass>(1 + i % 4));
+    EXPECT_EQ(sampled_class(d, PeerId{i}), static_cast<core::PeerClass>(1 + i % 4));
   }
   EXPECT_THROW(d.deregister_supplier(PeerId{3}), util::ContractViolation);
 }

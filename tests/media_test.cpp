@@ -2,9 +2,13 @@
 // continuity checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "media/media_file.hpp"
 #include "media/playback_buffer.hpp"
+#include "support/playback_oracle.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace p2ps::media {
 namespace {
@@ -45,9 +49,8 @@ TEST(PlaybackBuffer, FeasibleWhenEverythingArrivesEarly) {
   for (std::int64_t s = 0; s < 4; ++s) {
     buffer.record_arrival(s, SimTime::zero());
   }
-  EXPECT_TRUE(buffer.complete());
   EXPECT_TRUE(buffer.check(SimTime::zero()).feasible);
-  EXPECT_EQ(buffer.min_buffering_delay(), SimTime::zero());
+  EXPECT_EQ(min_buffering_delay(buffer), SimTime::zero());
 }
 
 TEST(PlaybackBuffer, DetectsUnderflowSegmentAndLateness) {
@@ -70,21 +73,38 @@ TEST(PlaybackBuffer, MinBufferingDelayIsTightBound) {
   buffer.record_arrival(1, SimTime::seconds(4));
   buffer.record_arrival(2, SimTime::seconds(4));
   // slacks: 2-0=2, 4-1=3, 4-2=2 → min delay 3s.
-  const SimTime min_delay = buffer.min_buffering_delay();
+  const SimTime min_delay = min_buffering_delay(buffer).value();
   EXPECT_EQ(min_delay, SimTime::seconds(3));
   EXPECT_TRUE(buffer.check(min_delay).feasible);
   EXPECT_FALSE(buffer.check(min_delay - SimTime::millis(1)).feasible);
+}
+
+// The oracle walks check(); it must land on the closed form
+// max(0, max over s of arrival(s) − s·Δt) for any arrival record.
+TEST(PlaybackOracle, MatchesTheClosedFormOnRandomArrivals) {
+  util::Rng rng(11);
+  const MediaFile f(40, SimTime::seconds(1));
+  for (int trial = 0; trial < 200; ++trial) {
+    PlaybackBuffer buffer(f, 40);
+    SimTime expected = SimTime::zero();
+    for (std::int64_t s = 0; s < 40; ++s) {
+      const SimTime at = SimTime::millis(rng.uniform_int(0, 90'000));
+      buffer.record_arrival(s, at);
+      expected = std::max(expected, at - f.segment_duration() * s);
+    }
+    ASSERT_EQ(min_buffering_delay(buffer), expected) << "trial " << trial;
+  }
 }
 
 TEST(PlaybackBuffer, MissingSegmentIsInfeasibleAtAnyDelay) {
   const MediaFile f(2, SimTime::seconds(1));
   PlaybackBuffer buffer(f, 2);
   buffer.record_arrival(0, SimTime::zero());
-  EXPECT_FALSE(buffer.complete());
   const auto report = buffer.check(SimTime::hours(10));
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(*report.first_underflow_segment, 1);
-  EXPECT_THROW((void)buffer.min_buffering_delay(), util::ContractViolation);
+  EXPECT_EQ(report.lateness, SimTime::zero());
+  EXPECT_FALSE(min_buffering_delay(buffer).has_value());
 }
 
 TEST(PlaybackBuffer, TracksOnlyRequestedPrefix) {
@@ -99,10 +119,12 @@ TEST(PlaybackBuffer, DoubleRecordThrows) {
   PlaybackBuffer buffer(f, 2);
   buffer.record_arrival(0, SimTime::seconds(1));
   EXPECT_THROW(buffer.record_arrival(0, SimTime::seconds(2)), util::ContractViolation);
-  EXPECT_TRUE(buffer.arrived(0));
-  EXPECT_EQ(buffer.arrival_time(0), SimTime::seconds(1));
-  EXPECT_FALSE(buffer.arrived(1));
-  EXPECT_THROW((void)buffer.arrival_time(1), util::ContractViolation);
+  // Segment 0 keeps its first arrival, 1 s: on time at a 1 s start, 1 ms
+  // late at 999 ms. Segment 1 is still missing.
+  EXPECT_EQ(buffer.check(SimTime::seconds(1)).first_underflow_segment, 1);
+  const auto early = buffer.check(SimTime::millis(999));
+  EXPECT_EQ(early.first_underflow_segment, 0);
+  EXPECT_EQ(early.lateness, SimTime::millis(1));
 }
 
 TEST(PlaybackBuffer, PaperFigure1AssignmentIDelays) {
@@ -119,7 +141,7 @@ TEST(PlaybackBuffer, PaperFigure1AssignmentIDelays) {
   // Ps3, Ps4 (class 3, 8Δt per segment): segments 6 and 7.
   buffer.record_arrival(6, dt * 8);
   buffer.record_arrival(7, dt * 8);
-  EXPECT_EQ(buffer.min_buffering_delay(), dt * 5);
+  EXPECT_EQ(min_buffering_delay(buffer), dt * 5);
 }
 
 }  // namespace

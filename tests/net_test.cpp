@@ -71,15 +71,15 @@ TEST(AsyncAdmission, SuccessfulSessionCommitsExactlyR0) {
   EXPECT_EQ(result.responses, 3u);
 
   // The chosen suppliers are in session; the released one is free again.
-  EXPECT_TRUE(world.suppliers[0]->in_session());
-  EXPECT_TRUE(world.suppliers[1]->in_session());
-  EXPECT_FALSE(world.suppliers[2]->in_session());
+  EXPECT_TRUE(world.suppliers[0]->admission().busy());
+  EXPECT_TRUE(world.suppliers[1]->admission().busy());
+  EXPECT_FALSE(world.suppliers[2]->admission().busy());
   EXPECT_FALSE(world.suppliers[2]->holding());
 
   // Session teardown restores everyone to idle.
   world.suppliers[0]->end_session();
   world.suppliers[1]->end_session();
-  EXPECT_FALSE(world.suppliers[0]->in_session());
+  EXPECT_FALSE(world.suppliers[0]->admission().busy());
 }
 
 TEST(AsyncAdmission, InsufficientBandwidthRejects) {
@@ -91,7 +91,7 @@ TEST(AsyncAdmission, InsufficientBandwidthRejects) {
   attempt.start(PeerId{50}, 2, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   EXPECT_FALSE(admitted);
-  EXPECT_FALSE(world.suppliers[0]->in_session());
+  EXPECT_FALSE(world.suppliers[0]->admission().busy());
   EXPECT_FALSE(world.suppliers[0]->holding());  // grant released
 }
 
@@ -107,7 +107,7 @@ TEST(AsyncAdmission, BusySuppliersReceiveReminders) {
   first.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   ASSERT_TRUE(first_admitted);
-  ASSERT_TRUE(s1.in_session() && s2.in_session());
+  ASSERT_TRUE(s1.admission().busy() && s2.admission().busy());
 
   // Second (favored class 1) requester finds everyone busy: rejected, and
   // reminders land on busy candidates covering the full shortfall R0.
@@ -167,7 +167,7 @@ TEST(AsyncAdmission, TotalMessageLossTimesOutAndRejects) {
   EXPECT_TRUE(done);  // the response timeout concluded the attempt
   EXPECT_FALSE(result.admitted);
   EXPECT_EQ(result.responses, 0u);
-  EXPECT_FALSE(world.suppliers[0]->in_session());
+  EXPECT_FALSE(world.suppliers[0]->admission().busy());
 }
 
 // Hosts pool attempts: one object runs round after round, each starting
@@ -230,7 +230,7 @@ TEST(AsyncAdmission, HoldExpiresWhenRequesterVanishes) {
   EXPECT_TRUE(supplier.holding());
   world.simulator.run_until(SimTime::seconds(30));  // > hold_timeout (10 s)
   EXPECT_FALSE(supplier.holding());
-  EXPECT_FALSE(supplier.in_session());
+  EXPECT_FALSE(supplier.admission().busy());
 }
 
 TEST(AsyncAdmission, HeldSupplierAnswersBusy) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/ots.hpp"
+#include "support/playback_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -163,7 +164,7 @@ TEST_P(Theorem1Property, ScheduleIsFeasibleAtNAndInfeasibleBelow) {
   const std::int64_t n = static_cast<std::int64_t>(classes.size());
   EXPECT_TRUE(buffer.check(dt * n).feasible);
   EXPECT_FALSE(buffer.check(dt * n - SimTime::millis(1)).feasible);
-  EXPECT_EQ(buffer.min_buffering_delay(), dt * n);
+  EXPECT_EQ(media::min_buffering_delay(buffer), dt * n);
 }
 
 TEST_P(Theorem1Property, BaselinesNeverBeatOts) {

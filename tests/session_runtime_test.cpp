@@ -91,10 +91,10 @@ TEST(SessionRuntime, BufferIsInspectable) {
   runtime.start();
   simulator.run_until(simulator.now() + kDt * 3);
   // After 3Δt, the class-1 pair has delivered at least the first 2 segments.
-  EXPECT_TRUE(runtime.buffer().arrived(0));
+  EXPECT_TRUE(runtime.arrived(0));
   EXPECT_FALSE(runtime.finished());
   simulator.run();
-  EXPECT_TRUE(runtime.buffer().complete());
+  EXPECT_TRUE(runtime.all_arrived());
 }
 
 TEST(SessionRuntime, DoubleStartThrows) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/playback_oracle.hpp"
 #include "util/assert.hpp"
 
 namespace p2ps::core {
@@ -61,7 +62,9 @@ media::PlaybackBuffer TransmissionPlan::to_buffer() const {
 }
 
 util::SimTime TransmissionPlan::buffering_delay() const {
-  return to_buffer().min_buffering_delay();
+  const auto delay = media::min_buffering_delay(to_buffer());
+  P2PS_CHECK_MSG(delay.has_value(), "a plan transmits every segment");
+  return *delay;
 }
 
 std::int64_t TransmissionPlan::segments_of_supplier(std::size_t i) const {

@@ -11,7 +11,7 @@ SessionRuntime::SessionRuntime(sim::Simulator& simulator, TransmissionPlan plan,
     : simulator_(simulator),
       plan_(std::move(plan)),
       buffering_delay_(buffering_delay),
-      buffer_(plan_.file(), plan_.file().segments()) {
+      arrivals_(static_cast<std::size_t>(plan_.file().segments())) {
   P2PS_REQUIRE(buffering_delay >= util::SimTime::zero());
 }
 
@@ -25,7 +25,10 @@ void SessionRuntime::start() {
     simulator_.schedule_at(origin_ + transmission.finish,
                            [this, segment = transmission.segment,
                             finish = transmission.finish] {
-                             buffer_.record_arrival(segment, finish);
+                             auto& slot = arrivals_[static_cast<std::size_t>(segment)];
+                             P2PS_CHECK_MSG(!slot.has_value(), "segment transmitted twice");
+                             slot = finish;
+                             ++arrived_count_;
                            });
   }
 
@@ -46,7 +49,8 @@ void SessionRuntime::start() {
 
 void SessionRuntime::play_segment(std::int64_t segment) {
   const util::SimTime deadline = buffering_delay_ + plan_.file().segment_duration() * segment;
-  const bool on_time = buffer_.arrived(segment) && buffer_.arrival_time(segment) <= deadline;
+  const auto& arrival = arrivals_[static_cast<std::size_t>(segment)];
+  const bool on_time = arrival.has_value() && *arrival <= deadline;
   ++report_.segments_played;
   if (!on_time) ++report_.stalls;
   if (observer_) observer_(segment, on_time);

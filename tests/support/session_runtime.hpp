@@ -1,8 +1,8 @@
 // Executable streaming session.
 //
 // TransmissionPlan is a timetable; SessionRuntime *runs* it on the
-// discrete-event simulator: one completion event per segment feeds the
-// receiver's playback buffer, playback starts after the configured
+// discrete-event simulator: one completion event per segment records its
+// arrival at the receiver, playback starts after the configured
 // buffering delay, and every segment consumption either succeeds or counts
 // a stall. This closes the loop between the paper's scheduling theory and
 // an actually-executing session — used by tests to show that sessions play
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "support/plan.hpp"
-#include "media/playback_buffer.hpp"
 #include "sim/simulator.hpp"
 #include "util/sim_time.hpp"
 
@@ -50,8 +49,12 @@ class SessionRuntime {
   [[nodiscard]] bool finished() const { return finished_; }
   /// The report; only meaningful once finished().
   [[nodiscard]] const SessionReport& report() const { return report_; }
-  /// Receiver-side buffer state (inspectable mid-run).
-  [[nodiscard]] const media::PlaybackBuffer& buffer() const { return buffer_; }
+  /// Receiver-side state (inspectable mid-run): has segment `s` arrived?
+  [[nodiscard]] bool arrived(std::int64_t s) const {
+    return arrivals_.at(static_cast<std::size_t>(s)).has_value();
+  }
+  /// Has every segment of the file arrived?
+  [[nodiscard]] bool all_arrived() const { return arrived_count_ == arrivals_.size(); }
 
  private:
   void play_segment(std::int64_t segment);
@@ -59,7 +62,9 @@ class SessionRuntime {
   sim::Simulator& simulator_;
   TransmissionPlan plan_;
   util::SimTime buffering_delay_;
-  media::PlaybackBuffer buffer_;
+  /// Arrival time of each segment, relative to the transmission start.
+  std::vector<std::optional<util::SimTime>> arrivals_;
+  std::size_t arrived_count_ = 0;
   std::function<void(std::int64_t, bool)> observer_;
   util::SimTime origin_;  ///< simulator time when start() ran
   SessionReport report_;

@@ -8,6 +8,7 @@
 
 #include "engine/streaming_system.hpp"
 #include "engine/trace.hpp"
+#include "support/arrival_patterns.hpp"
 #include "util/assert.hpp"
 #include "workload/arrival_pattern.hpp"
 
@@ -258,15 +259,8 @@ TEST_P(TracedPattern, FirstRequestsLandOnTheSchedule) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ArrivalPatterns, TracedPattern,
-    ::testing::Values(workload::ArrivalPattern::kConstant,
-                      workload::ArrivalPattern::kRampUpDown,
-                      workload::ArrivalPattern::kBurstThenConstant,
-                      workload::ArrivalPattern::kPeriodicBursts),
-    [](const ::testing::TestParamInfo<workload::ArrivalPattern>& info) {
-      return "pattern" + std::to_string(static_cast<int>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(ArrivalPatterns, TracedPattern, workload::kEveryArrivalPattern,
+                         workload::arrival_pattern_name);
 
 }  // namespace
 }  // namespace p2ps::engine

@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "support/arrival_patterns.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "workload/arrival_pattern.hpp"
@@ -68,14 +69,8 @@ TEST_P(EveryPattern, ShapeScalesWithTheWindow) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Patterns, EveryPattern,
-    ::testing::Values(ArrivalPattern::kConstant, ArrivalPattern::kRampUpDown,
-                      ArrivalPattern::kBurstThenConstant,
-                      ArrivalPattern::kPeriodicBursts),
-    [](const ::testing::TestParamInfo<ArrivalPattern>& info) {
-      return "pattern" + std::to_string(static_cast<int>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Patterns, EveryPattern, kEveryArrivalPattern,
+                         arrival_pattern_name);
 
 // ---------- ArrivalCursor (the lazy consumption API) ----------
 
@@ -263,7 +258,7 @@ std::uint64_t arrival_hash(const ArrivalSchedule& schedule) {
 // 50,000 arrivals over 72 h, plus the perf_steady (150,000 constant) and
 // perf_flash_crowd (100,000 burst) populations. The hashes were recorded
 // from the materialised schedule that predates on-demand placement, so any
-// drift in quantile_time shows here before it moves a payload.
+// drift in arrival_at shows here before it moves a payload.
 TEST(ArrivalSchedule, PinnedArrivalTimeHashes) {
   struct Pin {
     ArrivalPattern pattern;
