@@ -43,9 +43,18 @@ int main() {
   std::cout << "\nrequester Pr (class 2) probes all " << candidates.size()
             << " candidates over the network (20-120 ms latency, 5% loss)...\n";
 
+  // The requester side: the paper's selection policy, plus the buffers the
+  // host lends every attempt it runs.
+  p2ps::core::SelectionResult selection;
+  p2ps::net::AsyncAdmissionAttempt::Scratch scratch;
+  p2ps::net::AsyncAdmissionAttempt::Config attempt_config;
+  attempt_config.policy = &p2ps::core::paper_dac_policy();
+  attempt_config.selection_scratch = &selection;
+  attempt_config.conclude_scratch = &scratch;
   p2ps::net::AsyncAdmissionAttempt::Result outcome;
   p2ps::net::AsyncAdmissionAttempt attempt(
-      {}, simulator, transport, [&](const auto& result) { outcome = result; });
+      attempt_config, simulator, transport,
+      [&](const auto& result) { outcome = result; });
   attempt.start(PeerId{50}, /*own_class=*/2, p2ps::core::SessionId{1}, candidates);
   simulator.run();
 

@@ -61,7 +61,7 @@
 #
 # Timing lives out here, not in the scenario JSON: scenario output must stay
 # byte-deterministic so the pre-timing runs below can verify the build
-# (determinism + backend parity + transport parity + thread-count parity)
+# (determinism + backend parity + timer parity + thread-count parity)
 # before a number enters the trajectory.
 set -euo pipefail
 
@@ -148,19 +148,13 @@ eager_peak="$(grep -o '"first_requests":[0-9]*' "${tmp_dir}/fig5.json" \
     | cut -d: -f2 | sort -n | tail -1)"
 peak_reduction=$(( fig5_peak > 0 ? eager_peak / fig5_peak : 0 ))
 
-echo "==> message-level verify: msg_fig5_scale backend + transport + timer parity"
+echo "==> message-level verify: msg_fig5_scale backend + timer parity"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    > "${tmp_dir}/msg.batched.json"
+    > "${tmp_dir}/msg.default.json"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
     --event-list calendar > "${tmp_dir}/msg.calendar.json"
-cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.calendar.json" || {
+cmp "${tmp_dir}/msg.default.json" "${tmp_dir}/msg.calendar.json" || {
   echo "FAIL: msg_fig5_scale differs between event-list backends" >&2
-  exit 1
-}
-"${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    --transport unbatched > "${tmp_dir}/msg.unbatched.json"
-cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.unbatched.json" || {
-  echo "FAIL: msg_fig5_scale differs between batched and unbatched transport" >&2
   exit 1
 }
 # Timer strategies may only change the event-core mechanics counters
@@ -168,7 +162,7 @@ cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.unbatched.json" || {
 for strategy in lazy events; do
   "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
       --timers "${strategy}" > "${tmp_dir}/msg.${strategy}.json"
-  cmp "${tmp_dir}/msg.batched.json" "${tmp_dir}/msg.${strategy}.json" || {
+  cmp "${tmp_dir}/msg.default.json" "${tmp_dir}/msg.${strategy}.json" || {
     echo "FAIL: msg_fig5_scale differs under --timers ${strategy}" >&2
     exit 1
   }

@@ -138,24 +138,16 @@ if [ "${golden_count}" -lt 5 ]; then
   exit 1
 fi
 
-# Message smoke: the batched mailbox transport's parity contracts on the
+# Message smoke: the batched mailbox transport's parity contract on the
 # message-level paper-scale scenario. msg_fig5_scale must be byte-identical
-# across both event-list backends AND across batched/unbatched delivery —
-# the transport mode is pure mechanics (docs/message_batching.md). The
-# heap/batched output was already produced by the smoke loop above.
-echo "==> message smoke: msg_fig5_scale backend + transport parity (seed=${seed}, scale=${scale})"
+# across both event-list backends (docs/message_batching.md). The heap
+# output was already produced by the smoke loop above.
+echo "==> message smoke: msg_fig5_scale backend parity (seed=${seed}, scale=${scale})"
 "${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
     --event-list calendar > "${smoke_dir}/msg_fig5_scale.calendar.json"
 cmp "${smoke_dir}/msg_fig5_scale.1.json" \
     "${smoke_dir}/msg_fig5_scale.calendar.json" || {
   echo "FAIL: msg_fig5_scale differs between event-list backends" >&2
-  exit 1
-}
-"${runner}" msg_fig5_scale --seed "${seed}" --scale "${scale}" --compact \
-    --transport unbatched > "${smoke_dir}/msg_fig5_scale.unbatched.json"
-cmp "${smoke_dir}/msg_fig5_scale.1.json" \
-    "${smoke_dir}/msg_fig5_scale.unbatched.json" || {
-  echo "FAIL: msg_fig5_scale differs between batched and unbatched transport" >&2
   exit 1
 }
 
@@ -517,6 +509,15 @@ status=0
 if [ "${status}" -ne 2 ]; then
   echo "FAIL: misspelled --telemetri exited ${status} (expected usage" \
        "error 2)" >&2
+  exit 1
+fi
+# Batched delivery is the only delivery: the retired --transport flag is
+# an unknown flag like any other.
+status=0
+"${runner}" msg_fig5_scale --scale "${scale}" --compact \
+    --transport batched > /dev/null 2>&1 || status=$?
+if [ "${status}" -ne 2 ]; then
+  echo "FAIL: retired --transport exited ${status} (expected usage error 2)" >&2
   exit 1
 fi
 status=0

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace p2ps::core {
 
@@ -178,62 +177,6 @@ SegmentAssignment ots_assignment(std::span<const PeerClass> supplier_classes) {
   return SegmentAssignment(
       std::vector<PeerClass>(supplier_classes.begin(), supplier_classes.end()),
       std::move(owner));
-}
-
-namespace {
-
-/// One fixed pseudo-random word per class. A composition hashes to the sum
-/// of its suppliers' words — independent of their order by construction.
-constexpr std::array<std::uint64_t, kMaxSupportedClasses + 1> kClassWords = [] {
-  std::array<std::uint64_t, kMaxSupportedClasses + 1> words{};
-  std::uint64_t state = 0x6F74735F64656C61ULL;
-  for (auto& w : words) w = util::splitmix64(state);
-  return words;
-}();
-
-std::size_t slot_of(std::uint64_t hash, std::size_t mask) {
-  return static_cast<std::size_t>(hash ^ (hash >> 29)) & mask;
-}
-
-}  // namespace
-
-std::int64_t OtsDelayCache::delay_dt(std::span<const PeerClass> supplier_classes) {
-  Composition counts{};
-  std::uint64_t hash = 0;
-  for (PeerClass c : supplier_classes) {
-    P2PS_REQUIRE_MSG(c >= kHighestClass && c <= kMaxSupportedClasses,
-                     "supplier class out of range");
-    ++counts[static_cast<std::size_t>(c - 1)];
-    hash += kClassWords[static_cast<std::size_t>(c)];
-  }
-  if (!slots_.empty()) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t s = slot_of(hash, mask); slots_[s] != 0; s = (s + 1) & mask) {
-      const Entry& e = entries_[slots_[s] - 1];
-      if (e.hash == hash && e.counts == counts) return e.delay_dt;
-    }
-  }
-  return insert(supplier_classes, counts, hash);
-}
-
-std::int64_t OtsDelayCache::insert(std::span<const PeerClass> supplier_classes,
-                                   const Composition& counts, std::uint64_t hash) {
-  const std::int64_t delay = ots_assignment(supplier_classes).min_buffering_delay_dt();
-  entries_.push_back(Entry{counts, hash, delay});
-  if (2 * entries_.size() > slots_.size()) {
-    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
-    for (std::size_t i = 0; i < entries_.size(); ++i) place(i);
-  } else {
-    place(entries_.size() - 1);
-  }
-  return delay;
-}
-
-void OtsDelayCache::place(std::size_t entry) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t s = slot_of(entries_[entry].hash, mask);
-  while (slots_[s] != 0) s = (s + 1) & mask;
-  slots_[s] = static_cast<std::uint32_t>(entry + 1);
 }
 
 SegmentAssignment naive_round_robin_assignment(

@@ -11,16 +11,13 @@
 // and transmits them in increasing playback order, one segment every
 // 2^c · Δt.
 //
-// The session engines only need the schedule's delay, and that delay depends
-// on nothing but the session's supplier-class composition (how many
-// suppliers of each class): OTS's delay is symmetric under reordering
-// suppliers of equal class. OtsDelayCache memoises it per composition. The
-// first admission with a composition builds the full assignment — every
-// EDF-deadline and quota CHECK included — and every later admission with
-// that composition reads the stored delay without allocating.
+// The session engines report a session's delay from Theorem 1's closed
+// form (theorem1_min_delay_dt) rather than building the schedule per
+// admission; StreamingSystem's validate_invariants mode and the tests
+// rebuild it with ots_assignment and replay its arrivals against that
+// value.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -105,42 +102,6 @@ class SegmentAssignment {
 /// contribution of the descending-offer order to optimality (ablation).
 [[nodiscard]] SegmentAssignment unsorted_round_robin_assignment(
     std::span<const PeerClass> supplier_classes);
-
-/// Theorem-1 buffering delay per supplier-class composition, memoised.
-///
-/// A small open-addressing table keyed by the class counts of a session's
-/// suppliers (see the file comment); one code path serves every
-/// K <= kMaxSupportedClasses and every supplier count. Not thread-safe:
-/// each engine (or shard) owns its own.
-class OtsDelayCache {
- public:
-  /// The minimum buffering delay, in units of Δt, of the OTS_p2p schedule
-  /// for suppliers of these classes, in any order. Requires what
-  /// ots_assignment requires.
-  [[nodiscard]] std::int64_t delay_dt(std::span<const PeerClass> supplier_classes);
-
-  /// Distinct compositions stored so far.
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  /// Suppliers per class: counts[c - 1] for class c. At most 2^c suppliers
-  /// of class c fit in R0, so 32 bits hold every count.
-  using Composition = std::array<std::uint32_t, kMaxSupportedClasses>;
-  struct Entry {
-    Composition counts;
-    std::uint64_t hash;
-    std::int64_t delay_dt;
-  };
-
-  std::int64_t insert(std::span<const PeerClass> supplier_classes,
-                      const Composition& counts, std::uint64_t hash);
-  void place(std::size_t entry);
-
-  std::vector<Entry> entries_;
-  /// Open-addressing slots holding entry index + 1 (0 = empty); a power of
-  /// two in size, at most half full.
-  std::vector<std::uint32_t> slots_;
-};
 
 /// Theorem 1's closed form: the minimum achievable buffering delay for a
 /// session with `n` suppliers, in units of Δt.

@@ -63,7 +63,6 @@ AsyncStreamingSystem::AsyncStreamingSystem(AsyncSimulationConfig config)
   attempt_config_.selection_rng = &selection_rng_;
   attempt_config_.selection_scratch = &scratch_selection_;
   attempt_config_.conclude_scratch = &scratch_conclude_;
-  attempt_config_.ots_delays = &ots_delays_;
 
   util::Rng master(config_.seed);
   lookup_rng_ = master.substream("lookup");

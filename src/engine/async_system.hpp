@@ -49,9 +49,7 @@ struct AsyncSimulationConfig {
   util::SimTime horizon = util::SimTime::hours(24);
   util::SimTime session_duration = util::SimTime::minutes(60);
 
-  /// Mailbox-router delivery: latency model, loss injection and the
-  /// batched/unbatched mode (a pure mechanics switch — cannot change
-  /// simulation output, see docs/message_batching.md).
+  /// Mailbox-router delivery: latency model and loss injection.
   net::MailboxConfig transport;
   /// Requester-side probe-response timeout.
   util::SimTime response_timeout = util::SimTime::seconds(5);
@@ -190,8 +188,6 @@ class AsyncStreamingSystem {
   core::SelectionResult scratch_selection_;
   /// Shared conclude() buffers, handed to every attempt the same way.
   net::AsyncAdmissionAttempt::Scratch scratch_conclude_;
-  /// Shared Theorem-1 delay table, handed to every attempt the same way.
-  core::OtsDelayCache ots_delays_;
   core::Bandwidth supplier_bandwidth_ = core::Bandwidth::zero();
   std::int64_t suppliers_ = 0;
   std::int64_t sessions_completed_ = 0;

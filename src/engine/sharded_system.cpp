@@ -250,7 +250,6 @@ struct alignas(64) ShardedSystem::Shard {
   core::SelectionResult selection;
   std::vector<core::PeerClass> classes_scratch;
   std::vector<std::size_t> indices_scratch;
-  core::OtsDelayCache ots_delays;
 
   // Per-shard integer sums, merged at the end of the run.
   std::vector<ShardedClassTotals> totals;
@@ -702,13 +701,8 @@ void ShardedSystem::conclude_attempt(Shard& shard, std::uint32_t local) {
         ++chosen_count;
       }
     }
-    // Theorem-1 buffering delay of the chosen classes (OTS assignment).
-    shard.classes_scratch.clear();
-    for (const std::size_t r : shard.selection.chosen) {
-      shard.classes_scratch.push_back(
-          static_cast<core::PeerClass>(attempt.replies[r].cls));
-    }
-    const std::int64_t delay_dt = shard.ots_delays.delay_dt(shard.classes_scratch);
+    // Theorem-1 buffering delay of the session (OTS assignment).
+    const std::int64_t delay_dt = core::theorem1_min_delay_dt(chosen_count);
     totals.delay_dt_sum += delay_dt;
     shard.record(now, TraceKind::kAdmission, global_id(shard.index, local),
                  cls, core::SessionId{attempt.session}, delay_dt);

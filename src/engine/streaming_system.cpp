@@ -282,27 +282,27 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
   if (selection.success()) {
     // ---- admitted: start the streaming session ----
     const core::SessionId session_id{next_session_++};
-    std::vector<core::PeerClass>& session_classes = scratch_session_classes_;
-    session_classes.clear();
     for (std::size_t pick : selection.chosen) {
       Peer& s = peer(granted[pick].id);
       disarm_idle_timer(s);
       s.supplier.on_session_start();
       ledger_suppliers_.push_back(granted[pick].id);
-      session_classes.push_back(s.cls);
     }
     ledger_.push_back(LedgerEntry{session_id, id, selection.chosen.size()});
     // Granted-but-unchosen candidates were never committed; in the
     // session-level model their grant expires instantly.
 
-    // The delay of the paper's media-data assignment for this supplier set
-    // is the session's buffering delay (Theorem 1: == supplier count).
-    const std::int64_t delay_dt = ots_delays_.delay_dt(session_classes);
-    P2PS_CHECK(delay_dt == core::theorem1_min_delay_dt(session_classes.size()));
+    // The session's buffering delay is that of the paper's media-data
+    // assignment for this supplier set: Theorem 1 gives it in closed form.
+    const std::int64_t delay_dt = core::theorem1_min_delay_dt(selection.chosen.size());
     if (config_.validate_invariants) {
       // Media-level cross-check: rebuild this session's schedule, replay its
       // segment arrivals for two windows and confirm continuous playback at
-      // exactly the memoised delay.
+      // exactly the Theorem-1 delay.
+      std::vector<core::PeerClass> session_classes;
+      for (std::size_t pick : selection.chosen) {
+        session_classes.push_back(peer(granted[pick].id).cls);
+      }
       const auto assignment = core::ots_assignment(session_classes);
       P2PS_CHECK(assignment.min_buffering_delay_dt() == delay_dt);
       const auto buffer =

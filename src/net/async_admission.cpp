@@ -160,6 +160,9 @@ AsyncAdmissionAttempt::AsyncAdmissionAttempt(const Config& config,
                                              MessageTransport& transport, Callback done)
     : config_(config), simulator_(simulator), transport_(transport), done_(std::move(done)) {
   P2PS_REQUIRE(done_ != nullptr);
+  P2PS_REQUIRE(config_.policy != nullptr);
+  P2PS_REQUIRE(config_.selection_scratch != nullptr);
+  P2PS_REQUIRE(config_.conclude_scratch != nullptr);
 }
 
 AsyncAdmissionAttempt::~AsyncAdmissionAttempt() { reset(); }
@@ -233,9 +236,7 @@ void AsyncAdmissionAttempt::conclude() {
   }
 
   Result& result = result_;
-  Scratch local_scratch;
-  Scratch& scratch =
-      config_.conclude_scratch != nullptr ? *config_.conclude_scratch : local_scratch;
+  Scratch& scratch = *config_.conclude_scratch;
   auto& granted = scratch.granted;
   auto& granted_classes = scratch.granted_classes;
   auto& busy = scratch.busy;
@@ -260,40 +261,27 @@ void AsyncAdmissionAttempt::conclude() {
     }
   }
 
-  core::SelectionResult local_selection;
-  core::SelectionResult& selection = config_.selection_scratch != nullptr
-                                         ? *config_.selection_scratch
-                                         : local_selection;
-  const core::SelectionPolicy& policy =
-      config_.policy != nullptr ? *config_.policy : core::paper_dac_policy();
+  core::SelectionResult& selection = *config_.selection_scratch;
   core::SelectionContext selection_context;
   selection_context.requester_class = own_class_;
   selection_context.rng = config_.selection_rng;
-  policy.select_into(selection, granted_classes, core::Bandwidth::playback_rate(),
+  config_.policy->select_into(selection, granted_classes, core::Bandwidth::playback_rate(),
                      selection_context);
   if (selection.success()) {
     auto& chosen = scratch.chosen;
     chosen.assign(granted.size(), false);
     for (std::size_t pick : selection.chosen) chosen[pick] = true;
-    // The chosen classes are compacted into granted_classes' front: the
-    // selection is done with it, and the delay needs only the composition.
-    std::size_t session_size = 0;
     for (std::size_t g = 0; g < granted.size(); ++g) {
       const auto& info = candidates_[granted[g]].info;
       if (chosen[g]) {
         transport_.send(self_, info.id, StartSession{result.session});
         result.suppliers.push_back(info);
-        granted_classes[session_size++] = info.cls;
       } else {
         transport_.send(self_, info.id, Release{});
       }
     }
-    granted_classes.resize(session_size);
-    core::OtsDelayCache local_delays;
-    core::OtsDelayCache& delays =
-        config_.ots_delays != nullptr ? *config_.ots_delays : local_delays;
     result.admitted = true;
-    result.buffering_delay_dt = delays.delay_dt(granted_classes);
+    result.buffering_delay_dt = core::theorem1_min_delay_dt(selection.chosen.size());
   } else {
     for (std::size_t g : granted) {
       transport_.send(self_, candidates_[g].info.id, Release{});

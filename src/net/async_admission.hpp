@@ -20,7 +20,6 @@
 #include "core/admission/requester.hpp"
 #include "core/admission/supplier.hpp"
 #include "core/ids.hpp"
-#include "core/ots.hpp"
 #include "core/selection.hpp"
 #include "core/selection_policy.hpp"
 #include "lookup/lookup_service.hpp"
@@ -31,9 +30,7 @@
 
 namespace p2ps::net {
 
-/// The endpoints run over the batched mailbox router; per-(peer, tick)
-/// batching and the unbatched per-message baseline share one delivery
-/// ordering rule, so the protocol code is mode-oblivious (net/mailbox.hpp).
+/// The endpoints run over the batched mailbox router (net/mailbox.hpp).
 using MessageTransport = MailboxRouter<Message>;
 
 /// Supplier-side protocol endpoint: wraps a core::SupplierAdmission and
@@ -142,21 +139,18 @@ class AsyncAdmissionAttempt {
     /// Give up on unresponsive candidates after this long.
     util::SimTime response_timeout = util::SimTime::seconds(5);
     bool reminders_enabled = true;
-    /// Supplier-selection policy; null means the paper-dac baseline.
+    /// Supplier-selection policy (required).
     const core::SelectionPolicy* policy = nullptr;
     /// Host-owned RNG substream for randomized policies (may be null for
     /// deterministic ones).
     util::Rng* selection_rng = nullptr;
-    /// Host-owned selection buffer, reused across attempts (falls back to
-    /// a per-conclude local when null). Sharing is safe because conclude()
-    /// never re-enters: message deliveries are scheduled events.
+    /// Host-owned selection buffer, reused across attempts (required).
+    /// Sharing is safe because conclude() never re-enters: message
+    /// deliveries are scheduled events.
     core::SelectionResult* selection_scratch = nullptr;
     /// Host-owned conclude() buffers, shared across attempts like the
-    /// selection buffer (falls back to a per-conclude local when null).
+    /// selection buffer (required).
     Scratch* conclude_scratch = nullptr;
-    /// Host-owned Theorem-1 delay table, shared across attempts like the
-    /// selection buffer (falls back to a per-conclude local when null).
-    core::OtsDelayCache* ots_delays = nullptr;
   };
 
   AsyncAdmissionAttempt(const Config& config, sim::Simulator& simulator,

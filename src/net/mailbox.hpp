@@ -5,7 +5,7 @@
 // scale, one queue insertion and one dispatch per control message. The
 // MailboxRouter instead appends messages bound for the same peer at the
 // same simulator tick to a pooled inbox and drains the whole group with a
-// single event whose callback is three words (receiver id, tick, group id).
+// single event whose callback is three words (receiver id, tick, group slot).
 // Groups are slots of one router-wide table recycled through a free list,
 // and each peer keeps only the 32-bit head of an intrusive list of its
 // pending groups — net::ShardRouter's pooled-group design — so once the
@@ -18,14 +18,6 @@
 //     contiguously, FIFO in enqueue (send) order;
 //   * groups fire at their tick in creation order — the drain event's
 //     queue position is fixed when the group's first message is sent.
-//
-// Batched vs unbatched mode share this rule bit-for-bit; unbatched mode
-// differs only in mechanics (one simulator event per message — the group's
-// first event drains the whole inbox FIFO, its successors find the group
-// already retired and fire empty). A mode flip therefore cannot change any
-// simulation output, which is what the byte-parity tests pin down, while
-// the event count and peak event list expose exactly the queue traffic
-// batching amortizes.
 #pragma once
 
 #include <cstddef>
@@ -44,17 +36,6 @@
 
 namespace p2ps::net {
 
-enum class TransportMode {
-  kBatched,    ///< one drain event per (peer, tick) group
-  kUnbatched,  ///< one event per message, same delivery order (baseline)
-};
-
-[[nodiscard]] std::string_view to_string(TransportMode mode);
-
-/// Parses "batched" | "unbatched"; nullopt on anything else.
-[[nodiscard]] std::optional<TransportMode> parse_transport_mode(
-    std::string_view token);
-
 /// An envelope delivered to a node's handler.
 template <typename Payload>
 struct Envelope {
@@ -67,7 +48,6 @@ struct MailboxConfig {
   LatencyModel latency;
   /// Probability that a message is silently dropped (failure injection).
   double drop_probability = 0.0;
-  TransportMode mode = TransportMode::kBatched;
 };
 
 /// Unicast message router with per-(peer, tick) batched delivery.
@@ -145,22 +125,18 @@ class MailboxRouter {
       index = acquire_group();
       Group& fresh = groups_[index];
       fresh.tick = tick;
-      fresh.id = next_group_++;
       fresh.inbox = pool_.acquire();
       fresh.next = box.pending;
       box.pending = index;
     }
     Group& group = groups_[index];
     group.inbox.push_back(Envelope<Payload>{from, to, std::move(payload)});
-    // Batched: one drain event per group, scheduled at first append — its
-    // queue position (and hence the group's order among same-tick events)
-    // is fixed here. Unbatched: one event per message; only the first to
-    // fire finds the group (matched by id, so a zero-latency regroup at
-    // the same tick cannot be drained early by a stale event).
-    if (new_group || config_.mode == TransportMode::kUnbatched) {
+    // One drain event per group, scheduled at first append — its queue
+    // position (and hence the group's order among same-tick events) is
+    // fixed here.
+    if (new_group) {
       ++events_scheduled_;
-      const std::uint64_t id = group.id;
-      simulator_.schedule_at(tick, [this, to, tick, id] { drain(to, tick, id); });
+      simulator_.schedule_at(tick, [this, to, tick, index] { drain(to, tick, index); });
     }
     return true;
   }
@@ -170,10 +146,9 @@ class MailboxRouter {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t undeliverable() const { return undeliverable_; }
 
-  /// Delivery events scheduled: one per group when batched, one per
-  /// message when unbatched — the event traffic batching amortizes.
+  /// Delivery events scheduled: one per (peer, tick) group.
   [[nodiscard]] std::uint64_t events_scheduled() const { return events_scheduled_; }
-  /// Drain events that found their group and delivered it.
+  /// Drain events run; equals events_scheduled() once the queue is empty.
   [[nodiscard]] std::uint64_t drains() const { return drains_; }
   /// Largest group ever drained at once.
   [[nodiscard]] std::size_t max_batch() const { return max_batch_; }
@@ -188,13 +163,12 @@ class MailboxRouter {
   static constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
 
   /// One in-flight (peer, tick) batch: a slot of the router-wide group
-  /// table. `id` is a router-wide sequence number: drain events capture it
-  /// so a stale unbatched event can never drain a group re-created at the
-  /// same tick, nor a recycled slot. `next` links the slot into its peer's
-  /// pending list while live, and into the free list once drained.
+  /// table. Its one drain event captures the slot index: a slot returns to
+  /// the free list only when that event runs, so the index names the same
+  /// group until then. `next` links the slot into its peer's pending list
+  /// while live, and into the free list once drained.
   struct Group {
     util::SimTime tick;
-    std::uint64_t id = 0;
     std::uint32_t next = kNoGroup;
     std::vector<Envelope<Payload>> inbox;
   };
@@ -227,16 +201,15 @@ class MailboxRouter {
     return static_cast<std::uint32_t>(groups_.size() - 1);
   }
 
-  void drain(core::PeerId to, util::SimTime tick, std::uint64_t id) {
+  void drain(core::PeerId to, util::SimTime tick, std::uint32_t index) {
     std::uint32_t* link = &nodes_[static_cast<std::size_t>(to.value())].pending;
-    while (*link != kNoGroup && groups_[*link].id != id) link = &groups_[*link].next;
-    if (*link == kNoGroup) return;  // unbatched: group already drained
-    const std::uint32_t index = *link;
+    while (*link != kNoGroup && *link != index) link = &groups_[*link].next;
+    P2PS_CHECK_MSG(*link == index, "drain event found no pending group");
     Group& group = groups_[index];
     P2PS_CHECK(group.tick == tick);
     // Unlink and free the slot before any handler runs: list order carries
     // no meaning (drain order is fixed by the events' queue positions,
-    // groups are matched by id), and a reentrant send may reuse the slot
+    // groups are matched by slot), and a reentrant send may reuse the slot
     // or relocate the group table.
     *link = group.next;
     auto inbox = std::move(group.inbox);
@@ -272,7 +245,6 @@ class MailboxRouter {
   /// net::ShardRouter, minus its tick ring (each peer's list is short).
   std::vector<Group> groups_;
   std::uint32_t free_head_ = kNoGroup;
-  std::uint64_t next_group_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -5,13 +5,12 @@
 //   * msg_* scenarios are parity-locked: their payloads carry protocol
 //     results only (admissions, capacity growth, message totals), never
 //     event-core mechanics, so a run must be byte-identical across both
-//     event-list backends AND across batched/unbatched transport modes
-//     (tests/mailbox_test.cpp, scripts/ci.sh, scripts/bench.sh).
+//     event-list backends and every timer strategy (tests/mailbox_test.cpp,
+//     scripts/ci.sh, scripts/bench.sh).
 //   * perf_messages deliberately exposes the mechanics (events executed,
-//     peak event list, drains, batch sizes, pool reuse) — it is the
-//     workload scripts/bench.sh times batched vs unbatched for
-//     BENCH_4.json, and is therefore exempt from the cross-mode parity
-//     contract (cross-backend parity still holds).
+//     peak event list, drains, batch sizes, pool reuse) — the `messages`
+//     benchmark workload. Its "transport" field is the constant "batched",
+//     kept so the payload bytes stay those the golden digests pin.
 #include <string>
 #include <utility>
 
@@ -25,7 +24,7 @@ namespace {
 
 using util::SimTime;
 
-/// Shared base: seed/backend/transport-mode/timer plumbing plus the
+/// Shared base: seed/backend/timer plumbing plus the
 /// latency model (defaulting to the paper-mirroring two-class split) and
 /// the loss axis (defaulting to each scenario's own drop probability).
 engine::AsyncSimulationConfig message_config(
@@ -36,7 +35,6 @@ engine::AsyncSimulationConfig message_config(
   config.seed = options.seed;
   config.event_list = options.event_list;
   config.timers.strategy = options.timers;
-  config.transport.mode = options.transport;
   config.transport.latency =
       net::LatencyModel::of(options.latency.value_or(default_latency));
   config.transport.drop_probability = options.loss.value_or(default_loss);
@@ -50,23 +48,10 @@ engine::AsyncSimulationConfig message_config(
   return std::string(net::to_string(config.transport.latency.kind));
 }
 
-Json class_counters_to_json(const metrics::ClassCounters& counters) {
-  Json out = Json::object();
-  out.set("first_requests", counters.first_requests);
-  out.set("attempts", counters.attempts);
-  out.set("admissions", counters.admissions);
-  out.set("rejections", counters.rejections);
-  out.set("admission_rate", opt_json(counters.admission_rate()));
-  out.set("mean_delay_dt", opt_json(counters.mean_delay_dt()));
-  out.set("mean_rejections", opt_json(counters.mean_rejections()));
-  out.set("mean_waiting_minutes", opt_json(counters.mean_waiting_minutes()));
-  return out;
-}
-
 /// Protocol-level summary of one message-level run. Unlike result_to_json
 /// this deliberately omits events_executed and peak_event_list: those are
-/// transport-mode mechanics, and msg_* payloads must be byte-identical
-/// across batched/unbatched delivery.
+/// event-core mechanics, and msg_* payloads must be byte-identical across
+/// event-list backends and timer strategies.
 Json msg_result_to_json(const engine::SimulationResult& result,
                         const net::MessageTransport& transport,
                         int series_step_hours) {
@@ -175,7 +160,7 @@ Json perf_messages(const ScenarioOptions& options) {
           config.population.seeds + config.population.requesters);
   out.set("latency", latency_label(config));
   out.set("drop_probability", config.transport.drop_probability);
-  out.set("transport", std::string(net::to_string(config.transport.mode)));
+  out.set("transport", "batched");
   out.set("events_executed", result.events_executed);
   out.set("peak_event_list", result.peak_event_list);
   out.set("peak_event_list_timers", result.peak_event_list_timers);

@@ -7,7 +7,6 @@
 //            [--timers wheel|lazy|events] timer-subsystem strategy
 //            [--latency fixed|uniform|twoclass|lognormal] latency model
 //            [--loss P]                  message drop probability [0, 1]
-//            [--transport batched|unbatched]    mailbox delivery mode
 //            [--policy NAME]             supplier-selection policy
 //            [--shards N]                shard count for sharded_* scenarios
 //            [--shard-threads N]         sharded worker threads (wall-clock only)
@@ -52,7 +51,6 @@
 
 #include "core/selection_policy.hpp"
 #include "net/latency.hpp"
-#include "net/mailbox.hpp"
 #include "obs/telemetry.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
@@ -84,7 +82,7 @@ int usage(const std::string& program) {
             << " <scenario> [--seed N] [--scale D] [--event-list heap|calendar]"
                " [--timers wheel|lazy|events]"
                " [--latency fixed|uniform|twoclass|lognormal] [--loss P]"
-               " [--transport batched|unbatched] [--policy NAME]"
+               " [--policy NAME]"
                " [--shards N] [--shard-threads N] [--fusion N] [--mechanics]"
                " [--telemetry FILE] [--telemetry-interval MS]"
                " [--watchdog warn|abort|off]"
@@ -418,16 +416,6 @@ int main(int argc, char** argv) {
         if (!value) return 2;
         options.loss = *value;
       }
-      const std::string transport = flags.get_string("transport", "batched");
-      const auto mode = p2ps::net::parse_transport_mode(transport);
-      if (!mode) {
-        std::cerr << "error: transport mode must be 'batched' or 'unbatched',"
-                     " got '"
-                  << transport << "'\n";
-        return 2;
-      }
-      options.transport = *mode;
-
       const std::string policy_name = flags.get_string("policy", "");
       if (!policy_name.empty()) {
         const auto* policy = parse_policy(policy_name);

@@ -92,8 +92,6 @@ void scale_population(const ScenarioOptions& options, engine::SimulationConfig& 
   workload::apply_population_divisor(config.population, options.scale);
 }
 
-namespace {
-
 Json class_counters_to_json(const metrics::ClassCounters& counters) {
   Json out = Json::object();
   out.set("first_requests", counters.first_requests);
@@ -110,8 +108,6 @@ Json class_counters_to_json(const metrics::ClassCounters& counters) {
   out.set("mean_waiting_minutes", opt_json(waiting));
   return out;
 }
-
-}  // namespace
 
 std::string strip_event_mechanics(std::string json_text) {
   // Zero the integer value after every `"<key>":` occurrence of the

@@ -18,7 +18,6 @@
 #include "engine/config.hpp"
 #include "engine/result.hpp"
 #include "net/latency.hpp"
-#include "net/mailbox.hpp"
 #include "scenario/json.hpp"
 
 namespace p2ps::scenario {
@@ -48,11 +47,6 @@ struct ScenarioOptions {
   /// scenario's own default (msg_flash_crowd injects 2%). Echoed in those
   /// payloads as drop_probability, ignored by session-level scenarios.
   std::optional<double> loss;
-  /// Mailbox delivery mode for message-level scenarios. Like the event
-  /// list, deliberately byte-invisible: batched and unbatched runs must
-  /// emit identical JSON (docs/message_batching.md), and keeping the field
-  /// out of every payload lets tests compare whole documents.
-  net::TransportMode transport = net::TransportMode::kBatched;
   /// Supplier-selection policy override (--policy); null = every scenario's
   /// own default (the paper-dac baseline except where a scenario pins its
   /// own, e.g. ablation_selection). Deliberately absent from the envelope:
@@ -136,6 +130,10 @@ void register_all_scenarios();
 
 /// Applies `options.scale` to an example-sized population in place.
 void scale_population(const ScenarioOptions& options, engine::SimulationConfig& config);
+
+/// One class's (or the overall) admission counters and their derived
+/// means, as every engine's payload reports them.
+[[nodiscard]] Json class_counters_to_json(const metrics::ClassCounters& counters);
 
 /// Summary of one simulation run: capacity, admissions, per-class totals
 /// and an hourly capacity series subsampled at `series_step_hours`.

@@ -25,9 +25,9 @@ namespace {
 using util::SimTime;
 
 /// Shared base: seed/backend/shard plumbing plus the latency model (each
-/// scenario picks its default) and the loss axis. --timers and --transport
-/// are deliberately ignored — the sharded engine has no timer population
-/// and its own transport — which makes parity across those axes exact.
+/// scenario picks its default) and the loss axis. --timers is
+/// deliberately ignored — the sharded engine has no timer population —
+/// which makes parity across that axis exact.
 engine::ShardedConfig sharded_config(const ScenarioOptions& options,
                                      int default_shards,
                                      net::LatencyModelKind default_latency) {

@@ -7,8 +7,8 @@
 //
 // msg_loss_latency_study carries the msg_ prefix on purpose: its payload is
 // protocol results only (no event-core mechanics), so the mailbox parity
-// tests and ci.sh automatically hold it byte-identical across batched and
-// unbatched transport, both event-list backends, and all timer strategies.
+// tests and ci.sh automatically hold it byte-identical across both
+// event-list backends and all timer strategies.
 #include <string>
 #include <utility>
 
@@ -79,7 +79,6 @@ Json msg_loss_latency_study(const ScenarioOptions& options) {
       config.seed = options.seed;
       config.event_list = options.event_list;
       config.timers.strategy = options.timers;
-      config.transport.mode = options.transport;
       // The grid axes themselves: --losses / --latencies sweep overrides
       // still apply per point, but inside one scenario run the study walks
       // its own fixed grid (that IS the recorded result).

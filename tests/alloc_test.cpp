@@ -4,8 +4,9 @@
 // perf-shaped StreamingSystem run (the perf_steady configuration at 20k
 // requesters, invariant validation off) must stay far below one allocation
 // per admission during run(): every per-admission buffer is reused scratch
-// and the Theorem-1 delay comes from core::OtsDelayCache. Rebuilding the
-// OTS assignment per admission instead costs about 12 allocations each.
+// and the delay is Theorem 1's closed form. Rebuilding the OTS assignment
+// per admission, as invariant validation does, costs about 12 allocations
+// each.
 // The message-level AsyncStreamingSystem must likewise stay below one
 // allocation per attempt: attempts, delivery groups, supplier endpoints
 // and session supplier lists are all pooled.

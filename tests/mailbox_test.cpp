@@ -1,5 +1,5 @@
 // Tests for the batched mailbox delivery subsystem: the per-(peer, tick)
-// ordering rule, batched/unbatched byte-parity, latency models, envelope
+// ordering rule, one drain event per group, latency models, envelope
 // pooling, and the peak-event-list contract at message-level scale.
 #include <gtest/gtest.h>
 
@@ -28,12 +28,10 @@ using util::SimTime;
 /// The routers' peer-id bound: every id below is a peer the test may use.
 constexpr std::size_t kIdBound = 100;
 
-MailboxConfig fixed_config(std::int64_t millis,
-                           TransportMode mode = TransportMode::kBatched) {
+MailboxConfig fixed_config(std::int64_t millis) {
   MailboxConfig config;
   config.latency.kind = LatencyModelKind::kFixed;
   config.latency.fixed = SimTime::millis(millis);
-  config.mode = mode;
   return config;
 }
 
@@ -224,17 +222,15 @@ TEST(MailboxRouter, SameTickDetachFromAnotherHandlerDropsPendingDeliveries) {
 }
 
 TEST(MailboxRouter, ZeroLatencyRegroupIsNotDrainedByAStaleEvent) {
-  // Unbatched mode, zero latency: two messages to P at tick 0 create two
-  // events e1, e2 for group A. e1 drains both; the handler of the second
-  // message schedules a probe event, then sends a new zero-latency message
-  // (group B, event e3) — so the queue holds e2 (stale), probe, e3. The
-  // stale e2 must NOT drain group B early: the probe, firing between e2
-  // and e3, must observe the regrouped message as still undelivered
-  // (groups are matched by id, not by tick).
+  // Zero latency: two messages to P at tick 0 form group A with one drain
+  // event e1. e1 drains both; the handler of the second message schedules
+  // a probe event, then sends a new zero-latency message. Group A's slot
+  // is already back on the free list, so that message opens group B in
+  // the same slot, with its own event e2 queued behind the probe. Nothing
+  // may drain group B before e2: the probe must observe the regrouped
+  // message as still undelivered.
   sim::Simulator simulator;
-  MailboxRouter<int> router(simulator, kIdBound,
-                            fixed_config(0, TransportMode::kUnbatched),
-                            util::Rng(8));
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(0), util::Rng(8));
   int delivered_to_p = 0;
   bool regroup_seen_by_probe = false;
   router.attach(PeerId{1}, [&](const Envelope<int>& envelope) {
@@ -243,7 +239,7 @@ TEST(MailboxRouter, ZeroLatencyRegroupIsNotDrainedByAStaleEvent) {
       simulator.schedule_after(SimTime::zero(), [&] {
         regroup_seen_by_probe = delivered_to_p >= 3;
       });
-      router.send(PeerId{1}, PeerId{1}, 3);  // group B, event e3
+      router.send(PeerId{1}, PeerId{1}, 3);  // group B, event e2
     }
   });
   router.send(PeerId{9}, PeerId{1}, 1);
@@ -251,37 +247,36 @@ TEST(MailboxRouter, ZeroLatencyRegroupIsNotDrainedByAStaleEvent) {
   simulator.run();
   EXPECT_EQ(delivered_to_p, 3);  // everything delivered exactly once
   EXPECT_FALSE(regroup_seen_by_probe)
-      << "a stale per-message event drained a re-created group early";
+      << "a re-created group was drained before its own event";
+  EXPECT_EQ(router.events_scheduled(), 2u);
 }
 
-TEST(MailboxRouter, UnbatchedModeSchedulesPerMessageButDeliversIdentically) {
+TEST(MailboxRouter, ScriptedBurstDeliversByTheOrderingRuleWithOneEventPerGroup) {
   using Record = std::tuple<std::int64_t, std::uint64_t, int>;
-  const auto run = [](TransportMode mode) {
-    sim::Simulator simulator;
-    MailboxConfig config = fixed_config(25, mode);
-    MailboxRouter<int> router(simulator, kIdBound, config, util::Rng(9));
-    std::vector<Record> log;
-    const auto record = [&](const Envelope<int>& envelope) {
-      log.emplace_back(simulator.now().as_millis(), envelope.from.value(),
-                       envelope.payload);
-    };
-    router.attach(PeerId{1}, record);
-    router.attach(PeerId{2}, record);
-    // A scripted burst across two receivers and two ticks.
-    for (int i = 0; i < 6; ++i) {
-      router.send(PeerId{7}, PeerId{static_cast<std::uint64_t>(1 + (i % 2))}, i);
-    }
-    simulator.schedule_at(SimTime::millis(5), [&] {
-      for (int i = 6; i < 10; ++i) router.send(PeerId{8}, PeerId{1}, i);
-    });
-    simulator.run();
-    return std::pair(log, router.events_scheduled());
+  sim::Simulator simulator;
+  MailboxRouter<int> router(simulator, kIdBound, fixed_config(25), util::Rng(9));
+  std::vector<Record> log;
+  const auto record = [&](const Envelope<int>& envelope) {
+    log.emplace_back(simulator.now().as_millis(), envelope.from.value(),
+                     envelope.payload);
   };
-  const auto [batched_log, batched_events] = run(TransportMode::kBatched);
-  const auto [unbatched_log, unbatched_events] = run(TransportMode::kUnbatched);
-  EXPECT_EQ(batched_log, unbatched_log);  // the shared delivery ordering rule
-  EXPECT_EQ(unbatched_events, 10u);       // one event per message
-  EXPECT_EQ(batched_events, 3u);          // one per (peer, tick) group
+  router.attach(PeerId{1}, record);
+  router.attach(PeerId{2}, record);
+  // A scripted burst across two receivers and two ticks.
+  for (int i = 0; i < 6; ++i) {
+    router.send(PeerId{7}, PeerId{static_cast<std::uint64_t>(1 + (i % 2))}, i);
+  }
+  simulator.schedule_at(SimTime::millis(5), [&] {
+    for (int i = 6; i < 10; ++i) router.send(PeerId{8}, PeerId{1}, i);
+  });
+  simulator.run();
+  // Peer 1's tick-25 group was opened first, so it drains before peer 2's;
+  // each group is FIFO in send order.
+  const std::vector<Record> expected{
+      {25, 7, 0}, {25, 7, 2}, {25, 7, 4}, {25, 7, 1}, {25, 7, 3},
+      {25, 7, 5}, {30, 8, 6}, {30, 8, 7}, {30, 8, 8}, {30, 8, 9}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(router.events_scheduled(), 3u);  // one per (peer, tick) group
 }
 
 TEST(EnvelopePool, SteadyStateReusesInboxesInsteadOfAllocating) {
@@ -503,16 +498,6 @@ TEST(MailboxRouter, RejectsDropProbabilityOutsideTheUnitInterval) {
   }
 }
 
-TEST(TransportMode, ParsesAndPrintsBothModes) {
-  for (const TransportMode mode : {TransportMode::kBatched, TransportMode::kUnbatched}) {
-    EXPECT_EQ(parse_transport_mode(to_string(mode)), mode);
-  }
-  EXPECT_EQ(to_string(TransportMode::kBatched), "batched");
-  EXPECT_EQ(to_string(TransportMode::kUnbatched), "unbatched");
-  EXPECT_EQ(parse_transport_mode("Batched"), std::nullopt);
-  EXPECT_EQ(parse_transport_mode(""), std::nullopt);
-}
-
 constexpr LatencyModelKind kAllLatencyKinds[] = {
     LatencyModelKind::kFixed, LatencyModelKind::kUniform,
     LatencyModelKind::kTwoClass, LatencyModelKind::kLogNormal};
@@ -563,32 +548,8 @@ TEST(LatencyModel, DeterministicExactlyWhenSamplingDrawsNothing) {
 
 // ---------- the engine-level contracts ----------
 
-/// Every registered message-level (msg_*) scenario must emit byte-identical
-/// JSON whether delivery is batched or per-message — the payloads carry
-/// protocol results only, and a transport-mode flip is pure mechanics.
-TEST(MessageScenarios, BatchedAndUnbatchedTransportsAreByteIdentical) {
-  scenario::register_all_scenarios();
-  scenario::ScenarioOptions batched;
-  batched.seed = 2002;
-  batched.scale = 200;  // keep the populations small and fast
-  batched.transport = TransportMode::kBatched;
-  scenario::ScenarioOptions unbatched = batched;
-  unbatched.transport = TransportMode::kUnbatched;
-  std::size_t checked = 0;
-  for (const auto* scenario : scenario::Registry::instance().list()) {
-    if (scenario->name.rfind("msg_", 0) != 0) continue;
-    const std::string on_batched =
-        scenario::run_scenario(scenario->name, batched).dump();
-    const std::string on_unbatched =
-        scenario::run_scenario(scenario->name, unbatched).dump();
-    EXPECT_EQ(on_batched, on_unbatched) << scenario->name;
-    ++checked;
-  }
-  EXPECT_GE(checked, 2u);  // msg_fig5_scale + msg_flash_crowd at least
-}
-
 /// The latency axis is a real workload parameter: flipping it must change
-/// the payload (unlike the transport mode, which must not).
+/// the payload.
 TEST(MessageScenarios, LatencyModelChangesThePayload) {
   scenario::register_all_scenarios();
   scenario::ScenarioOptions twoclass;
@@ -605,7 +566,7 @@ std::int64_t config_population(const engine::AsyncSimulationConfig& config) {
   return config.population.seeds + config.population.requesters;
 }
 
-engine::AsyncSimulationConfig fig5_shaped_config(TransportMode mode) {
+engine::AsyncSimulationConfig fig5_shaped_config() {
   engine::AsyncSimulationConfig config;
   config.population.seeds = 20;
   config.population.requesters = 2000;
@@ -613,38 +574,22 @@ engine::AsyncSimulationConfig fig5_shaped_config(TransportMode mode) {
   config.arrival_window = util::SimTime::hours(24);
   config.horizon = util::SimTime::hours(48);
   config.transport.latency = LatencyModel::of(LatencyModelKind::kTwoClass);
-  config.transport.mode = mode;
   config.seed = 7;
   return config;
 }
 
-/// The msg_fig5_scale acceptance contract in miniature: batching must not
-/// change any protocol counter, must execute strictly fewer events, and
-/// must keep the peak event list bounded by the unbatched run's (the
-/// message-event share is what shrinks; timers are common to both).
+/// The msg_fig5_scale event contract in miniature: batching schedules
+/// fewer delivery events than it carries messages, every scheduled drain
+/// runs, and the queue never holds anything close to one event per peer
+/// (lazy arrivals + RetrySource + pooled teardown).
 TEST(MessageScenarios, BatchingShrinksEventTrafficAtFig5Shape) {
-  engine::AsyncStreamingSystem batched(
-      fig5_shaped_config(TransportMode::kBatched));
-  const auto batched_result = batched.run();
-  engine::AsyncStreamingSystem unbatched(
-      fig5_shaped_config(TransportMode::kUnbatched));
-  const auto unbatched_result = unbatched.run();
-
-  EXPECT_EQ(batched_result.overall.admissions, unbatched_result.overall.admissions);
-  EXPECT_EQ(batched_result.overall.rejections, unbatched_result.overall.rejections);
-  EXPECT_EQ(batched_result.final_capacity, unbatched_result.final_capacity);
-  EXPECT_EQ(batched.transport().sent(), unbatched.transport().sent());
-  EXPECT_EQ(batched.transport().delivered(), unbatched.transport().delivered());
-
-  EXPECT_LT(batched_result.events_executed, unbatched_result.events_executed);
-  EXPECT_LT(batched.transport().events_scheduled(),
-            unbatched.transport().events_scheduled());
-  EXPECT_LE(batched_result.peak_event_list, unbatched_result.peak_event_list);
-  // Lazy arrivals + RetrySource + pooled teardown: the queue never holds
-  // anything close to one event per peer.
-  EXPECT_LT(batched_result.peak_event_list,
-            config_population(batched.config()));
-  EXPECT_GT(batched.transport().max_batch(), 1u);
+  engine::AsyncStreamingSystem system(fig5_shaped_config());
+  const auto result = system.run();
+  const auto& transport = system.transport();
+  EXPECT_LT(transport.events_scheduled(), transport.sent());
+  EXPECT_EQ(transport.drains(), transport.events_scheduled());
+  EXPECT_LT(result.peak_event_list, config_population(system.config()));
+  EXPECT_GT(transport.max_batch(), 1u);
 }
 
 }  // namespace

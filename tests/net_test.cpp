@@ -26,6 +26,9 @@ struct AsyncWorld {
   /// Borrowed by every endpoint, so it outlives them (declared first).
   SupplierEndpoint::Config supplier_config;
   std::vector<std::unique_ptr<SupplierEndpoint>> suppliers;
+  /// The host-owned buffers every attempt's Config must point at.
+  core::SelectionResult selection;
+  AsyncAdmissionAttempt::Scratch conclude_scratch;
 
   explicit AsyncWorld(MailboxConfig config = {})
       : transport(simulator, /*peers=*/100, config, util::Rng(11)) {
@@ -36,6 +39,14 @@ struct AsyncWorld {
     suppliers.push_back(std::make_unique<SupplierEndpoint>(
         PeerId{id}, cls, supplier_config, timers, transport, util::Rng(100 + id)));
     return *suppliers.back();
+  }
+
+  [[nodiscard]] AsyncAdmissionAttempt::Config attempt_config() {
+    AsyncAdmissionAttempt::Config config;
+    config.policy = &core::paper_dac_policy();
+    config.selection_scratch = &selection;
+    config.conclude_scratch = &conclude_scratch;
+    return config;
   }
 
   [[nodiscard]] std::vector<lookup::CandidateInfo> all_candidates() const {
@@ -55,7 +66,7 @@ TEST(AsyncAdmission, SuccessfulSessionCommitsExactlyR0) {
 
   AsyncAdmissionAttempt::Result result;
   bool done = false;
-  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
                                 [&](const auto& r) {
                                   result = r;
                                   done = true;
@@ -86,7 +97,7 @@ TEST(AsyncAdmission, InsufficientBandwidthRejects) {
   AsyncWorld world;
   world.add_supplier(1, 3);  // 1/8 R0 alone
   bool admitted = true;
-  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
                                 [&](const auto& r) { admitted = r.admitted; });
   attempt.start(PeerId{50}, 2, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
@@ -102,7 +113,7 @@ TEST(AsyncAdmission, BusySuppliersReceiveReminders) {
 
   // First requester takes both suppliers.
   bool first_admitted = false;
-  AsyncAdmissionAttempt first({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt first(world.attempt_config(), world.simulator, world.transport,
                               [&](const auto& r) { first_admitted = r.admitted; });
   first.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
@@ -112,7 +123,7 @@ TEST(AsyncAdmission, BusySuppliersReceiveReminders) {
   // Second (favored class 1) requester finds everyone busy: rejected, and
   // reminders land on busy candidates covering the full shortfall R0.
   AsyncAdmissionAttempt::Result second_result;
-  AsyncAdmissionAttempt second({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt second(world.attempt_config(), world.simulator, world.transport,
                                [&](const auto& r) { second_result = r; });
   second.start(PeerId{51}, 1, core::SessionId{2}, world.all_candidates());
   world.simulator.run();
@@ -130,13 +141,13 @@ TEST(AsyncAdmission, RemindersCanBeDisabled) {
   auto& s1 = world.add_supplier(1, 1);
   world.add_supplier(2, 1);
   bool ok = false;
-  AsyncAdmissionAttempt first({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt first(world.attempt_config(), world.simulator, world.transport,
                               [&](const auto& r) { ok = r.admitted; });
   first.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   world.simulator.run();
   ASSERT_TRUE(ok);
 
-  AsyncAdmissionAttempt::Config config;
+  AsyncAdmissionAttempt::Config config = world.attempt_config();
   config.reminders_enabled = false;
   AsyncAdmissionAttempt::Result result;
   AsyncAdmissionAttempt second(config, world.simulator, world.transport,
@@ -157,7 +168,7 @@ TEST(AsyncAdmission, TotalMessageLossTimesOutAndRejects) {
 
   AsyncAdmissionAttempt::Result result;
   bool done = false;
-  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
                                 [&](const auto& r) {
                                   result = r;
                                   done = true;
@@ -177,7 +188,7 @@ TEST(AsyncAdmission, ResetAttemptRunsAFreshRound) {
   world.add_supplier(1, 1);
   world.add_supplier(2, 1);
   std::vector<AsyncAdmissionAttempt::Result> results;
-  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
                                 [&](const auto& r) { results.push_back(r); });
   attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   EXPECT_THROW(attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates()),
@@ -210,7 +221,7 @@ TEST(AsyncAdmission, ResetMidRoundCancelsTheResponseTimeout) {
   AsyncWorld world(lossy);
   world.add_supplier(1, 1);
   bool done = false;
-  AsyncAdmissionAttempt attempt({}, world.simulator, world.transport,
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
                                 [&](const auto&) { done = true; });
   attempt.start(PeerId{50}, 1, core::SessionId{1}, world.all_candidates());
   attempt.reset();

@@ -326,8 +326,8 @@ TEST(RunScenario, GoldenOutputHashesMatchThePreRewriteSessionEngines) {
   }
 }
 
-// Full-payload pins of the message-level engine under both mailbox
-// delivery modes, captured at seed 2002, --scale 10. perf_messages carries
+// Full-payload pins of the message-level engine, captured at seed 2002,
+// --scale 10. perf_messages carries
 // events_executed, the peak_event_list split, the timer counters and the
 // inbox pool counters, so its pin holds the delivery, attempt-teardown and
 // timer mechanics to the exact count; msg_loss_latency_study runs lossy
@@ -336,24 +336,17 @@ TEST(RunScenario, GoldenOutputHashesMatchThePreRewriteSessionEngines) {
 TEST(RunScenario, GoldenOutputHashesHoldForTheMessageEngine) {
   struct Pin {
     const char* name;
-    std::uint64_t batched;
-    std::uint64_t unbatched;
+    std::uint64_t hash;
   };
   const Pin pins[] = {
-      {"perf_messages", 0xacf507a5e5330a90ull, 0x5fa4679729599d31ull},
-      {"msg_loss_latency_study", 0xd46ab48c841501f0ull,
-       0xd46ab48c841501f0ull},
+      {"perf_messages", 0xacf507a5e5330a90ull},
+      {"msg_loss_latency_study", 0xd46ab48c841501f0ull},
   };
-  ScenarioOptions batched;
-  batched.seed = 2002;
-  batched.scale = 10;
-  ScenarioOptions unbatched = batched;
-  unbatched.transport = net::TransportMode::kUnbatched;
+  ScenarioOptions options;
+  options.seed = 2002;
+  options.scale = 10;
   for (const Pin& pin : pins) {
-    EXPECT_EQ(fnv1a(run_scenario(pin.name, batched).dump()), pin.batched)
-        << pin.name << " batched";
-    EXPECT_EQ(fnv1a(run_scenario(pin.name, unbatched).dump()), pin.unbatched)
-        << pin.name << " unbatched";
+    EXPECT_EQ(fnv1a(run_scenario(pin.name, options).dump()), pin.hash) << pin.name;
   }
 }
 
