@@ -265,8 +265,8 @@ void AsyncAdmissionAttempt::conclude() {
   core::SelectionContext selection_context;
   selection_context.requester_class = own_class_;
   selection_context.rng = config_.selection_rng;
-  config_.policy->select_into(selection, granted_classes, core::Bandwidth::playback_rate(),
-                     selection_context);
+  config_.policy->select_into(selection, granted_classes,
+                              core::Bandwidth::playback_rate(), selection_context);
   if (selection.success()) {
     auto& chosen = scratch.chosen;
     chosen.assign(granted.size(), false);

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "engine/async_system.hpp"
-#include "metrics/collector.hpp"
 #include "scenario/scenario.hpp"
 #include "util/sim_time.hpp"
 
@@ -24,9 +23,9 @@ namespace {
 
 using util::SimTime;
 
-/// Shared base: seed/backend/timer plumbing plus the
-/// latency model (defaulting to the paper-mirroring two-class split) and
-/// the loss axis (defaulting to each scenario's own drop probability).
+/// Shared base: seed/backend/timer plumbing plus the latency model
+/// (defaulting to the paper-mirroring two-class split) and the loss axis
+/// (defaulting to each scenario's own drop probability).
 engine::AsyncSimulationConfig message_config(
     const ScenarioOptions& options,
     net::LatencyModelKind default_latency = net::LatencyModelKind::kTwoClass,

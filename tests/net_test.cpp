@@ -93,6 +93,20 @@ TEST(AsyncAdmission, SuccessfulSessionCommitsExactlyR0) {
   EXPECT_FALSE(world.suppliers[0]->admission().busy());
 }
 
+TEST(AsyncAdmission, ConfigMustNameThePolicyAndBothBuffers) {
+  AsyncWorld world;
+  const auto done = [](const AsyncAdmissionAttempt::Result&) {};
+  for (int missing = 0; missing < 3; ++missing) {
+    AsyncAdmissionAttempt::Config config = world.attempt_config();
+    if (missing == 0) config.policy = nullptr;
+    if (missing == 1) config.selection_scratch = nullptr;
+    if (missing == 2) config.conclude_scratch = nullptr;
+    EXPECT_THROW(AsyncAdmissionAttempt(config, world.simulator, world.transport, done),
+                 util::ContractViolation)
+        << missing;
+  }
+}
+
 TEST(AsyncAdmission, InsufficientBandwidthRejects) {
   AsyncWorld world;
   world.add_supplier(1, 3);  // 1/8 R0 alone
