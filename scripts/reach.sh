@@ -76,7 +76,9 @@ with open(report) as handle:
         cwd = unit.get("current_working_directory", "")
         for entry in unit["files"]:
             path = os.path.normpath(os.path.join(cwd, entry["file"]))
-            if not path.startswith(src_root):
+            # A reused build dir keeps the notes file of a deleted source;
+            # the code it describes no longer exists.
+            if not path.startswith(src_root) or not os.path.exists(path):
                 continue
             rel = os.path.relpath(path, repo_root)
             for line in entry["lines"]:
