@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/ots.hpp"
 #include "net/async_admission.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
@@ -91,6 +92,30 @@ TEST(AsyncAdmission, SuccessfulSessionCommitsExactlyR0) {
   world.suppliers[0]->end_session();
   world.suppliers[1]->end_session();
   EXPECT_FALSE(world.suppliers[0]->admission().busy());
+}
+
+TEST(AsyncAdmission, MixedClassSessionReportsTheDelayOtsAchieves) {
+  // The paper's Figure 2 session: classes (1, 2, 3, 3) sum to exactly R0,
+  // so all four are chosen. The reported delay is Theorem 1's N·Δt, which
+  // must equal what the OTS assignment of the granted classes achieves.
+  AsyncWorld world;
+  world.add_supplier(1, 3);
+  world.add_supplier(2, 1);
+  world.add_supplier(3, 3);
+  world.add_supplier(4, 2);
+
+  AsyncAdmissionAttempt::Result result;
+  AsyncAdmissionAttempt attempt(world.attempt_config(), world.simulator, world.transport,
+                                [&](const auto& r) { result = r; });
+  attempt.start(PeerId{50}, 1, core::SessionId{9}, world.all_candidates());
+  world.simulator.run();
+
+  ASSERT_TRUE(result.admitted);
+  ASSERT_EQ(result.suppliers.size(), 4u);
+  std::vector<core::PeerClass> granted;
+  for (const auto& supplier : result.suppliers) granted.push_back(supplier.cls);
+  EXPECT_EQ(result.buffering_delay_dt, 4);
+  EXPECT_EQ(result.buffering_delay_dt, core::ots_assignment(granted).min_buffering_delay_dt());
 }
 
 TEST(AsyncAdmission, ConfigMustNameThePolicyAndBothBuffers) {
