@@ -127,6 +127,59 @@ TEST(Directory, SamplingIsApproximatelyUniform) {
   }
 }
 
+/// Folds `bytes` little-endian bytes of `value` into a 64-bit FNV-1a hash.
+void fnv1a(std::uint64_t& hash, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    hash ^= (value >> (8 * i)) & 0xFF;
+    hash *= 0x100000001B3ULL;
+  }
+}
+
+TEST(Directory, CandidateSequenceMatchesTheParentHash) {
+  // Pins every (id, class) candidates_into returns, in order, over a fixed
+  // script of registrations, swap-removes and samples: a storage change
+  // that moved a slot, reordered a sample or lost a class would change the
+  // hash. The constant was recorded on the 16-byte-entry directory.
+  DirectoryService d;
+  util::Rng rng(2002);
+  std::vector<CandidateInfo> picks;
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto sample = [&](std::size_t m, PeerId exclude) {
+    d.candidates_into(picks, m, rng, exclude);
+    fnv1a(hash, picks.size(), 8);
+    for (const CandidateInfo& candidate : picks) {
+      fnv1a(hash, candidate.id.value(), 8);
+      fnv1a(hash, static_cast<std::uint64_t>(candidate.cls), 4);
+    }
+  };
+
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    d.register_supplier(PeerId{i}, static_cast<core::PeerClass>(1 + (i * 7) % 5));
+  }
+  d.register_supplier(PeerId{1000}, core::kMaxSupportedClasses);  // sparse id
+  for (int round = 0; round < 4; ++round) {
+    sample(6, PeerId{5});    // registered exclude
+    sample(6, PeerId{500});  // unregistered exclude
+    sample(6, PeerId::invalid());
+  }
+  d.deregister_supplier(PeerId{1000});  // the last slot
+  d.deregister_supplier(PeerId{20});    // the middle: id 39 moves into its slot
+  d.deregister_supplier(PeerId{0});     // the first
+  for (int round = 0; round < 4; ++round) {
+    sample(8, PeerId{39});
+    sample(8, PeerId{20});
+  }
+  d.register_supplier(PeerId{20}, 4);  // re-registered with another class
+  sample(d.supplier_count(), PeerId::invalid());  // m == size
+  sample(100, PeerId{20});                        // the clamp, with an exclude
+  sample(100, PeerId::invalid());
+  for (std::uint64_t i = 1; i < 38; ++i) d.deregister_supplier(PeerId{i});
+  sample(8, PeerId{38});  // 38 and 39 left, one excluded
+  sample(8, PeerId::invalid());
+  EXPECT_EQ(d.supplier_count(), 2u);
+  EXPECT_EQ(hash, 0x80DC97719977CB4CULL) << std::hex << hash;
+}
+
 // ---------- ChordLookup ----------
 
 /// Brute-force Chord ownership: the first of `ids` at or clockwise after
