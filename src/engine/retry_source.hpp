@@ -128,6 +128,16 @@ class RetrySource {
     schedule(delay, static_cast<std::uint32_t>(peer.value()));
   }
 
+  /// The id the armed lane fires next, or nullopt when nothing waits.
+  /// O(1): the head delay lane's front. Inside on_due it names the retry
+  /// after the one being handled (the lane re-arms before the handler
+  /// runs), so an engine can start loading that peer's record early;
+  /// a schedule() the handler makes may still fire first.
+  [[nodiscard]] std::optional<std::uint32_t> next_id() const {
+    if (head_ == kNoLane) return std::nullopt;
+    return front(lanes_[head_]).id;
+  }
+
   /// Retries currently waiting.
   [[nodiscard]] std::size_t waiting() const { return waiting_; }
   /// Entry chunks ever allocated — bounded by the peak number of retries

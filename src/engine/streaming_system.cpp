@@ -223,6 +223,12 @@ void StreamingSystem::attempt_admission(core::PeerId id) {
   timers_.poll();
   Peer& p = peer(id);
   P2PS_CHECK(!p.admitted && !p.is_supplier);
+  // The retry queue already knows whose attempt comes next; that peer's
+  // record is cold (it has waited a whole backoff), so start loading it
+  // now and let this attempt's work hide the miss.
+  if (const auto next = retries_.next_id()) {
+    __builtin_prefetch(&peers_[*next]);
+  }
   metrics_.on_attempt(p.cls);
 
   // All per-attempt buffers are members, reused across calls: at paper
@@ -349,6 +355,12 @@ void StreamingSystem::end_session(core::SessionId id) {
   const LedgerEntry session = ledger_.front();
   ledger_.pop_front();
 
+  // The suppliers' records were last touched a whole show time ago:
+  // request them all before the loop below reads the first, so the misses
+  // overlap (as attempt_admission does for its candidates).
+  for (std::size_t i = 0; i < session.supplier_count; ++i) {
+    __builtin_prefetch(&peers_[static_cast<std::size_t>(ledger_suppliers_[i].value())]);
+  }
   for (std::size_t i = 0; i < session.supplier_count; ++i) {
     Peer& s = peer(ledger_suppliers_.front());
     ledger_suppliers_.pop_front();

@@ -7,6 +7,15 @@
 // directory sits on the admission hot path (one lookup per probe round),
 // so memory is O(max id) in exchange for hash-free access. Slots are
 // 32-bit: 4 bytes per id in the engine's whole population.
+//
+// The registered suppliers live in two dense arrays indexed by slot, a
+// 32-bit id and a one-byte class, so a supplier costs 5 bytes instead of
+// a 16-byte CandidateInfo. Each probe round reads M random slots of this
+// table; at perf_steady's ~143k suppliers it is ~0.7 MB instead of
+// 2.2 MB, and a sampled slot's id and class are each one random read into
+// a table a third the size (docs/memory.md, "Session engine").
+// candidates_into widens a slot back to a CandidateInfo as it copies it
+// out, so callers see the same candidates in the same order.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +37,16 @@ class DirectoryService final : public LookupService {
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
 
-  /// entries_ slot of `id`, or kNoSlot when not registered.
+  /// Slot of `id` in ids_/classes_, or kNoSlot when not registered.
   [[nodiscard]] std::uint32_t slot_of(core::PeerId id) const {
     const auto v = static_cast<std::size_t>(id.value());
     return v < slot_by_id_.size() ? slot_by_id_[v] : kNoSlot;
   }
 
-  std::vector<CandidateInfo> entries_;
-  std::vector<std::uint32_t> slot_by_id_;  // id.value() -> entries_ slot
+  // Slot i holds the supplier ids_[i] of class classes_[i].
+  std::vector<std::uint32_t> ids_;
+  std::vector<std::uint8_t> classes_;
+  std::vector<std::uint32_t> slot_by_id_;  // id.value() -> slot
   std::vector<std::size_t> scratch_picks_;  // reused by candidates_into
 };
 

@@ -7,6 +7,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -240,18 +241,22 @@ using FiringLog = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 /// (about 49.7 days, far past every engine's horizon); a peer cut off there
 /// forfeits its remaining rounds, and the log accounts for them exactly.
 /// Checks that the whole waiting population cost one pending simulator
-/// event throughout.
+/// event throughout. On a RetrySource it also checks that next_id(), read
+/// once the queue is set up and again after every handler returns, names
+/// the id the next fire delivers, and is nullopt once the queue drains.
 template <typename Source>
 FiringLog firing_log(std::uint64_t seed, const DelayFn& delay_of, int peers,
                      int rounds) {
   constexpr SimTime kLastEnqueueTick = SimTime::millis(0xFFFFFFFFll);
+  constexpr bool kPredicts = std::is_same_v<Source, RetrySource>;
   sim::Simulator simulator;
   util::Rng rng(seed);
   FiringLog log;
   std::vector<int> round(static_cast<std::size_t>(peers), 0);
   std::size_t forfeited = 0;
+  std::optional<std::uint32_t> predicted;
   Source* self = nullptr;
-  Source source(simulator, std::nullopt, [&](std::uint32_t id) {
+  const auto on_due = [&](std::uint32_t id) {
     log.emplace_back(simulator.now().as_millis(), id);
     const int done = ++round[id];
     if (done == rounds) return;
@@ -260,13 +265,25 @@ FiringLog firing_log(std::uint64_t seed, const DelayFn& delay_of, int peers,
       return;
     }
     self->schedule(delay_of(rng), id);  // reentrant, like a failed retry
+  };
+  Source source(simulator, std::nullopt, [&](std::uint32_t id) {
+    if constexpr (kPredicts) {
+      EXPECT_EQ(predicted, id) << "fire " << log.size();
+    }
+    on_due(id);
+    if constexpr (kPredicts) predicted = self->next_id();
   });
   self = &source;
   for (int peer = 0; peer < peers; ++peer) {
     source.schedule(delay_of(rng), static_cast<std::uint32_t>(peer));
   }
+  if constexpr (kPredicts) predicted = source.next_id();
   simulator.run();
   EXPECT_EQ(source.waiting(), 0u);
+  if constexpr (kPredicts) {
+    EXPECT_EQ(predicted, std::nullopt);
+    EXPECT_EQ(source.next_id(), std::nullopt);
+  }
   EXPECT_EQ(simulator.peak_pending_count(), 1u);
   EXPECT_EQ(log.size() + forfeited, static_cast<std::size_t>(peers * rounds));
   return log;
@@ -365,6 +382,37 @@ TEST(RetrySource, DrainedChunksServeTheNextLane) {
   }
   EXPECT_EQ(retries.waiting(), 0u);
   EXPECT_EQ(retries.chunk_slots(), 7u);
+}
+
+TEST(RetrySource, NextIdNamesTheIdTheNextFireDelivers) {
+  // The empty cases and the head switches, by hand.
+  sim::Simulator simulator;
+  RetrySource retries(simulator, std::nullopt, [](std::uint32_t) {});
+  EXPECT_EQ(retries.next_id(), std::nullopt);  // before the first schedule
+  retries.schedule(SimTime::seconds(5), 4u);
+  EXPECT_EQ(retries.next_id(), 4u);
+  retries.schedule(SimTime::seconds(1), 9u);  // a new earliest takes the head
+  EXPECT_EQ(retries.next_id(), 9u);
+  retries.schedule(SimTime::seconds(1), 2u);  // same due: FIFO keeps 9 first
+  EXPECT_EQ(retries.next_id(), 9u);
+  simulator.run();
+  EXPECT_EQ(retries.next_id(), std::nullopt);  // drained
+
+  // On the heap-oracle differential, firing_log checks the prediction
+  // before every fire: zero delays re-enter behind the ties due now,
+  // backoff-shaped ones spread over many lanes, and 600 peers make the
+  // short lanes span several chunks.
+  EXPECT_EQ(expect_same_firing_log(
+                [](util::Rng& rng) {
+                  return rng.bernoulli(0.3)
+                             ? SimTime::zero()
+                             : core::scaled_backoff(
+                                   SimTime::millis(250), 2,
+                                   static_cast<std::int64_t>(rng.uniform_below(8)));
+                },
+                600, 6)
+                .size(),
+            3'600u);
 }
 
 // ---------- the engine-level contraction ----------
