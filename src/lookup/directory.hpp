@@ -9,13 +9,11 @@
 // 32-bit: 4 bytes per id in the engine's whole population.
 //
 // The registered suppliers live in two dense arrays indexed by slot, a
-// 32-bit id and a one-byte class, so a supplier costs 5 bytes instead of
-// a 16-byte CandidateInfo. Each probe round reads M random slots of this
-// table; at perf_steady's ~143k suppliers it is ~0.7 MB instead of
-// 2.2 MB, and a sampled slot's id and class are each one random read into
-// a table a third the size (docs/memory.md, "Session engine").
-// candidates_into widens a slot back to a CandidateInfo as it copies it
-// out, so callers see the same candidates in the same order.
+// 32-bit id and a one-byte class: 5 bytes per supplier, not a 16-byte
+// CandidateInfo. Each probe round reads M random slots, so the table's
+// size sets its cache misses; at perf_steady's ~143k suppliers it is
+// ~0.7 MB instead of 2.2 MB (docs/memory.md, "Session engine").
+// candidates_into widens each sampled slot back to a CandidateInfo.
 #pragma once
 
 #include <cstdint>

@@ -59,6 +59,17 @@ TEST(Directory, IdsBeyondTheThirtyTwoBitSlotIndexAreRejected) {
   EXPECT_FALSE(d.contains(PeerId{0xFFFFFFFFULL}));
 }
 
+TEST(Directory, ClassesBeyondAByteAreRejected) {
+  // A slot keeps its class in one byte; the engines cap classes at
+  // kMaxSupportedClasses, far below that.
+  DirectoryService d;
+  EXPECT_THROW(d.register_supplier(PeerId{1}, 256), util::ContractViolation);
+  EXPECT_THROW(d.register_supplier(PeerId{1}, -1), util::ContractViolation);
+  EXPECT_EQ(d.supplier_count(), 0u);
+  d.register_supplier(PeerId{1}, 255);
+  EXPECT_EQ(sampled_class(d, PeerId{1}), 255);
+}
+
 TEST(Directory, DeregisterSwapRemoveKeepsOthersIntact) {
   DirectoryService d;
   for (std::uint64_t i = 0; i < 10; ++i) {
